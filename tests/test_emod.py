@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from beilinson.emod import (
+    EndReport,
     ErModule,
+    IndecResult,
     JordanType,
     end_algebra,
     forget,
@@ -27,8 +29,10 @@ from beilinson.emod import (
 )
 from beilinson.linalg import FpMatrix, rank
 from beilinson.reps import (
+    BeilinsonRep,
     ProjPoint,
     direct_sum,
+    hom_space,
     m_module,
     proj_points,
     projective,
@@ -203,6 +207,11 @@ class TestEndAlgebra:
         _, report = end_algebra(forget(m_module(5, 3, 2, 3, 2)))
         assert report.commutative and report.local
 
+    def test_large_end_takes_heuristic_regime(self):
+        basis, report = end_algebra(forget(w_module(5, 3, 3, 4, 3)))
+        assert len(basis) == 34
+        assert report == EndReport(34, True, True, "heuristic")
+
 
 class TestIndecomposability:
     def test_trivial_is_indecomposable(self):
@@ -213,10 +222,23 @@ class TestIndecomposability:
         m = direct_sum(simple(5, 3, 3, 1), simple(5, 3, 3, 1))
         res = is_indecomposable(m)
         assert res.verdict == "decomposable"
+        assert res.summand_dims == (1, 1)
 
     def test_m_module_indecomposable(self):
         res = is_indecomposable(forget(m_module(5, 2, 2, 3, 2)))
         assert res.verdict == "yes"
+
+    def test_large_end_is_probably_indecomposable(self):
+        res = is_indecomposable(forget(w_module(5, 3, 3, 4, 3)))
+        assert res == IndecResult("probably_yes")
+
+    def test_graded_local_end_certified(self):
+        # Kronecker rep with arrows I and a nilpotent Jordan block: End is
+        # {aI + bN}, two-dimensional, commutative and local.
+        arrows = (FpMatrix.identity(5, 2), FpMatrix.from_rows(5, [[0, 1], [0, 0]]))
+        rep = BeilinsonRep(5, 2, 2, (2, 2), (arrows,))
+        assert len(hom_space(rep, rep)) == 2
+        assert is_indecomposable(rep) == IndecResult("yes")
 
 
 class TestConstantJordanType:

@@ -245,3 +245,14 @@ class TestRepIsomorphic:
         )
         assert validate(conj) == []
         assert rep_isomorphic(m, conj) == "yes"
+
+    def test_exhausted_enumeration_certifies_no(self):
+        # dim Hom = 11 at p = 2: no single or random candidate is invertible,
+        # so all 2^11 coefficient vectors are enumerated before answering.
+        from beilinson.kronecker import e_lambda
+
+        s0, s1 = simple(2, 2, 2, 0), simple(2, 2, 2, 1)
+        left = direct_sum(direct_sum(direct_sum(direct_sum(s0, s0), s1), s1), s1)
+        right = direct_sum(direct_sum(direct_sum(e_lambda(2, 2, (1, 0)), s0), s1), s1)
+        assert len(hom_space(left, right)) == 11
+        assert rep_isomorphic(left, right) == "no"
