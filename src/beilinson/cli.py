@@ -70,8 +70,16 @@ def _build_rep(args) -> reps.BeilinsonRep:
 
 
 def _load_rep(path: str) -> reps.BeilinsonRep:
+    """The stored representation, or exit status 3 (invalid input; a false
+    verdict is 1) with one line on stderr when the file is not a valid
+    representation."""
     with open(path, "r", encoding="utf-8") as handle:
-        return reps.BeilinsonRep.from_json(handle.read())
+        text = handle.read()
+    try:
+        return reps.BeilinsonRep.from_json(text)
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"beilinson: invalid representation in {path}: {exc}", file=sys.stderr)
+        raise SystemExit(3) from None
 
 
 def _emit(payload, args) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -22,8 +23,15 @@ from .linalg import (
     rank,
 )
 from .monomials import monomials
-from .reps import BeilinsonRep, ConfigMismatch, ProjPoint, proj_points
-from .search import find_invertible
+from .reps import (
+    BeilinsonRep,
+    ConfigMismatch,
+    ProjPoint,
+    block_diagonal,
+    hom_space,
+    proj_points,
+)
+from .search import find_invertible, span
 
 
 @dataclass(frozen=True)
@@ -67,7 +75,11 @@ class ErModule:
             FpMatrix(p, np.asarray(arr, dtype=np.int64).reshape(dim, dim))
             for arr in d["ops"]
         )
-        return ErModule(p, r, dim, ops)
+        m = ErModule(p, r, dim, ops)
+        problems = validate_module(m)
+        if problems:
+            raise ValueError(problems[0])
+        return m
 
 
 def validate_module(m: ErModule) -> list[str]:
@@ -138,11 +150,7 @@ def forget(rep: BeilinsonRep) -> ErModule:
 def point_operator(m: ErModule, alpha: ProjPoint) -> FpMatrix:
     if alpha.p != m.p or alpha.r != m.r:
         raise ConfigMismatch("alpha over wrong (p, r)")
-    acc = FpMatrix.zeros(m.p, m.dim, m.dim)
-    for l, c in enumerate(alpha.coords):
-        if c:
-            acc = acc + m.ops[l].scale(c)
-    return acc
+    return span(m.p, m.ops)(alpha.coords)
 
 
 def jordan_type(m: ErModule, alpha: ProjPoint) -> JordanType:
@@ -283,15 +291,8 @@ def twist(m: ErModule, g: FpMatrix) -> ErModule:
     if g.p != m.p or (g.rows, g.cols) != (m.r, m.r):
         raise ValueError("twist needs an r x r matrix over the same field")
     ginv = invert(g)
-    ops = []
-    for l in range(m.r):
-        acc = FpMatrix.zeros(m.p, m.dim, m.dim)
-        for t in range(m.r):
-            c = int(ginv.a[t, l])
-            if c:
-                acc = acc + m.ops[t].scale(c)
-        ops.append(acc)
-    return ErModule(m.p, m.r, m.dim, tuple(ops))
+    combine = span(m.p, m.ops)
+    return ErModule(m.p, m.r, m.dim, tuple(combine(ginv.a[:, l]) for l in range(m.r)))
 
 
 def invert(g: FpMatrix) -> FpMatrix:
@@ -336,8 +337,7 @@ def hom_modules(m: ErModule, n: ErModule) -> list[FpMatrix]:
     ]
 
 
-def is_isomorphic(m: ErModule, n: ErModule, seed: int = 0, budget: int = 200,
-                  enumerate_threshold: int = 10**6) -> str:
+def is_isomorphic(m: ErModule, n: ErModule, seed: int = 0) -> str:
     """'yes' | 'no' | 'probably_not'.
 
     Quick certified rejections by dimension, Jordan types at every rational
@@ -356,20 +356,16 @@ def is_isomorphic(m: ErModule, n: ErModule, seed: int = 0, budget: int = 200,
     if rad_series(m) != rad_series(n):
         return "no"
     basis = hom_modules(m, n)
-    if not basis:
-        return "no"
+    return find_invertible(m.p, len(basis), span(m.p, basis),
+                           lambda phi: rank(phi) == m.dim, seed)
 
-    def combine(coeffs):
-        acc = FpMatrix.zeros(m.p, n.dim, m.dim)
-        for c, phi in zip(coeffs, basis):
-            if c:
-                acc = acc + phi.scale(c)
-        return acc
 
-    return find_invertible(
-        m.p, len(basis), combine, lambda phi: rank(phi) == m.dim, seed, budget,
-        enumerate_threshold,
-    )
+# End bases up to this dimension get the deterministic locality sweep
+SWEEP_LIMIT = 12
+# random endomorphisms sampled by end_algebra above SWEEP_LIMIT
+LOCALITY_SAMPLES = 50
+# random endomorphisms tried for a Fitting split by is_indecomposable
+FITTING_SAMPLES = 40
 
 
 @dataclass(frozen=True)
@@ -380,53 +376,48 @@ class EndReport:
     regime: str  # "deterministic" or "heuristic"
 
 
-def _is_nilpotent(phi: FpMatrix) -> bool:
+def _stable_power(phi: FpMatrix) -> FpMatrix:
+    """phi^(2^k) for the least 2^k >= dim, where image and kernel settle;
+    zero exactly when phi is nilpotent."""
     power = phi
     steps = 1
-    while steps < phi.rows:
-        if power.is_zero():
-            return True
+    while steps < phi.rows and not power.is_zero():
         power = power @ power
         steps *= 2
-    return power.is_zero()
+    return power
 
 
-def end_algebra(m: ErModule, seed: int = 0, trials: int = 50,
-                sweep_limit: int = 12) -> tuple[list[FpMatrix], EndReport]:
+def _scalar_plus_nilpotent(phi: FpMatrix) -> bool:
+    eye = FpMatrix.identity(phi.p, phi.rows)
+    return any(_stable_power(phi - eye.scale(c)).is_zero() for c in range(phi.p))
+
+
+def _commutative(basis: list[FpMatrix]) -> bool:
+    return all(a @ b == b @ a for a, b in combinations(basis, 2))
+
+
+def end_algebra(m: ErModule, seed: int = 0) -> tuple[list[FpMatrix], EndReport]:
     """Endomorphism basis with commutativity and locality flags.
 
-    Commutativity is exact (all basis pairs).  For dim End <= sweep_limit
+    Commutativity is exact (all basis pairs).  For dim End <= SWEEP_LIMIT
     the locality flag is decided by a deterministic sweep checking every
     basis element is a scalar plus a nilpotent; in the commutative case
-    that certifies a local ring with residue field F_p.  Above the limit a
-    randomized sweep over sampled elements is used and flagged heuristic."""
+    that certifies a local ring with residue field F_p.  Above the limit
+    LOCALITY_SAMPLES random elements are checked and the flag is labelled
+    heuristic."""
     basis = hom_modules(m, m)
     h = len(basis)
-    commutative = all(
-        basis[i] @ basis[j] == basis[j] @ basis[i]
-        for i in range(h)
-        for j in range(i + 1, h)
-    )
-
-    def scalar_plus_nilpotent(phi: FpMatrix) -> bool:
-        eye = FpMatrix.identity(m.p, m.dim)
-        return any(_is_nilpotent(phi - eye.scale(c)) for c in range(m.p))
-
-    if h <= sweep_limit:
-        local = all(scalar_plus_nilpotent(phi) for phi in basis)
+    commutative = _commutative(basis)
+    if h <= SWEEP_LIMIT:
+        local = all(_scalar_plus_nilpotent(phi) for phi in basis)
         regime = "deterministic"
     else:
+        combine = span(m.p, basis)
         rng = np.random.default_rng(seed)
-        local = True
-        for _ in range(trials):
-            coeffs = rng.integers(0, m.p, size=h)
-            acc = FpMatrix.zeros(m.p, m.dim, m.dim)
-            for c, phi in zip(coeffs, basis):
-                if c:
-                    acc = acc + phi.scale(int(c))
-            if not scalar_plus_nilpotent(acc):
-                local = False
-                break
+        local = all(
+            _scalar_plus_nilpotent(combine(rng.integers(0, m.p, size=h)))
+            for _ in range(LOCALITY_SAMPLES)
+        )
         regime = "heuristic"
     return basis, EndReport(h, commutative, local, regime)
 
@@ -437,96 +428,50 @@ class IndecResult:
     summand_dims: tuple[int, int] | None = None
 
 
-def _fitting_split(phi_power: FpMatrix, total: int) -> tuple[int, int] | None:
-    r1 = rank(phi_power)
-    if 0 < r1 < total:
-        return (total - r1, r1)
+def _fitting_split(phi: FpMatrix) -> tuple[int, int] | None:
+    """Dimensions of the kernel and image of the stable power of phi, when
+    both are nonzero: then M splits as their direct sum."""
+    r1 = rank(_stable_power(phi))
+    if 0 < r1 < phi.rows:
+        return (phi.rows - r1, r1)
     return None
 
 
-def is_indecomposable(m, seed: int = 0, trials: int = 40) -> IndecResult:
-    """Certified 'yes' when dim End = 1; otherwise randomized Fitting:
-    a sampled endomorphism whose stable power is neither zero nor
-    invertible certifies a direct decomposition."""
+def is_indecomposable(m, seed: int = 0) -> IndecResult:
+    """Certified 'yes' when dim End = 1, or when End is commutative of
+    dimension <= SWEEP_LIMIT with every basis element a scalar plus a
+    nilpotent (then End is local); otherwise randomized Fitting: a sampled
+    endomorphism whose stable power is neither zero nor invertible
+    certifies a direct decomposition."""
     if isinstance(m, BeilinsonRep):
-        from .reps import hom_space
-
-        if m.total_dim == 0:
-            raise ValueError("the zero module is neither")
-        basis = hom_space(m, m)
-        total = m.total_dim
-
-        def power(coeffs):
-            acc = [FpMatrix.zeros(m.p, d, d) for d in m.dims]
-            for c, phi in zip(coeffs, basis):
-                if c:
-                    acc = [a + f.scale(c) for a, f in zip(acc, phi)]
-            out = np.zeros((total, total), dtype=np.int64)
-            offs = np.concatenate([[0], np.cumsum(m.dims)])
-            for v, blk in enumerate(acc):
-                out[offs[v]:offs[v + 1], offs[v]:offs[v + 1]] = blk.a
-            return FpMatrix(m.p, out)
-
-        p = m.p
+        dim, basis = m.total_dim, hom_space(m, m)
     elif isinstance(m, ErModule):
-        if m.dim == 0:
-            raise ValueError("the zero module is neither")
-        basis = hom_modules(m, m)
-        total = m.dim
-
-        def power(coeffs):
-            acc = FpMatrix.zeros(m.p, total, total)
-            for c, phi in zip(coeffs, basis):
-                if c:
-                    acc = acc + phi.scale(c)
-            return acc
-
-        p = m.p
+        dim, basis = m.dim, hom_modules(m, m)
     else:
         raise TypeError("expected a BeilinsonRep or an ErModule")
-
+    if dim == 0:
+        raise ValueError("the zero module is neither")
     h = len(basis)
     if h == 1:
         return IndecResult("yes")
+    if isinstance(m, BeilinsonRep):
+        basis = [block_diagonal(phi) for phi in basis]
 
-    def stable_power(phi: FpMatrix) -> FpMatrix:
-        acc = phi
-        steps = 1
-        while steps < total:
-            acc = acc @ acc
-            steps *= 2
-        return acc
-
-    for idx in range(h):
-        coeffs = tuple(1 if t == idx else 0 for t in range(h))
-        split = _fitting_split(stable_power(power(coeffs)), total)
+    for phi in basis:
+        split = _fitting_split(phi)
         if split:
             return IndecResult("decomposable", split)
+    combine = span(m.p, basis)
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        coeffs = tuple(int(c) for c in rng.integers(0, p, size=h))
-        if not any(coeffs):
+    for _ in range(FITTING_SAMPLES):
+        coeffs = rng.integers(0, m.p, size=h)
+        if not coeffs.any():
             continue
-        split = _fitting_split(stable_power(power(coeffs)), total)
+        split = _fitting_split(combine(coeffs))
         if split:
             return IndecResult("decomposable", split)
-    if h <= 12:
-        # Deterministic certification: when End is commutative and every
-        # basis element is scalar plus nilpotent, End is local, so the
-        # module is indecomposable.
-        mats = [
-            power(tuple(1 if t == idx else 0 for t in range(h)))
-            for idx in range(h)
-        ]
-        commutative = all(
-            mats[i] @ mats[j] == mats[j] @ mats[i]
-            for i in range(h)
-            for j in range(i + 1, h)
-        )
-        eye = FpMatrix.identity(p, total)
-        if commutative and all(
-            any(_is_nilpotent(phi - eye.scale(c)) for c in range(p))
-            for phi in mats
-        ):
-            return IndecResult("yes")
+    if h <= SWEEP_LIMIT and _commutative(basis) and all(
+        _scalar_plus_nilpotent(phi) for phi in basis
+    ):
+        return IndecResult("yes")
     return IndecResult("probably_yes")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,6 +20,7 @@ class DimensionMismatch(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
+@lru_cache
 def is_prime(p: int) -> bool:
     if p < 2:
         return False

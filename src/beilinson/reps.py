@@ -32,6 +32,7 @@ from .monomials import (
     linear_form_power_matrix,
     multiplication_matrix,
 )
+from .search import find_invertible, span
 
 
 class ConfigMismatch(ValueError):
@@ -140,7 +141,13 @@ class BeilinsonRep:
             )
             for i, level in enumerate(d["maps"])
         )
-        return BeilinsonRep(p, n, r, tuple(dims), maps)
+        rep = BeilinsonRep(p, n, r, tuple(dims), maps)
+        violations = validate(rep)
+        if violations:
+            i, (l, k) = violations[0]
+            raise ValueError(f"arrows {l} and {k} break the commutativity "
+                             f"relation from vertex {i} to vertex {i + 2}")
+        return rep
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +299,7 @@ def alpha_operator(rep: BeilinsonRep, alpha: ProjPoint) -> list[FpMatrix]:
     entry is sum_l alpha_l * maps[i][l], of shape dims[i+1] x dims[i]."""
     if alpha.p != rep.p or alpha.r != rep.r:
         raise ConfigMismatch("alpha over wrong (p, r)")
-    steps = []
-    for i in range(rep.n - 1):
-        acc = FpMatrix.zeros(rep.p, rep.dims[i + 1], rep.dims[i])
-        for l, c in enumerate(alpha.coords):
-            if c:
-                acc = acc + rep.maps[i][l].scale(c)
-        steps.append(acc)
-    return steps
+    return [span(rep.p, level)(alpha.coords) for level in rep.maps]
 
 
 def step_power_rank(rep: BeilinsonRep, alpha: ProjPoint, j: int) -> int:
@@ -434,34 +434,31 @@ def sub_rep(y: BeilinsonRep, bases: list[FpMatrix]) -> BeilinsonRep:
 # ---------------------------------------------------------------------------
 # isomorphism testing for representations (shared search with kE_r-modules)
 
-def rep_isomorphic(x: BeilinsonRep, y: BeilinsonRep, seed: int = 0, budget: int = 200,
-                   enumerate_threshold: int = 10**6):
+def block_diagonal(phi: tuple[FpMatrix, ...]) -> FpMatrix:
+    """A graded map as one matrix, its vertex components on the diagonal.
+
+    Between reps of equal dimension vectors the blocks are square, so the
+    matrix has full rank exactly when every vertex component does."""
+    rows = [0, *np.cumsum([b.rows for b in phi])]
+    cols = [0, *np.cumsum([b.cols for b in phi])]
+    out = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
+    for v, blk in enumerate(phi):
+        out[rows[v]:rows[v + 1], cols[v]:cols[v + 1]] = blk.a
+    return FpMatrix(phi[0].p, out)
+
+
+def rep_isomorphic(x: BeilinsonRep, y: BeilinsonRep, seed: int = 0):
     """Graded isomorphism verdict: 'yes' | 'no' | 'probably_not'.
 
     'yes' is certified by an explicit vertex-wise invertible intertwiner;
     'no' is certified by a dimension-vector mismatch or by exhausting the
     coefficient enumeration of the hom space."""
-    from .search import find_invertible  # local import to avoid a cycle
-
     if not x.same_config(y):
         raise ConfigMismatch("isomorphism requires matching (p, n, r)")
     if x.dims != y.dims:
         return "no"
     if x.total_dim == 0:
         return "yes"
-    basis = hom_space(x, y)
-    if not basis:
-        return "no"
-
-    def combine(coeffs):
-        acc = [FpMatrix.zeros(x.p, y.dims[v], x.dims[v]) for v in range(x.n)]
-        for c, phi in zip(coeffs, basis):
-            if c:
-                acc = [a + m.scale(c) for a, m in zip(acc, phi)]
-        return acc
-
-    def invertible(phi):
-        return all(rank(phi_v) == x.dims[v] for v, phi_v in enumerate(phi))
-
-    return find_invertible(x.p, len(basis), combine, invertible, seed, budget,
-                           enumerate_threshold)
+    basis = [block_diagonal(phi) for phi in hom_space(x, y)]
+    return find_invertible(x.p, len(basis), span(x.p, basis),
+                           lambda phi: rank(phi) == x.total_dim, seed)

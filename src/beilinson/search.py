@@ -1,10 +1,11 @@
-"""Shared randomized/exhaustive search for invertible hom-space elements.
+"""Linear combinations of a hom basis, and the shared search for an
+invertible element among them.
 
 Used by the isomorphism tests for both graded representations and
 kE_r-modules.  A found invertible element certifies 'yes'.  'no' is
 certified only when the full coefficient space of the hom basis has been
 enumerated without success; otherwise the verdict degrades to
-'probably_not' after the trial budget."""
+'probably_not' after RANDOM_CANDIDATES random combinations."""
 
 from __future__ import annotations
 
@@ -12,9 +13,31 @@ import itertools
 
 import numpy as np
 
+from .linalg import FpMatrix
 
-def find_invertible(p: int, basis_size: int, combine, invertible, seed: int = 0,
-                    budget: int = 200, enumerate_threshold: int = 10**6) -> str:
+# random combinations tried after the single basis elements
+RANDOM_CANDIDATES = 200
+# enumerate every combination when p^(dim Hom) is at most this
+ENUMERATION_LIMIT = 10**6
+
+
+def span(p: int, basis: list[FpMatrix]):
+    """The map from a coefficient sequence to its combination of the basis.
+
+    The sum is reduced mod p after every term, so no intermediate entry
+    exceeds (p-1)^2 + p - 1 and int64 suffices for any p < 2^31."""
+
+    def combine(coeffs) -> FpMatrix:
+        acc = np.zeros(basis[0].a.shape, dtype=np.int64)
+        for c, phi in zip(coeffs, basis):
+            if c:
+                acc = (acc + int(c) * phi.a) % p
+        return FpMatrix(p, acc)
+
+    return combine
+
+
+def find_invertible(p: int, basis_size: int, combine, invertible, seed: int = 0) -> str:
     """Search the span of a hom basis for an invertible element.
 
     combine(coeffs) builds the candidate from a coefficient tuple;
@@ -28,11 +51,11 @@ def find_invertible(p: int, basis_size: int, combine, invertible, seed: int = 0,
         if invertible(combine(coeffs)):
             return "yes"
     rng = np.random.default_rng(seed)
-    for _ in range(budget):
+    for _ in range(RANDOM_CANDIDATES):
         coeffs = tuple(int(c) for c in rng.integers(0, p, size=basis_size))
         if any(coeffs) and invertible(combine(coeffs)):
             return "yes"
-    if p**basis_size <= enumerate_threshold:
+    if p**basis_size <= ENUMERATION_LIMIT:
         for coeffs in itertools.product(range(p), repeat=basis_size):
             if any(coeffs) and invertible(combine(coeffs)):
                 return "yes"

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from beilinson.cli import main
-from beilinson.reps import BeilinsonRep, m_module, w_module, x_module, ProjPoint
+from beilinson.reps import (
+    BeilinsonRep, m_module, projective, w_module, x_module, ProjPoint,
+)
 
 
 @pytest.fixture()
@@ -66,6 +68,27 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["property"] == "EIP" and doc["verdict"] is True
         assert doc["jobs"] == 1
+
+    def test_broken_relations_exit_3(self, tmp_path, capsys):
+        doc = json.loads(projective(5, 3, 3, 0).to_json())
+        doc["maps"][1][0][1] = (doc["maps"][1][0][1] + 1) % 5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as info:
+            main(["check", "eip", "--rep", str(path)])
+        assert info.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "arrows 1 and 2" in captured.err
+
+    def test_malformed_json_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "cut.json"
+        path.write_text('{"p": 5, "n": 2')
+        with pytest.raises(SystemExit) as info:
+            main(["iso", str(path), str(path)])
+        assert info.value.code == 3
+        assert capsys.readouterr().err.startswith("beilinson: invalid representation")
 
     def test_family_construction_inline(self, capsys):
         code, _ = run(capsys, [

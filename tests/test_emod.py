@@ -1,6 +1,7 @@
 """Modules over the group algebra of an elementary abelian p-group."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -260,3 +261,12 @@ class TestSerialization:
     def test_round_trip(self):
         m = forget(m_module(5, 3, 3, 3, 2))
         assert ErModule.from_json(m.to_json()) == m
+
+    def test_invalid_operators_rejected_on_load(self):
+        n = [[0, 1], [0, 0]]
+        doc = {"p": 3, "r": 2, "dim": 2, "ops": [sum(n, []), [0, 0, 1, 0]]}
+        with pytest.raises(ValueError, match="operators 1 and 2 do not commute"):
+            ErModule.from_json(json.dumps(doc))
+        doc["ops"] = [[1, 0, 0, 0], [0, 0, 0, 0]]
+        with pytest.raises(ValueError, match="operator 1 is not nilpotent"):
+            ErModule.from_json(json.dumps(doc))

@@ -33,6 +33,8 @@ class TestPrimeField:
         for bad in (0, 1, 4, 6, 9, 100):
             with pytest.raises(ValueError):
                 PrimeField(bad)
+        with pytest.raises(ValueError):
+            FpMatrix(4, [[1]])
 
     def test_inverse(self):
         f = PrimeField(7)

@@ -218,6 +218,12 @@ class TestSerialization:
         ):
             assert BeilinsonRep.from_json(rep.to_json()) == rep
 
+    def test_broken_relations_rejected_on_load(self):
+        doc = json.loads(projective(5, 3, 3, 0).to_json())
+        doc["maps"][1][0][1] = (doc["maps"][1][0][1] + 1) % 5
+        with pytest.raises(ValueError, match="arrows 1 and 2 break"):
+            BeilinsonRep.from_json(json.dumps(doc))
+
     def test_schema_fields(self):
         doc = json.loads(m_module(5, 3, 3, 3, 2).to_json())
         assert set(doc) == {"p", "n", "r", "dims", "maps"}
