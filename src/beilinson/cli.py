@@ -71,10 +71,14 @@ def _build_rep(args) -> reps.BeilinsonRep:
 
 def _load_rep(path: str) -> reps.BeilinsonRep:
     """The stored representation, or exit status 3 (invalid input; a false
-    verdict is 1) with one line on stderr when the file is not a valid
-    representation."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    verdict is 1) with one line on stderr when the file cannot be read or
+    is not a valid representation."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"beilinson: cannot read {path}: {exc}", file=sys.stderr)
+        raise SystemExit(3) from None
     try:
         return reps.BeilinsonRep.from_json(text)
     except (KeyError, TypeError, ValueError) as exc:
@@ -136,7 +140,7 @@ def cmd_check(args) -> int:
         "ekp-hom": properties.is_ekp_hom,
         "cjt": properties.constant_jordan_type,
     }[args.property]
-    report = checker(rep, jobs=args.jobs)
+    report = checker(rep)
     payload = json.loads(report.to_json())
     payload["jobs"] = args.jobs
     _emit(payload, args)
@@ -174,7 +178,7 @@ def cmd_tau_orbit(args) -> int:
 
 def cmd_width(args) -> int:
     rep = _load_rep(args.rep) if args.rep else _build_rep(args)
-    report = kronecker.width(rep, k_max=args.k_max, jobs=args.jobs,
+    report = kronecker.width(rep, k_max=args.k_max,
                              base_label=args.family or "module")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
@@ -232,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="decide a point-wise module property")
     check.add_argument("property", choices=("eip", "ekp", "eip-hom", "ekp-hom", "cjt"))
     module_input(check)
-    _add_int(check, "jobs", default=1)
+    _add_int(check, "jobs", default=1,
+             help="accepted and echoed in the JSON output; has no effect")
     check.set_defaults(func=cmd_check)
 
     jt = sub.add_parser("jordan-type", help="Jordan type at one or all points")
@@ -248,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     width_cmd = sub.add_parser("width", help="width invariant of the translate orbit")
     module_input(width_cmd)
     _add_int(width_cmd, "k-max", default=8)
-    _add_int(width_cmd, "jobs", default=1)
+    _add_int(width_cmd, "jobs", default=1, help="accepted; has no effect")
     width_cmd.add_argument("--dot", default=None, help="also write a DOT graph here")
     width_cmd.set_defaults(func=cmd_width)
 

@@ -90,10 +90,7 @@ def validate_module(m: ErModule) -> list[str]:
             if m.ops[i] @ m.ops[j] != m.ops[j] @ m.ops[i]:
                 problems.append(f"operators {i + 1} and {j + 1} do not commute")
     for i, op in enumerate(m.ops):
-        power = FpMatrix.identity(m.p, m.dim)
-        for _ in range(m.p):
-            power = power @ op
-        if not power.is_zero():
+        if not _power(op, m.p).is_zero():
             problems.append(f"operator {i + 1} is not nilpotent of order <= p")
     return problems
 
@@ -387,9 +384,30 @@ def _stable_power(phi: FpMatrix) -> FpMatrix:
     return power
 
 
+def _power(phi: FpMatrix, e: int) -> FpMatrix:
+    """phi^e for e >= 1 by repeated squaring, in O(log e) products."""
+    result = None
+    while True:
+        if e & 1:
+            result = phi if result is None else result @ phi
+        e >>= 1
+        if not e:
+            return result
+        phi = phi @ phi
+
+
 def _scalar_plus_nilpotent(phi: FpMatrix) -> bool:
-    eye = FpMatrix.identity(phi.p, phi.rows)
-    return any(_stable_power(phi - eye.scale(c)).is_zero() for c in range(phi.p))
+    """Whether phi = c*I + N with c in F_p and N nilpotent.
+
+    That holds exactly when phi^(p^k) is a scalar matrix for the least
+    p^k >= dim: Frobenius fixes c and p^k-th powers kill N, and conversely
+    x^(p^k) - s = (x - s)^(p^k) over F_p."""
+    power, reach = phi, 1
+    while reach < phi.rows:
+        power = _power(power, phi.p)
+        reach *= phi.p
+    a = power.a
+    return not a.size or bool(np.array_equal(a, a[0, 0] * np.eye(phi.rows, dtype=np.int64)))
 
 
 def _commutative(basis: list[FpMatrix]) -> bool:

@@ -220,7 +220,7 @@ class TauOrbitReport:
         return "\n".join(lines)
 
 
-def width(m: BeilinsonRep, k_max: int = 8, jobs: int = 1,
+def width(m: BeilinsonRep, k_max: int = 8,
           base_label: str = "", assumptions: tuple[str, ...] = ()) -> TauOrbitReport:
     """Scan the translate orbit of a quasi-simple regular representation.
 
@@ -237,8 +237,8 @@ def width(m: BeilinsonRep, k_max: int = 8, jobs: int = 1,
         rec = ShiftRecord(
             exponent,
             (rep.dims[0], rep.dims[1]),
-            eip=(not dead) and is_eip_def(rep, jobs).verdict,
-            ekp=(not dead) and is_ekp_def(rep, jobs).verdict,
+            eip=(not dead) and is_eip_def(rep).verdict,
+            ekp=(not dead) and is_ekp_def(rep).verdict,
             hit_projective=dead and exponent > 0,
             hit_injective=dead and exponent < 0,
         )

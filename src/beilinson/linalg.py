@@ -2,9 +2,15 @@
 
 All matrices are dense, row-major numpy int64 arrays with entries reduced
 into [0, p).  Every value is immutable after construction and every
-operation is a pure function, so callers may share and parallelize freely.
-Entry magnitudes must satisfy (p-1)^2 * max_dim < 2^63, which holds for
-any machine-word prime at the dimensions this library targets.
+operation is a pure function, so callers may share them freely.
+
+Exactness bounds.  An elimination step (in ``_rref``, ``rank`` and
+``batched_rank``) forms products of two reduced entries and at most one
+difference of such terms before it reduces mod p, so no intermediate
+exceeds (p-1)^2 in absolute value and int64 is exact for every p < 2^31.
+A matrix product sums k such products before it reduces, where k is the
+inner dimension, so ``FpMatrix.__matmul__`` is exact only while
+(p-1)^2 * k < 2^63; at p = 2^31 - 1 that already fails for k = 3.
 """
 
 from __future__ import annotations
@@ -189,9 +195,53 @@ def rref(m: FpMatrix):
 
 
 def rank(m: FpMatrix) -> int:
-    """F_p-rank via Gaussian elimination."""
-    _, pivots = _rref(m.a, m.p)
-    return len(pivots)
+    """F_p-rank by fraction-free forward elimination, without an RREF.
+
+    Only the nonzero rows and columns take part, oriented so that the loop
+    runs over the shorter side.  Each pivot step replaces every row below
+    the pivot row by piv * row - row[0] * pivot_row and drops the pivot
+    row and column."""
+    p, a = m.p, m.a
+    a = a[a.any(axis=1)]
+    a = a[:, a.any(axis=0)]
+    if a.shape[1] > a.shape[0]:
+        a = a.T
+    r = 0
+    while a.shape[0] and a.shape[1]:
+        nz = a[:, 0].nonzero()[0]
+        if nz.size == 0:
+            a = a[:, 1:]
+            continue
+        if nz[0]:
+            a[[0, nz[0]]] = a[[nz[0], 0]]
+        a = (a[1:, 1:] * a[0, 0] - a[1:, :1] * a[0, 1:]) % p
+        r += 1
+    return r
+
+
+def batched_rank(stack: np.ndarray, p: int) -> np.ndarray:
+    """F_p-ranks of a (B, rows, cols) stack of reduced matrices, as B ints.
+
+    One fraction-free elimination runs over the whole stack at once,
+    looping over the shorter matrix side.  At column c every matrix with
+    a nonzero entry there takes its first such row as pivot and replaces
+    each row by piv * row - row[c] * pivot_row; that clears column c and
+    zeroes the pivot row itself, so no row is ever swapped or removed."""
+    a = np.asarray(stack, dtype=np.int64)
+    if a.shape[2] > a.shape[1]:
+        a = a.transpose(0, 2, 1)
+    a = a.copy()
+    ranks = np.zeros(a.shape[0], dtype=np.int64)
+    for c in range(a.shape[2]):
+        nz = a[:, :, c] != 0
+        b = np.flatnonzero(nz.any(axis=1))
+        if b.size == 0:
+            continue
+        piv_row = a[b, nz[b].argmax(axis=1), c:][:, None, :]
+        sub = a[b, :, c:]
+        a[b, :, c:] = (sub * piv_row[:, :, :1] - sub[:, :, :1] * piv_row) % p
+        ranks[b] += 1
+    return ranks
 
 
 def kernel_basis(m: FpMatrix) -> FpMatrix:

@@ -1,10 +1,11 @@
 """Equal-images / equal-kernels / constant-rank decisions, by two routes.
 
 The definition route inspects the step matrices of the point operators
-directly.  The homological route computes Hom- and Ext-dimensions against
-the materialized projective-line family of arrow-cokernel modules via the
-intertwiner solver, sharing nothing with the definition route beyond the
-exact linear algebra substrate.  All "for every point" quantifiers run
+directly, at all points at once, with one batched rank per level.  The
+homological route computes Hom- and Ext-dimensions against the materialized
+projective-line family of arrow-cokernel modules via the intertwiner
+solver, sharing nothing with the definition route beyond the exact linear
+algebra substrate.  All "for every point" quantifiers run
 exhaustively over the rational points of P^{r-1}(F_p); reports carry the
 field so the gap to an algebraically closed base field stays visible.
 """
@@ -12,17 +13,16 @@ field so the gap to an algebraically closed base field stays visible.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .linalg import rank
+import numpy as np
+
+from .linalg import batched_rank
 from .reps import (
     BeilinsonRep,
     ProjPoint,
-    alpha_operator,
     hom_space,
     proj_points,
-    step_power_rank,
     x_module,
 )
 
@@ -52,45 +52,46 @@ class PropertyReport:
         return json.dumps(d)
 
 
-def alpha_map(fn, points, jobs: int = 1):
-    """Apply fn over projective points, merging in enumeration order."""
-    if jobs <= 1:
-        return [fn(a) for a in points]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, points))
+def _first_failure(prop: str, p: int, failures) -> PropertyReport:
+    """False with the first (point, level) that failures yields, else true."""
+    hit = next(failures, None)
+    return PropertyReport(prop, hit is None, p, witness=hit)
 
 
 # ---------------------------------------------------------------------------
 # definition route
 
-def is_eip_def(m: BeilinsonRep, jobs: int = 1) -> PropertyReport:
+def point_steps(m: BeilinsonRep, points) -> list[np.ndarray]:
+    """Point-operator steps at the given points, one (len(points), dims[i+1],
+    dims[i]) stack per level i, reduced mod p after every arrow term as in
+    ``search.span``, so int64 is exact for every p < 2^31."""
+    coords = np.array([a.coords for a in points], dtype=np.int64).reshape(-1, m.r)
+    stacks = []
+    for level in m.maps:
+        acc = np.zeros((len(coords), level[0].rows, level[0].cols), dtype=np.int64)
+        for l, arrow in enumerate(level):
+            acc = (acc + coords[:, l, None, None] * arrow.a) % m.p
+        stacks.append(acc)
+    return stacks
+
+
+def _step_failures(m: BeilinsonRep, needed):
+    """(point, level) pairs, in enumeration order, where the step rank of
+    the point operator falls below needed[level]."""
+    points = proj_points(m.p, m.r)
+    ranks = np.stack([batched_rank(s, m.p) for s in point_steps(m, points)], axis=1)
+    for b, i in np.argwhere(ranks < np.asarray(needed)):
+        yield points[b], int(i)
+
+
+def is_eip_def(m: BeilinsonRep) -> PropertyReport:
     """Every step of every point operator surjective."""
-
-    def probe(alpha):
-        for i, step in enumerate(alpha_operator(m, alpha)):
-            if rank(step) < m.dims[i + 1]:
-                return alpha, i
-        return None
-
-    for hit in alpha_map(probe, proj_points(m.p, m.r), jobs):
-        if hit is not None:
-            return PropertyReport("EIP", False, m.p, witness=hit)
-    return PropertyReport("EIP", True, m.p)
+    return _first_failure("EIP", m.p, _step_failures(m, m.dims[1:]))
 
 
-def is_ekp_def(m: BeilinsonRep, jobs: int = 1) -> PropertyReport:
+def is_ekp_def(m: BeilinsonRep) -> PropertyReport:
     """Every step of every point operator injective."""
-
-    def probe(alpha):
-        for i, step in enumerate(alpha_operator(m, alpha)):
-            if rank(step) < m.dims[i]:
-                return alpha, i
-        return None
-
-    for hit in alpha_map(probe, proj_points(m.p, m.r), jobs):
-        if hit is not None:
-            return PropertyReport("EKP", False, m.p, witness=hit)
-    return PropertyReport("EKP", True, m.p)
+    return _first_failure("EKP", m.p, _step_failures(m, m.dims[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -117,46 +118,42 @@ def ext_dim_x(m: BeilinsonRep, alpha: ProjPoint, i: int, j: int = 1) -> int:
     return m.dims[i + j] - m.dims[i] + hom_dim_x(m, alpha, i, j)
 
 
-def is_eip_hom(m: BeilinsonRep, jobs: int = 1) -> PropertyReport:
+def _hom_failures(m: BeilinsonRep, dim_x):
+    """(point, level) pairs, in enumeration order, where dim_x(m, point,
+    level) is nonzero; lazy, so a sweep stops at its first failure."""
+    for alpha in proj_points(m.p, m.r):
+        for i in range(m.n - 1):
+            if dim_x(m, alpha, i):
+                yield alpha, i
+
+
+def is_eip_hom(m: BeilinsonRep) -> PropertyReport:
     """Ext^1 against the whole degree-one family vanishes at every point."""
-
-    def probe(alpha):
-        for i in range(m.n - 1):
-            if ext_dim_x(m, alpha, i) != 0:
-                return alpha, i
-        return None
-
-    for hit in alpha_map(probe, proj_points(m.p, m.r), jobs):
-        if hit is not None:
-            return PropertyReport("EIP", False, m.p, witness=hit)
-    return PropertyReport("EIP", True, m.p)
+    return _first_failure("EIP", m.p, _hom_failures(m, ext_dim_x))
 
 
-def is_ekp_hom(m: BeilinsonRep, jobs: int = 1) -> PropertyReport:
+def is_ekp_hom(m: BeilinsonRep) -> PropertyReport:
     """Hom from the whole degree-one family vanishes at every point."""
-
-    def probe(alpha):
-        for i in range(m.n - 1):
-            if hom_dim_x(m, alpha, i) != 0:
-                return alpha, i
-        return None
-
-    for hit in alpha_map(probe, proj_points(m.p, m.r), jobs):
-        if hit is not None:
-            return PropertyReport("EKP", False, m.p, witness=hit)
-    return PropertyReport("EKP", True, m.p)
+    return _first_failure("EKP", m.p, _hom_failures(m, hom_dim_x))
 
 
 # ---------------------------------------------------------------------------
 # constant rank / constant Jordan type
 
-def constant_rank(m: BeilinsonRep, j: int, jobs: int = 1,
+def constant_rank(m: BeilinsonRep, j: int,
                   with_profile: bool = False) -> PropertyReport:
     """Rank of the j-fold step composites equal across all points."""
     if not 1 <= j <= m.n - 1:
         raise ValueError(f"require 1 <= j <= n-1, got j={j}")
     points = proj_points(m.p, m.r)
-    ranks = alpha_map(lambda a: step_power_rank(m, a, j), points, jobs)
+    steps = point_steps(m, points)
+    ranks = np.zeros(len(points), dtype=np.int64)
+    for i in range(m.n - j):
+        comp = steps[i]
+        for t in range(1, j):
+            comp = (steps[i + t] @ comp) % m.p
+        ranks += batched_rank(comp, m.p)
+    ranks = ranks.tolist()
     profile = tuple((a.coords, rk) for a, rk in zip(points, ranks)) if with_profile else None
     tag = f"CR{j}"
     for a, rk in zip(points, ranks):
@@ -165,10 +162,10 @@ def constant_rank(m: BeilinsonRep, j: int, jobs: int = 1,
     return PropertyReport(tag, True, m.p, ranks=profile)
 
 
-def constant_jordan_type(m: BeilinsonRep, jobs: int = 1) -> PropertyReport:
+def constant_jordan_type(m: BeilinsonRep) -> PropertyReport:
     """Conjunction of constant j-rank over j = 1 .. n-1."""
     for j in range(1, m.n):
-        rep = constant_rank(m, j, jobs)
+        rep = constant_rank(m, j)
         if not rep.verdict:
             return PropertyReport("CJT", False, m.p, witness=rep.witness)
     return PropertyReport("CJT", True, m.p)

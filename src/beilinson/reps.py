@@ -302,19 +302,6 @@ def alpha_operator(rep: BeilinsonRep, alpha: ProjPoint) -> list[FpMatrix]:
     return [span(rep.p, level)(alpha.coords) for level in rep.maps]
 
 
-def step_power_rank(rep: BeilinsonRep, alpha: ProjPoint, j: int) -> int:
-    """Rank of the j-th power of the alpha operator: the sum over start
-    levels of the ranks of the j-fold step composites."""
-    steps = alpha_operator(rep, alpha)
-    total = 0
-    for i in range(rep.n - j):
-        comp = steps[i]
-        for t in range(1, j):
-            comp = steps[i + t] @ comp
-        total += rank(comp)
-    return total
-
-
 def hom_space(x: BeilinsonRep, y: BeilinsonRep) -> list[tuple[FpMatrix, ...]]:
     """Basis of the intertwiner space Hom(x, y), each element a tuple of
     per-vertex matrices phi_v with phi_{v+1} x.maps = y.maps phi_v."""

@@ -90,6 +90,23 @@ class TestCheck:
         assert info.value.code == 3
         assert capsys.readouterr().err.startswith("beilinson: invalid representation")
 
+    def test_missing_file_exit_3(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.json")
+        with pytest.raises(SystemExit) as info:
+            main(["check", "eip", "--rep", missing])
+        assert info.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"beilinson: cannot read {missing}")
+
+    def test_jobs_accepted_and_echoed(self, w_file, capsys):
+        code, out = run(capsys, [
+            "check", "eip", "--rep", w_file, "--jobs", "2", "--format", "json",
+        ])
+        assert code == 0
+        assert json.loads(out)["jobs"] == 2
+
     def test_family_construction_inline(self, capsys):
         code, _ = run(capsys, [
             "check", "ekp", "--family", "m", "--p", "5", "--n", "2",

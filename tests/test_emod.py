@@ -15,6 +15,7 @@ from beilinson.emod import (
     forget,
     group_algebra_radical_power,
     has_constant_jordan_type,
+    invert,
     is_indecomposable,
     is_isomorphic,
     jordan_type,
@@ -28,6 +29,7 @@ from beilinson.emod import (
     twist,
     validate_module,
 )
+from beilinson.emod import _scalar_plus_nilpotent, _stable_power
 from beilinson.linalg import FpMatrix, rank
 from beilinson.reps import (
     BeilinsonRep,
@@ -214,6 +216,41 @@ class TestEndAlgebra:
         assert report == EndReport(34, True, True, "heuristic")
 
 
+def sweep_scalar_plus_nilpotent(phi):
+    """Reference locality test: try every scalar c in F_p."""
+    eye = FpMatrix.identity(phi.p, phi.rows)
+    return any(_stable_power(phi - eye.scale(c)).is_zero() for c in range(phi.p))
+
+
+class TestScalarPlusNilpotent:
+    def test_frobenius_matches_scalar_sweep(self):
+        rng = np.random.default_rng(3)
+        seen = set()
+        for p in (2, 3, 5, 7):
+            for _ in range(40):
+                dim = int(rng.integers(1, 7))
+                if rng.random() < 0.5:
+                    # a conjugate of c*I + N, N strictly lower triangular
+                    n = np.tril(rng.integers(0, p, size=(dim, dim)), k=-1)
+                    c = int(rng.integers(0, p))
+                    g = random_invertible(p, dim, rng)
+                    phi = g @ FpMatrix(p, n + c * np.eye(dim, dtype=np.int64)) @ invert(g)
+                else:
+                    phi = FpMatrix.random(p, dim, dim, rng)
+                expected = sweep_scalar_plus_nilpotent(phi)
+                assert _scalar_plus_nilpotent(phi) == expected
+                seen.add(expected)
+        assert seen == {True, False}
+
+    def test_large_prime(self):
+        p = 10007
+        n = FpMatrix(p, [[0, 0, 0], [5, 0, 0], [p - 1, 3, 0]])
+        g = FpMatrix(p, [[1, 2, 3], [0, 1, 4], [0, 0, 1]])
+        phi = g @ (n + FpMatrix.identity(p, 3).scale(1234)) @ invert(g)
+        assert _scalar_plus_nilpotent(phi)
+        assert not _scalar_plus_nilpotent(phi + FpMatrix(p, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
+
+
 class TestIndecomposability:
     def test_trivial_is_indecomposable(self):
         res = is_indecomposable(trivial_module(5, 2))
@@ -260,6 +297,20 @@ class TestConstantJordanType:
 class TestSerialization:
     def test_round_trip(self):
         m = forget(m_module(5, 3, 3, 3, 2))
+        assert ErModule.from_json(m.to_json()) == m
+
+    def test_jordan_block_past_p_rejected(self):
+        for p in (2, 3):
+            block = FpMatrix(p, np.eye(p + 1, k=-1, dtype=np.int64))
+            zero = FpMatrix.zeros(p, p + 1, p + 1)
+            assert validate_module(ErModule(p, 2, p + 1, (block, zero))) == [
+                "operator 1 is not nilpotent of order <= p"
+            ]
+            short = FpMatrix(p, np.eye(p, k=-1, dtype=np.int64))
+            assert validate_module(ErModule(p, 2, p, (FpMatrix.zeros(p, p, p), short))) == []
+
+    def test_large_prime_module_loads(self):
+        m = forget(w_module(1009, 2, 3, 3, 2))
         assert ErModule.from_json(m.to_json()) == m
 
     def test_invalid_operators_rejected_on_load(self):

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from beilinson.linalg import (
     DimensionMismatch,
     FpMatrix,
     PrimeField,
+    batched_rank,
     cokernel_projection,
     image_basis,
     kernel_basis,
@@ -104,6 +107,70 @@ class TestRank:
         m = mat(7, [[1, 2, 3], [4, 5, 6], [0, 0, 1]])
         perm = mat(7, [[0, 0, 1], [4, 5, 6], [1, 2, 3]])
         assert rank(m) == rank(perm)
+
+
+ORACLE_PRIMES = (2, 3, 5, 7, 101, 65521)
+
+
+def sympy_rank(a, p):
+    """Rank over GF(p) by sympy's DomainMatrix, independent of this package."""
+    if 0 in a.shape:
+        return 0
+    return DomainMatrix.from_list(a.tolist(), GF(p)).rank()
+
+
+@st.composite
+def low_rank_stacks(draw):
+    """(p, stack): up to 8 matrices of one shape up to 12x12, each a product
+    of random factors through an inner dimension drawn per matrix, with
+    some rows and columns zeroed."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    count = draw(st.integers(1, 8))
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for _ in range(count):
+        k = int(rng.integers(0, min(rows, cols) + 1))
+        a = (rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols))) % p
+        a[rng.random(rows) < 0.1] = 0
+        a[:, rng.random(cols) < 0.1] = 0
+        mats.append(a)
+    return p, np.array(mats, dtype=np.int64).reshape(count, rows, cols)
+
+
+class TestRankOracle:
+    @given(low_rank_stacks())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_rank_matches_sympy_and_rref(self, case):
+        p, stack = case
+        for a in stack:
+            expected = sympy_rank(a, p)
+            assert len(rref(FpMatrix(p, a))[1]) == expected
+            assert rank(FpMatrix(p, a)) == expected
+
+    @given(low_rank_stacks())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_batched_rank_matches_sympy(self, case):
+        p, stack = case
+        expected = [sympy_rank(a, p) for a in stack]
+        ranks = batched_rank(stack, p)
+        assert ranks.shape == (len(stack),)
+        assert ranks.tolist() == expected
+
+    def test_batched_rank_leaves_input_unchanged(self):
+        stack = np.array([[[1, 2], [3, 4]], [[0, 0], [5, 6]]], dtype=np.int64)
+        before = stack.copy()
+        assert batched_rank(stack, 7).tolist() == [2, 1]
+        assert np.array_equal(stack, before)
+
+    def test_rank_near_the_int64_limit(self):
+        # the last step of a full-rank 3x3 elimination multiplies entries
+        # near p; int64 stays exact because every step reduces mod p
+        p = 2**31 - 1
+        a = np.array([[p - 1, p - 2, 1], [p - 3, 2, p - 1], [5, p - 1, p - 7]])
+        expected = sympy_rank(a, p)
+        assert rank(FpMatrix(p, a)) == expected
+        assert batched_rank(a[None], p).tolist() == [expected]
 
 
 class TestKernelImage:

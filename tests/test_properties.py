@@ -7,8 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from beilinson.linalg import FpMatrix, kernel_basis
+from beilinson.linalg import FpMatrix, kernel_basis, rref
 from beilinson.properties import (
+    PropertyReport,
     constant_jordan_type,
     constant_rank,
     is_eip_def,
@@ -16,16 +17,19 @@ from beilinson.properties import (
     is_ekp_def,
     is_ekp_hom,
     no_maps_check,
+    point_steps,
 )
 from beilinson.reps import (
     BeilinsonRep,
     ProjPoint,
+    alpha_operator,
     direct_sum,
     dualize,
     hom_space,
     image_rep,
     injective,
     m_module,
+    proj_points,
     projective,
     simple,
     sub_rep,
@@ -162,7 +166,87 @@ class TestReportSerialization:
         assert doc["field"]["p"] == 5
         assert "witness" in doc
 
-    def test_parallel_matches_serial(self):
-        rep = m_module(5, 2, 3, 4, 2)
-        assert is_eip_def(rep, jobs=1).verdict == is_eip_def(rep, jobs=2).verdict
-        assert is_ekp_hom(rep, jobs=1).verdict == is_ekp_hom(rep, jobs=2).verdict
+
+# ---------------------------------------------------------------------------
+# the batched definition route against a per-point reference loop
+
+def loop_rank(m):
+    return len(rref(m)[1])
+
+
+def loop_step_report(prop, rep, needed):
+    """The definition route one point and one level at a time."""
+    for alpha in proj_points(rep.p, rep.r):
+        for i, step in enumerate(alpha_operator(rep, alpha)):
+            if loop_rank(step) < needed[i]:
+                return PropertyReport(prop, False, rep.p, witness=(alpha, i))
+    return PropertyReport(prop, True, rep.p)
+
+
+def loop_constant_rank(rep, j):
+    points = proj_points(rep.p, rep.r)
+    ranks = []
+    for alpha in points:
+        steps = alpha_operator(rep, alpha)
+        total = 0
+        for i in range(rep.n - j):
+            comp = steps[i]
+            for t in range(1, j):
+                comp = steps[i + t] @ comp
+            total += loop_rank(comp)
+        ranks.append(total)
+    profile = tuple((a.coords, rk) for a, rk in zip(points, ranks))
+    for a, rk in zip(points, ranks):
+        if rk != ranks[0]:
+            return PropertyReport(f"CR{j}", False, rep.p, witness=(a, j), ranks=profile)
+    return PropertyReport(f"CR{j}", True, rep.p, ranks=profile)
+
+
+def sweep_inputs():
+    rng = np.random.default_rng(7)
+    for p, n, r, max_dim in ((2, 3, 2, 3), (3, 3, 3, 3), (5, 2, 3, 4), (7, 4, 2, 3), (3, 2, 4, 5)):
+        for k in range(6):
+            yield f"random {p},{n},{r} #{k}", random_valid_rep(p, n, r, max_dim, rng)
+    for args in ((5, 3, 3, 3, 2), (5, 2, 3, 3, 2), (7, 3, 3, 4, 3), (3, 3, 2, 3, 3)):
+        yield f"M{args}", m_module(*args)
+        yield f"W{args}", w_module(*args)
+    for alpha in proj_points(5, 3)[::5]:
+        yield f"X{alpha.coords}", x_module(5, 3, 3, alpha, 0, 1)
+        yield f"X{alpha.coords} j=2", x_module(5, 3, 3, alpha, 0, 2)
+
+
+class TestBatchedSweepMatchesPointLoop:
+    def test_reports_equal(self):
+        verdicts = set()
+        for label, rep in sweep_inputs():
+            pairs = [
+                (is_eip_def(rep), loop_step_report("EIP", rep, rep.dims[1:])),
+                (is_ekp_def(rep), loop_step_report("EKP", rep, rep.dims[:-1])),
+            ]
+            pairs += [(constant_rank(rep, j, with_profile=True), loop_constant_rank(rep, j))
+                      for j in range(1, rep.n)]
+            for got, want in pairs:
+                assert got == want, label
+                assert got.to_json() == want.to_json(), label
+                verdicts.add((got.property, got.verdict))
+        # the inputs exercise both verdicts of every check
+        assert {v for prop, v in verdicts if prop == "EIP"} == {True, False}
+        assert {v for prop, v in verdicts if prop == "EKP"} == {True, False}
+        assert {v for prop, v in verdicts if prop == "CR1"} == {True, False}
+
+    def test_point_stacks_exact_at_large_prime(self):
+        # three arrow terms near (p-1)^2 each would overflow int64 if the
+        # sum were reduced only at the end
+        p = 2**31 - 1
+        arrow = FpMatrix(p, [[p - 1, p - 2, 1], [p - 3, 5, p - 1]])
+        level = tuple(arrow.scale(k + 1) for k in range(4))
+        rep = BeilinsonRep(p, 2, 4, (3, 2), (level,))
+        points = [ProjPoint(p, (1, p - 1, p - 1, p - 1)), ProjPoint(p, (0, 1, p - 1, p - 2)),
+                  ProjPoint(p, (1, 0, 0, 0))]
+        (stack,) = point_steps(rep, points)
+        expected = [
+            [[sum(c * int(a.a[i, k]) for c, a in zip(alpha.coords, level)) % p
+              for k in range(3)] for i in range(2)]
+            for alpha in points
+        ]
+        assert stack.tolist() == expected
