@@ -328,10 +328,10 @@ def hom_modules(m: ErModule, n: ErModule) -> list[FpMatrix]:
             n.ops[l].a, np.eye(m.dim, dtype=np.int64)
         )
         blocks.append(row % p)
-    ker = kernel_basis(FpMatrix(p, np.vstack(blocks)))
-    return [
-        FpMatrix(p, ker.a[:, c].reshape(n.dim, m.dim)) for c in range(ker.cols)
-    ]
+    ker = kernel_basis(FpMatrix._reduced(p, np.vstack(blocks)))
+    stack = np.ascontiguousarray(ker.a.T).reshape(ker.cols, n.dim, m.dim)
+    stack.setflags(write=False)
+    return [FpMatrix._reduced(p, phi) for phi in stack]
 
 
 def is_isomorphic(m: ErModule, n: ErModule, seed: int = 0) -> str:

@@ -67,22 +67,15 @@ def tau_detailed(m: BeilinsonRep) -> TauResult:
     # transpose: generators of the opposite-orientation cokernel sit at the
     # relation slots; the i-th original generator attaches the row vector of
     # its relation coefficients across (relation j, arrow l)
-    h = np.zeros((r * s, d0), dtype=np.int64)
-    for j in range(s):
-        for l in range(r):
-            h[j * r + l, :] = relations.a[l * d0:(l + 1) * d0, j]
-    hmat = FpMatrix(p, h)
+    h = relations.a.reshape(r, d0, s).transpose(2, 0, 1).reshape(s * r, d0)
+    hmat = FpMatrix._reduced(p, h)
     q, c = cokernel_projection(hmat)
     stripped_p0 = d0 - rank(hmat)
     # opposite arrows send relation j to the class of slot (j, l); dualizing
     # transposes them back into the standard orientation
-    maps = []
-    for l in range(r):
-        dl = np.zeros((c, s), dtype=np.int64)
-        for j in range(s):
-            dl[:, j] = q.a[:, j * r + l]
-        maps.append(FpMatrix(p, dl).transpose())  # s x c
-    rep = BeilinsonRep(p, 2, r, (c, s), (tuple(maps),))
+    slots = q.a.reshape(c, s, r)
+    maps = tuple(FpMatrix._reduced(p, slots[:, :, l].T.copy()) for l in range(r))  # s x c
+    rep = BeilinsonRep(p, 2, r, (c, s), (maps,))
     return TauResult(rep, t, stripped_p0)
 
 

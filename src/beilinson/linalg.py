@@ -4,13 +4,23 @@ All matrices are dense, row-major numpy int64 arrays with entries reduced
 into [0, p).  Every value is immutable after construction and every
 operation is a pure function, so callers may share them freely.
 
+Construction.  ``FpMatrix(p, a)`` is the public path: it checks that p is
+prime, reduces ``a`` mod p into a new array and makes that read-only, so
+later writes to the caller's array never reach the matrix.  The trusted
+path ``FpMatrix._reduced(p, a)`` skips both checks and wraps ``a`` itself
+after making it read-only.  It is for results this package has computed
+and reduced: ``a`` must be a 2-d int64 array with entries in [0, p), and
+either fresh (no one else holds it) or a view of an array that is already
+read-only.  It never takes a view of a caller's writable array.
+
 Exactness bounds.  An elimination step (in ``_rref``, ``rank`` and
 ``batched_rank``) forms products of two reduced entries and at most one
 difference of such terms before it reduces mod p, so no intermediate
 exceeds (p-1)^2 in absolute value and int64 is exact for every p < 2^31.
-A matrix product sums k such products before it reduces, where k is the
-inner dimension, so ``FpMatrix.__matmul__`` is exact only while
-(p-1)^2 * k < 2^63; at p = 2^31 - 1 that already fails for k = 3.
+A matrix product sums (p-1)^2-sized terms along the inner dimension, so
+``matmul`` (behind ``FpMatrix.__matmul__``) reduces after every chunk of
+k = (2^63 - 1 - p) // (p-1)^2 inner columns; that is exact for every
+p < 2^31 (k = 2 at p = 2^31 - 1) and one chunk for any small p.
 """
 
 from __future__ import annotations
@@ -53,10 +63,20 @@ class PrimeField:
         return pow(int(x) % self.p, -1, self.p)
 
 
-def _as_array(entries, rows: int, cols: int, p: int) -> np.ndarray:
-    a = np.asarray(entries, dtype=np.int64).reshape(rows, cols) % p
-    a.setflags(write=False)
-    return a
+def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for reduced int64 arrays, stacked or not, as a new array.
+
+    The inner dimension is summed in chunks of k columns with
+    (p-1)^2 * k + p - 1 < 2^63, reducing after each chunk."""
+    k = max(1, (2**63 - 1 - p) // (p - 1) ** 2)
+    n = a.shape[-1]
+    if n <= k:
+        return (a @ b) % p
+    out = (a[..., :k] @ b[..., :k, :]) % p
+    for i in range(k, n, k):
+        out += a[..., i:i + k] @ b[..., i:i + k, :]
+        out %= p
+    return out
 
 
 @dataclass(frozen=True)
@@ -75,6 +95,16 @@ class FpMatrix:
         arr = arr % self.p
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
+
+    @classmethod
+    def _reduced(cls, p: int, a: np.ndarray) -> "FpMatrix":
+        """Trusted construction: wraps a reduced, fresh or read-only array
+        without the prime check or a second reduction (module docstring)."""
+        a.setflags(write=False)
+        m = object.__new__(cls)
+        object.__setattr__(m, "p", p)
+        object.__setattr__(m, "a", a)
+        return m
 
     # -- construction helpers -------------------------------------------
     @staticmethod
@@ -106,7 +136,7 @@ class FpMatrix:
         return self.a.shape[1]
 
     def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.p, self.a.T.copy())
+        return FpMatrix._reduced(self.p, self.a.T.copy())
 
     @property
     def T(self) -> "FpMatrix":
@@ -131,20 +161,20 @@ class FpMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return FpMatrix(self.p, (self.a @ other.a) % self.p)
+        return FpMatrix._reduced(self.p, matmul(self.a, other.a, self.p))
 
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
         if self.p != other.p or self.a.shape != other.a.shape:
             raise DimensionMismatch("shape or modulus mismatch in addition")
-        return FpMatrix(self.p, (self.a + other.a) % self.p)
+        return FpMatrix._reduced(self.p, (self.a + other.a) % self.p)
 
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
         if self.p != other.p or self.a.shape != other.a.shape:
             raise DimensionMismatch("shape or modulus mismatch in subtraction")
-        return FpMatrix(self.p, (self.a - other.a) % self.p)
+        return FpMatrix._reduced(self.p, (self.a - other.a) % self.p)
 
     def scale(self, c: int) -> "FpMatrix":
-        return FpMatrix(self.p, (self.a * (c % self.p)) % self.p)
+        return FpMatrix._reduced(self.p, (self.a * (c % self.p)) % self.p)
 
     def is_zero(self) -> bool:
         return not self.a.any()
@@ -152,12 +182,12 @@ class FpMatrix:
     def hstack(self, other: "FpMatrix") -> "FpMatrix":
         if self.p != other.p or self.rows != other.rows:
             raise DimensionMismatch("hstack mismatch")
-        return FpMatrix(self.p, np.hstack([self.a, other.a]))
+        return FpMatrix._reduced(self.p, np.hstack([self.a, other.a]))
 
     def vstack(self, other: "FpMatrix") -> "FpMatrix":
         if self.p != other.p or self.cols != other.cols:
             raise DimensionMismatch("vstack mismatch")
-        return FpMatrix(self.p, np.vstack([self.a, other.a]))
+        return FpMatrix._reduced(self.p, np.vstack([self.a, other.a]))
 
     def tolist(self):
         return self.a.flatten().tolist()
@@ -191,7 +221,7 @@ def _rref(a: np.ndarray, p: int):
 def rref(m: FpMatrix):
     """Reduced row echelon form; returns (FpMatrix, pivot columns)."""
     r, pivots = _rref(m.a, m.p)
-    return FpMatrix(m.p, r), pivots
+    return FpMatrix._reduced(m.p, r), pivots
 
 
 def rank(m: FpMatrix) -> int:
@@ -244,22 +274,27 @@ def batched_rank(stack: np.ndarray, p: int) -> np.ndarray:
     return ranks
 
 
+def _non_pivots(n: int, pivots: list[int]) -> np.ndarray:
+    """The indices in range(n) that are not pivots, ascending."""
+    mask = np.ones(n, dtype=bool)
+    mask[pivots] = False
+    return mask.nonzero()[0]
+
+
 def kernel_basis(m: FpMatrix) -> FpMatrix:
     """Basis of the right null space, as columns; cols = cols(m) - rank(m)."""
     r, pivots = _rref(m.a, m.p)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = np.zeros((m.cols, len(free)), dtype=np.int64)
-    for idx, f in enumerate(free):
-        basis[f, idx] = 1
-        for t, pc in enumerate(pivots):
-            basis[pc, idx] = (-r[t, f]) % m.p
-    return FpMatrix(m.p, basis)
+    free = _non_pivots(m.cols, pivots)
+    basis = np.zeros((m.cols, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[pivots] = -r[:len(pivots), free] % m.p
+    return FpMatrix._reduced(m.p, basis)
 
 
 def image_basis(m: FpMatrix) -> FpMatrix:
     """Column basis of the column space (original pivot columns)."""
     _, pivots = _rref(m.a, m.p)
-    return FpMatrix(m.p, m.a[:, pivots].copy())
+    return FpMatrix._reduced(m.p, m.a[:, pivots])
 
 
 def cokernel_projection(m: FpMatrix):
@@ -285,12 +320,11 @@ def solve_matrix(a: FpMatrix, b: FpMatrix) -> FpMatrix | None:
         raise DimensionMismatch("solve_matrix shape mismatch")
     aug = np.hstack([a.a, b.a])
     r, pivots = _rref(aug, a.p)
-    if any(pc >= a.cols for pc in pivots):
+    if pivots and pivots[-1] >= a.cols:
         return None
     x = np.zeros((a.cols, b.cols), dtype=np.int64)
-    for t, pc in enumerate(pivots):
-        x[pc] = r[t, a.cols:]
-    return FpMatrix(a.p, x)
+    x[pivots] = r[:len(pivots), a.cols:]
+    return FpMatrix._reduced(a.p, x)
 
 
 def quotient_projection(basis: FpMatrix):
@@ -303,15 +337,11 @@ def quotient_projection(basis: FpMatrix):
     non-pivot rows of the column-reduced span)."""
     p, n = basis.p, basis.rows
     ech, pivots = _rref(basis.a.T, p)  # rows of ech span the column space
-    k = len(pivots)
-    ech = ech[:k]
-    complement = [i for i in range(n) if i not in pivots]
-    pi = np.zeros((len(complement), n), dtype=np.int64)
-    for a_idx, c in enumerate(complement):
-        pi[a_idx, c] = 1
-        for t, pv in enumerate(pivots):
-            pi[a_idx, pv] = (-ech[t, c]) % p
-    return FpMatrix(p, pi), complement
+    complement = _non_pivots(n, pivots)
+    pi = np.zeros((complement.size, n), dtype=np.int64)
+    pi[np.arange(complement.size), complement] = 1
+    pi[:, pivots] = (-ech[:len(pivots), complement] % p).T
+    return FpMatrix._reduced(p, pi), complement.tolist()
 
 
 def subspaces(p: int, d: int):

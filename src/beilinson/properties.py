@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import batched_rank
+from .linalg import batched_rank, matmul
 from .reps import (
     BeilinsonRep,
     ProjPoint,
@@ -151,7 +151,7 @@ def constant_rank(m: BeilinsonRep, j: int,
     for i in range(m.n - j):
         comp = steps[i]
         for t in range(1, j):
-            comp = (steps[i + t] @ comp) % m.p
+            comp = matmul(steps[i + t], comp, m.p)
         ranks += batched_rank(comp, m.p)
     ranks = ranks.tolist()
     profile = tuple((a.coords, rk) for a, rk in zip(points, ranks)) if with_profile else None

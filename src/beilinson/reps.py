@@ -330,19 +330,18 @@ def hom_space(x: BeilinsonRep, y: BeilinsonRep) -> list[tuple[FpMatrix, ...]]:
     if total == 0:
         return []
     if blocks:
-        system = FpMatrix(p, np.vstack(blocks))
-        ker = kernel_basis(system)
+        ker = kernel_basis(FpMatrix._reduced(p, np.vstack(blocks)))
     else:
         ker = FpMatrix.identity(p, total)
-    basis = []
-    for c in range(ker.cols):
-        vec = ker.a[:, c]
-        phi = tuple(
-            FpMatrix(p, vec[offs[v]:offs[v + 1]].reshape(y.dims[v], x.dims[v]))
+    vecs = np.ascontiguousarray(ker.a.T)
+    vecs.setflags(write=False)
+    return [
+        tuple(
+            FpMatrix._reduced(p, vec[offs[v]:offs[v + 1]].reshape(y.dims[v], x.dims[v]))
             for v in range(n)
         )
-        basis.append(phi)
-    return basis
+        for vec in vecs
+    ]
 
 
 def direct_sum(x: BeilinsonRep, y: BeilinsonRep) -> BeilinsonRep:
@@ -438,14 +437,18 @@ def rep_isomorphic(x: BeilinsonRep, y: BeilinsonRep, seed: int = 0):
     """Graded isomorphism verdict: 'yes' | 'no' | 'probably_not'.
 
     'yes' is certified by an explicit vertex-wise invertible intertwiner;
-    'no' is certified by a dimension-vector mismatch or by exhausting the
-    coefficient enumeration of the hom space."""
+    'no' is certified by a dimension-vector mismatch, by dim Hom(x, y) !=
+    dim End(x) (an isomorphism x -> y would carry End(x) onto Hom(x, y))
+    or by exhausting the coefficient enumeration of the hom space."""
     if not x.same_config(y):
         raise ConfigMismatch("isomorphism requires matching (p, n, r)")
     if x.dims != y.dims:
         return "no"
     if x.total_dim == 0:
         return "yes"
-    basis = [block_diagonal(phi) for phi in hom_space(x, y)]
+    hom = hom_space(x, y)
+    if len(hom) != len(hom_space(x, x)):
+        return "no"
+    basis = [block_diagonal(phi) for phi in hom]
     return find_invertible(x.p, len(basis), span(x.p, basis),
                            lambda phi: rank(phi) == x.total_dim, seed)

@@ -32,7 +32,7 @@ def span(p: int, basis: list[FpMatrix]):
         for c, phi in zip(coeffs, basis):
             if c:
                 acc = (acc + int(c) * phi.a) % p
-        return FpMatrix(p, acc)
+        return FpMatrix._reduced(p, acc)
 
     return combine
 

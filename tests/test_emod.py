@@ -29,7 +29,7 @@ from beilinson.emod import (
     twist,
     validate_module,
 )
-from beilinson.emod import _scalar_plus_nilpotent, _stable_power
+from beilinson.emod import _power, _scalar_plus_nilpotent, _stable_power
 from beilinson.linalg import FpMatrix, rank
 from beilinson.reps import (
     BeilinsonRep,
@@ -220,6 +220,18 @@ def sweep_scalar_plus_nilpotent(phi):
     """Reference locality test: try every scalar c in F_p."""
     eye = FpMatrix.identity(phi.p, phi.rows)
     return any(_stable_power(phi - eye.scale(c)).is_zero() for c in range(phi.p))
+
+
+class TestPower:
+    def test_matches_python_integers_at_largest_int32_prime(self):
+        p = 2**31 - 1
+        rng = np.random.default_rng(7)
+        entries = (p - 1 - rng.integers(0, 5, size=(3, 3))).tolist()
+        expected = [[int(i == j) for j in range(3)] for i in range(3)]
+        for e in range(1, 12):
+            expected = [[sum(expected[i][k] * entries[k][j] for k in range(3)) % p
+                         for j in range(3)] for i in range(3)]
+            assert _power(FpMatrix(p, entries), e).a.tolist() == expected
 
 
 class TestScalarPlusNilpotent:

@@ -1,12 +1,15 @@
 """Auslander-Reiten translate and width invariant on the r-Kronecker quiver."""
 
+import numpy as np
 import pytest
 
 from beilinson.kronecker import (
     classify,
+    combined_arrow_matrix,
     coxeter_dims,
     e_lambda,
     inverse_coxeter_dims,
+    strip_simple_projective_summands,
     tau,
     tau_detailed,
     tau_inv,
@@ -14,6 +17,7 @@ from beilinson.kronecker import (
     width,
     wmod_shift_check,
 )
+from beilinson.linalg import FpMatrix, cokernel_projection, kernel_basis
 from beilinson.properties import is_eip_def, is_ekp_def
 from beilinson.reps import (
     ProjPoint,
@@ -70,6 +74,37 @@ class TestTauBasics:
         for coords in ((1, 0, 0), (0, 1, 0), (1, 1, 1), (1, 2, 3), (1, 4, 2)):
             x = x_module(5, 2, 3, ProjPoint(5, coords), 0, 1)
             assert rep_isomorphic(tau(x), dualize(x)) == "yes"
+
+
+def loop_tau_maps(m):
+    """The translate's arrows with the relation and slot shuffles written
+    as per-entry loops: the reference for tau_detailed's reshapes."""
+    core, _ = strip_simple_projective_summands(m)
+    p, r, d0 = m.p, m.r, core.dims[0]
+    relations = kernel_basis(combined_arrow_matrix(core))
+    s = relations.cols
+    h = np.zeros((r * s, d0), dtype=np.int64)
+    for j in range(s):
+        for l in range(r):
+            h[j * r + l, :] = relations.a[l * d0:(l + 1) * d0, j]
+    q, c = cokernel_projection(FpMatrix(p, h))
+    maps = []
+    for l in range(r):
+        dl = np.zeros((c, s), dtype=np.int64)
+        for j in range(s):
+            dl[:, j] = q.a[:, j * r + l]
+        maps.append(dl.T.tolist())
+    return maps
+
+
+class TestTauMatchesLoop:
+    def test_same_arrows(self):
+        reps = [w_module(5, 2, 3, 3, 2), m_module(3, 2, 2, 3, 2), e_lambda(5, 3, (1, 2, 0)),
+                direct_sum(projective(5, 2, 3, 0), simple(5, 2, 3, 1)),
+                x_module(3, 2, 3, ProjPoint(3, (1, 2, 0)), 0, 1)]
+        reps.append(tau(reps[0]))
+        for rep in reps:
+            assert [a.a.tolist() for a in tau(rep).maps[0]] == loop_tau_maps(rep)
 
 
 class TestELambda:

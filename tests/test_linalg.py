@@ -14,6 +14,7 @@ from beilinson.linalg import (
     cokernel_projection,
     image_basis,
     kernel_basis,
+    matmul,
     quotient_projection,
     rank,
     rref,
@@ -77,6 +78,24 @@ class TestFpMatrix:
         b = mat(5, [[6, 7]])
         assert a == b and hash(a) == hash(b)
 
+    def test_matmul_exact_at_largest_int32_prime(self):
+        # 3 (p-1)^2 exceeds 2^63, so the sum must be reduced part-way
+        p = 2**31 - 1
+        a = mat(p, [[p - 1] * 3] * 3)
+        assert (a @ a).a.tolist() == [[3] * 3] * 3
+
+    def test_matmul_stacked_matches_python_integers(self):
+        p = 2**31 - 1
+        rng = np.random.default_rng(5)
+        a = p - 1 - rng.integers(0, 4, size=(2, 3, 7))
+        b = p - 1 - rng.integers(0, 4, size=(2, 7, 4))
+        expected = [
+            [[sum(int(a[s, i, k]) * int(b[s, k, j]) for k in range(7)) % p for j in range(4)]
+             for i in range(3)]
+            for s in range(2)
+        ]
+        assert matmul(a, b, p).tolist() == expected
+
 
 class TestRank:
     def test_known_ranks(self):
@@ -112,30 +131,59 @@ class TestRank:
 ORACLE_PRIMES = (2, 3, 5, 7, 101, 65521)
 
 
+def sympy_matrix(a, p):
+    """a as a sympy DomainMatrix over GF(p), independent of this package."""
+    field = GF(p)
+    return DomainMatrix([[field(int(x)) for x in row] for row in a.tolist()], a.shape, field)
+
+
 def sympy_rank(a, p):
-    """Rank over GF(p) by sympy's DomainMatrix, independent of this package."""
-    if 0 in a.shape:
-        return 0
-    return DomainMatrix.from_list(a.tolist(), GF(p)).rank()
+    """Rank over GF(p) by sympy's DomainMatrix."""
+    return sympy_matrix(a, p).rank()
+
+
+def sympy_product(a, b, p):
+    """a @ b over GF(p) by sympy, as an int64 array with entries in [0, p)."""
+    prod = sympy_matrix(a, p).matmul(sympy_matrix(b, p))
+    return np.array([[int(x) % p for x in row] for row in prod.to_list()],
+                    dtype=np.int64).reshape(a.shape[0], b.shape[1])
+
+
+def low_rank(rng, p, rows, cols):
+    """A product of random factors through a random inner dimension, with
+    some rows and columns zeroed."""
+    k = int(rng.integers(0, min(rows, cols) + 1))
+    a = (rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols))) % p
+    a[rng.random(rows) < 0.1] = 0
+    a[:, rng.random(cols) < 0.1] = 0
+    return a
 
 
 @st.composite
 def low_rank_stacks(draw):
-    """(p, stack): up to 8 matrices of one shape up to 12x12, each a product
-    of random factors through an inner dimension drawn per matrix, with
-    some rows and columns zeroed."""
+    """(p, stack): up to 8 low-rank matrices of one shape up to 12x12."""
     p = draw(st.sampled_from(ORACLE_PRIMES))
     count = draw(st.integers(1, 8))
     rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mats = []
-    for _ in range(count):
-        k = int(rng.integers(0, min(rows, cols) + 1))
-        a = (rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols))) % p
-        a[rng.random(rows) < 0.1] = 0
-        a[:, rng.random(cols) < 0.1] = 0
-        mats.append(a)
+    mats = [low_rank(rng, p, rows, cols) for _ in range(count)]
     return p, np.array(mats, dtype=np.int64).reshape(count, rows, cols)
+
+
+@st.composite
+def low_rank_systems(draw):
+    """(p, a, b): a low-rank matrix a up to 12x12 and a right-hand side b
+    with up to 4 columns, either a times a random matrix (consistent) or
+    random (mostly inconsistent when a is rank-deficient)."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    rows, cols, k = draw(st.integers(0, 12)), draw(st.integers(0, 12)), draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = low_rank(rng, p, rows, cols)
+    if draw(st.booleans()):
+        b = (a @ rng.integers(0, p, size=(cols, k))) % p
+    else:
+        b = rng.integers(0, p, size=(rows, k))
+    return p, a, b
 
 
 class TestRankOracle:
@@ -171,6 +219,154 @@ class TestRankOracle:
         expected = sympy_rank(a, p)
         assert rank(FpMatrix(p, a)) == expected
         assert batched_rank(a[None], p).tolist() == [expected]
+
+
+class TestKernelOracle:
+    """The back-substituting kernels against sympy over GF(p)."""
+
+    @given(low_rank_systems())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_kernel_basis(self, case):
+        p, a, _ = case
+        k = kernel_basis(FpMatrix(p, a))
+        assert k.a.shape == (a.shape[1], a.shape[1] - sympy_rank(a, p))
+        assert not sympy_product(a, k.a, p).any()
+        assert sympy_rank(k.a, p) == k.cols
+
+    @given(low_rank_systems())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_solve_matrix(self, case):
+        p, a, b = case
+        consistent = sympy_rank(a, p) == sympy_rank(np.hstack([a, b]), p)
+        x = solve_matrix(FpMatrix(p, a), FpMatrix(p, b))
+        assert (x is not None) == consistent
+        if x is not None:
+            assert x.a.shape == (a.shape[1], b.shape[1])
+            assert np.array_equal(sympy_product(a, x.a, p), b)
+
+    @given(low_rank_systems())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_quotient_projection(self, case):
+        # pi kills span U and has rank N - rank U, so ker pi = span U
+        p, u, _ = case
+        n, rk = u.shape[0], sympy_rank(u, p)
+        pi, complement = quotient_projection(FpMatrix(p, u))
+        assert pi.a.shape == (n - rk, n) and len(complement) == n - rk
+        assert not sympy_product(pi.a, u, p).any()
+        assert sympy_rank(pi.a, p) == n - rk
+
+    @given(low_rank_systems())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_image_basis(self, case):
+        p, a, _ = case
+        rk = sympy_rank(a, p)
+        img = image_basis(FpMatrix(p, a))
+        assert img.a.shape == (a.shape[0], rk)
+        assert sympy_rank(img.a, p) == rk == sympy_rank(np.hstack([a, img.a]), p)
+
+    @given(st.sampled_from(ORACLE_PRIMES + (2**31 - 1,)), st.integers(0, 12),
+           st.integers(0, 12), st.integers(0, 12), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_matmul(self, p, rows, inner, cols, near_top, seed):
+        rng = np.random.default_rng(seed)
+        if near_top:  # entries near p - 1, the largest products
+            a = p - 1 - rng.integers(0, 2, size=(rows, inner))
+            b = p - 1 - rng.integers(0, 2, size=(inner, cols))
+        else:
+            a = rng.integers(0, p, size=(rows, inner))
+            b = rng.integers(0, p, size=(inner, cols))
+        prod = FpMatrix(p, a) @ FpMatrix(p, b)
+        assert np.array_equal(prod.a, sympy_product(a, b, p))
+
+
+def loop_back_substitution(p, a, b):
+    """kernel_basis, quotient_projection and solve_matrix of a (and b)
+    from their RREFs by per-entry loops: the reference for the indexed
+    assignments in linalg."""
+    r, pivots = rref(FpMatrix(p, a))
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    kernel = np.zeros((a.shape[1], len(free)), dtype=np.int64)
+    for idx, f in enumerate(free):
+        kernel[f, idx] = 1
+        for t, pc in enumerate(pivots):
+            kernel[pc, idx] = (-r.a[t, f]) % p
+    ech, pivots = rref(FpMatrix(p, a.T))
+    complement = [i for i in range(a.shape[0]) if i not in pivots]
+    pi = np.zeros((len(complement), a.shape[0]), dtype=np.int64)
+    for idx, c in enumerate(complement):
+        pi[idx, c] = 1
+        for t, pv in enumerate(pivots):
+            pi[idx, pv] = (-ech.a[t, c]) % p
+    aug, pivots = rref(FpMatrix(p, np.hstack([a, b])))
+    x = None
+    if all(pc < a.shape[1] for pc in pivots):
+        x = np.zeros((a.shape[1], b.shape[1]), dtype=np.int64)
+        for t, pc in enumerate(pivots):
+            x[pc] = aug.a[t, a.shape[1]:]
+    return kernel, (pi, complement), x
+
+
+class TestBackSubstitutionMatchesLoop:
+    @given(low_rank_systems())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_same_arrays(self, case):
+        p, a, b = case
+        kernel, (pi, complement), x = loop_back_substitution(p, a, b)
+        m = FpMatrix(p, a)
+        assert np.array_equal(kernel_basis(m).a, kernel)
+        got_pi, got_complement = quotient_projection(m)
+        assert np.array_equal(got_pi.a, pi) and got_complement == complement
+        got_x = solve_matrix(m, FpMatrix(p, b))
+        assert (got_x is None) == (x is None)
+        assert got_x is None or np.array_equal(got_x.a, x)
+
+
+class TestTrustedResults:
+    """Results built without the public checks still meet the invariants."""
+
+    @staticmethod
+    def check(m, p):
+        assert isinstance(m, FpMatrix) and m.p == p
+        assert m.a.ndim == 2 and m.a.dtype == np.int64
+        assert ((m.a >= 0) & (m.a < p)).all()
+        assert not m.a.flags.writeable
+
+    @given(low_rank_systems())
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_every_operation(self, case):
+        p, a, b = case
+        m, rhs = FpMatrix(p, a), FpMatrix(p, b)
+        x = solve_matrix(m, rhs)
+        results = [
+            m @ m.T, m + m, m - m.scale(3), m.scale(p - 1), m.T, m.transpose(),
+            m.hstack(rhs), m.T.vstack(rhs.T), rref(m)[0], kernel_basis(m),
+            image_basis(m), quotient_projection(m)[0], cokernel_projection(m)[0],
+            *([] if x is None else [x]),
+        ]
+        for res in results:
+            self.check(res, p)
+
+    def test_hom_bases_span_and_translate(self):
+        from beilinson.emod import forget, hom_modules
+        from beilinson.kronecker import tau
+        from beilinson.reps import hom_space, w_module
+        from beilinson.search import span
+
+        w = w_module(5, 2, 3, 3, 2)
+        phis = [phi for pair in hom_space(w, w) for phi in pair]
+        mods = hom_modules(forget(w), forget(w))
+        results = phis + mods + [span(5, mods)((1, 4) * (len(mods) // 2))]
+        results += list(tau(w).maps[0])
+        assert phis and mods
+        for res in results:
+            self.check(res, 5)
+
+    def test_public_construction_copies(self):
+        for arr in (np.array([[1, 9], [3, 4]]), np.array([[1, 2], [3, 4]], dtype=np.int64)):
+            m = FpMatrix(7, arr)
+            arr[0, 0] = 5
+            assert m.a.tolist() == [[1, 2], [3, 4]]
+            assert arr.flags.writeable
 
 
 class TestKernelImage:

@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from beilinson.linalg import FpMatrix, kernel_basis, rref
+from beilinson import properties
+from beilinson.linalg import FpMatrix, kernel_basis, rank, rref
 from beilinson.properties import (
     PropertyReport,
     constant_jordan_type,
@@ -233,6 +234,30 @@ class TestBatchedSweepMatchesPointLoop:
         assert {v for prop, v in verdicts if prop == "EIP"} == {True, False}
         assert {v for prop, v in verdicts if prop == "EKP"} == {True, False}
         assert {v for prop, v in verdicts if prop == "CR1"} == {True, False}
+
+    def test_composite_ranks_exact_at_large_prime(self, monkeypatch):
+        # the 2-fold composite of 3x3 steps sums three products near (p-1)^2;
+        # its true rank of 1 turns into garbage if that sum overflows int64.
+        # P^1(F_p) has 2^31 points here, so the sweep runs over four of them.
+        p = 2**31 - 1
+        rng = np.random.default_rng(3)
+        u, v = p - 1 - rng.integers(0, 9, size=3), rng.integers(1, 9, size=3)
+        a = FpMatrix(p, [[int(x) * int(y) % p for y in v] for x in u])
+        b = FpMatrix(p, p - 1 - rng.integers(0, 9, size=(3, 3)))
+        # arrows l = 1, 2 are l * a and l * b, so the relations hold
+        rep = BeilinsonRep(p, 3, 2, (3, 3, 3), ((a, a.scale(2)), (b, b.scale(2))))
+        assert validate(rep) == []
+        points = tuple(ProjPoint(p, c) for c in ((0, 1), (1, 0), (1, (p - 1) // 2), (1, p - 1)))
+        monkeypatch.setattr(properties, "proj_points", lambda p_, r_: points)
+        expected = []
+        for alpha in points:
+            s0, s1 = ([[sum(c * int(x.a[i, j]) for c, x in zip(alpha.coords, level)) % p
+                        for j in range(3)] for i in range(3)] for level in rep.maps)
+            comp = [[sum(s1[i][k] * s0[k][j] for k in range(3)) % p for j in range(3)]
+                    for i in range(3)]
+            expected.append((alpha.coords, rank(FpMatrix(p, comp))))
+        assert [rk for _, rk in expected] == [1, 1, 0, 1]
+        assert constant_rank(rep, 2, with_profile=True).ranks == tuple(expected)
 
     def test_point_stacks_exact_at_large_prime(self):
         # three arrow terms near (p-1)^2 each would overflow int64 if the

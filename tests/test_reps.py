@@ -252,13 +252,20 @@ class TestRepIsomorphic:
         assert validate(conj) == []
         assert rep_isomorphic(m, conj) == "yes"
 
-    def test_exhausted_enumeration_certifies_no(self):
-        # dim Hom = 11 at p = 2: no single or random candidate is invertible,
-        # so all 2^11 coefficient vectors are enumerated before answering.
+    def test_exhausted_enumeration_certifies_no(self, monkeypatch):
+        # dim Hom = 11 against dim End = 13 at p = 2: the Hom-dimension
+        # screen answers before any search (test_search.py enumerates the
+        # same pair's Hom space to the same 'no').
+        from beilinson import reps
         from beilinson.kronecker import e_lambda
 
+        def no_search(*args, **kwargs):
+            raise AssertionError("the invertible-element search ran")
+
+        monkeypatch.setattr(reps, "find_invertible", no_search)
         s0, s1 = simple(2, 2, 2, 0), simple(2, 2, 2, 1)
         left = direct_sum(direct_sum(direct_sum(direct_sum(s0, s0), s1), s1), s1)
         right = direct_sum(direct_sum(direct_sum(e_lambda(2, 2, (1, 0)), s0), s1), s1)
         assert len(hom_space(left, right)) == 11
+        assert len(hom_space(left, left)) == 13
         assert rep_isomorphic(left, right) == "no"
