@@ -12,8 +12,10 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import emod, kronecker, properties, reps
+from .linalg import check_modulus
 
 ENV_PREFIX = "BNR_"
 
@@ -26,7 +28,8 @@ def _add_int(parser: argparse.ArgumentParser, name: str, required: bool = False,
              default=None, help: str = ""):
     env = _env_default(name)
     if env is not None:
-        default, required = int(env), False
+        # argparse converts a string default with type, as if given on the line
+        default, required = env, False
     parser.add_argument(f"--{name}", type=int, required=required and default is None,
                         default=default, help=help)
 
@@ -35,55 +38,89 @@ def _parse_coeffs(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.replace(",", " ").split())
 
 
-def _alpha_from_args(args, p: int | None = None) -> reps.ProjPoint:
+def _usage_error(message: str):
+    """A missing flag: one stderr line and exit status 2, argparse's usage code."""
+    print(f"beilinson: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _invalid(message: str):
+    """Invalid input: one stderr line and exit status 3 (a false verdict is 1)."""
+    print(f"beilinson: {message}", file=sys.stderr)
+    raise SystemExit(3)
+
+
+def _alpha_from_args(args, p: int, r: int) -> reps.ProjPoint:
     raw = args.alpha or _env_default("alpha")
     if raw is None:
-        raise SystemExit("an --alpha value such as '1,0,0' is required here")
-    return reps.ProjPoint(p if p is not None else args.p, _parse_coeffs(raw))
+        _usage_error("an --alpha value such as '1,0,0' is required here")
+    try:
+        point = reps.ProjPoint(p, _parse_coeffs(raw))
+    except (TypeError, ValueError) as exc:
+        _invalid(f"invalid --alpha {raw!r}: {exc}")
+    if point.r != r:
+        _invalid(f"invalid --alpha {raw!r}: need {r} coordinates")
+    return point
 
 
 def _build_rep(args) -> reps.BeilinsonRep:
     kind = args.family
     if kind is None:
-        raise SystemExit("supply either --rep FILE or a --family with its parameters")
+        _usage_error("supply either --rep FILE or a --family with its parameters")
     if args.p is None or args.r is None:
-        raise SystemExit("--p and --r are required when constructing a family member")
-    if kind == "projective":
-        return reps.projective(args.p, args.n, args.r, args.i)
-    if kind == "injective":
-        return reps.injective(args.p, args.n, args.r, args.i)
-    if kind == "simple":
-        return reps.simple(args.p, args.n, args.r, args.i)
-    if kind == "m":
-        return reps.m_module(args.p, args.n, args.r, args.m, args.d)
-    if kind == "w":
-        return reps.w_module(args.p, args.n, args.r, args.m, args.d)
-    if kind == "x":
-        return reps.x_module(args.p, args.n, args.r, _alpha_from_args(args),
-                             args.i, args.j)
-    if kind == "e":
-        lam = _parse_coeffs(args.lam or _env_default("lam") or "")
-        if not lam:
-            raise SystemExit("--lam is required for the e family")
-        return kronecker.e_lambda(args.p, args.r, lam)
-    raise SystemExit(f"unknown family {kind!r}")
+        _usage_error("--p and --r are required when constructing a family member")
+    if kind in ("m", "w") and (args.m is None or args.d is None):
+        _usage_error(f"--m and --d are required for the {kind} family")
+    lam = args.lam or _env_default("lam")
+    if kind == "e" and not lam:
+        _usage_error("--lam is required for the e family")
+    try:
+        check_modulus(args.p)  # before ProjPoint reduces an --alpha mod p
+        if kind == "projective":
+            return reps.projective(args.p, args.n, args.r, args.i)
+        if kind == "injective":
+            return reps.injective(args.p, args.n, args.r, args.i)
+        if kind == "simple":
+            return reps.simple(args.p, args.n, args.r, args.i)
+        if kind == "m":
+            return reps.m_module(args.p, args.n, args.r, args.m, args.d)
+        if kind == "w":
+            return reps.w_module(args.p, args.n, args.r, args.m, args.d)
+        if kind == "x":
+            return reps.x_module(args.p, args.n, args.r, _alpha_from_args(args, args.p, args.r),
+                                 args.i, args.j)
+        return kronecker.e_lambda(args.p, args.r, _parse_coeffs(lam))
+    except (TypeError, ValueError) as exc:
+        _invalid(f"invalid parameters for the {kind} family: {exc}")
 
 
 def _load_rep(path: str) -> reps.BeilinsonRep:
-    """The stored representation, or exit status 3 (invalid input; a false
-    verdict is 1) with one line on stderr when the file cannot be read or
-    is not a valid representation."""
+    """The stored representation, or exit status 3 with one line on stderr
+    when the file cannot be read or is not a valid representation."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"beilinson: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(3) from None
+        _invalid(f"cannot read {path}: {exc}")
     try:
         return reps.BeilinsonRep.from_json(text)
     except (KeyError, TypeError, ValueError) as exc:
-        print(f"beilinson: invalid representation in {path}: {exc}", file=sys.stderr)
-        raise SystemExit(3) from None
+        _invalid(f"invalid representation in {path}: {exc}")
+
+
+def _module(rep: reps.BeilinsonRep) -> emod.ErModule:
+    """The group-algebra module of rep, or exit status 3 when it has none."""
+    try:
+        return emod.forget(rep)
+    except ValueError as exc:
+        _invalid(str(exc))
+
+
+def _kronecker(rep: reps.BeilinsonRep) -> reps.BeilinsonRep:
+    """rep itself, or exit status 3 unless it lives on two vertices."""
+    if rep.n != 2:
+        _invalid(f"translates are implemented for two vertices only, not {rep.n}")
+    return rep
 
 
 def _emit(payload, args) -> None:
@@ -149,7 +186,7 @@ def cmd_check(args) -> int:
 
 def cmd_jordan_type(args) -> int:
     rep = _load_rep(args.rep) if args.rep else _build_rep(args)
-    module = emod.forget(rep)
+    module = _module(rep)
     if args.all_alpha:
         rows = []
         for point in reps.proj_points(rep.p, rep.r):
@@ -159,8 +196,9 @@ def cmd_jordan_type(args) -> int:
         _emit({"p": rep.p, "r": rep.r, "dims": list(rep.dims),
                "points": rows}, args)
     else:
-        point = (_alpha_from_args(args, rep.p) if args.alpha
-                 else reps.proj_points(rep.p, rep.r)[0])
+        # without --alpha, the first point of P^{r-1} in enumeration order
+        point = (_alpha_from_args(args, rep.p, rep.r) if args.alpha or _env_default("alpha")
+                 else reps.ProjPoint(rep.p, (0,) * (rep.r - 1) + (1,)))
         jt = emod.jordan_type(module, point)
         _emit({"alpha": list(point.coords), "jordan_type": str(jt),
                "blocks": list(jt.counts)}, args)
@@ -168,7 +206,7 @@ def cmd_jordan_type(args) -> int:
 
 
 def cmd_tau_orbit(args) -> int:
-    rep = _load_rep(args.rep) if args.rep else _build_rep(args)
+    rep = _kronecker(_load_rep(args.rep) if args.rep else _build_rep(args))
     info = kronecker.classify(rep, k_max=args.k_max)
     _emit({"dims": list(rep.dims), "kind": info.kind, "exponent": info.exponent,
            "bound": info.bound, "tits_form": info.tits_value,
@@ -177,7 +215,7 @@ def cmd_tau_orbit(args) -> int:
 
 
 def cmd_width(args) -> int:
-    rep = _load_rep(args.rep) if args.rep else _build_rep(args)
+    rep = _kronecker(_load_rep(args.rep) if args.rep else _build_rep(args))
     report = kronecker.width(rep, k_max=args.k_max,
                              base_label=args.family or "module")
     if args.dot:
@@ -190,7 +228,7 @@ def cmd_width(args) -> int:
 
 def cmd_end_ring(args) -> int:
     rep = _load_rep(args.rep) if args.rep else _build_rep(args)
-    _, info = emod.end_algebra(emod.forget(rep), seed=args.seed)
+    _, info = emod.end_algebra(_module(rep), seed=args.seed)
     _emit({"dimension": info.dimension, "commutative": info.commutative,
            "local": info.local, "regime": info.regime, "seed": args.seed}, args)
     return 0
@@ -200,8 +238,7 @@ def cmd_iso(args) -> int:
     left = _load_rep(args.left)
     right = _load_rep(args.right)
     if args.as_modules:
-        verdict = emod.is_isomorphic(emod.forget(left), emod.forget(right),
-                                     seed=args.seed)
+        verdict = emod.is_isomorphic(_module(left), _module(right), seed=args.seed)
     else:
         verdict = reps.rep_isomorphic(left, right, seed=args.seed)
     _emit({"verdict": verdict, "seed": args.seed}, args)
@@ -275,8 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit status: 0 done or true, 1 a
+    false verdict, 2 a usage error, 3 invalid input, 4 an internal error
+    (its traceback goes to stderr)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception:
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

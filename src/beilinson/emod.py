@@ -8,8 +8,8 @@ isomorphism / indecomposability testing with certified positives."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -17,8 +17,10 @@ import numpy as np
 from .linalg import (
     FpMatrix,
     PrimeField,
+    batched_rank,
     image_basis,
     kernel_basis,
+    matmul,
     quotient_projection,
     rank,
 )
@@ -42,6 +44,8 @@ class ErModule:
     r: int
     dim: int
     ops: tuple[FpMatrix, ...]
+    # Jordan types by chunk prefix, filled by jordan_type
+    _jordan: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         PrimeField(self.p)
@@ -144,31 +148,55 @@ def forget(rep: BeilinsonRep) -> ErModule:
 # ---------------------------------------------------------------------------
 # Jordan types
 
-def point_operator(m: ErModule, alpha: ProjPoint) -> FpMatrix:
-    if alpha.p != m.p or alpha.r != m.r:
-        raise ConfigMismatch("alpha over wrong (p, r)")
-    return span(m.p, m.ops)(alpha.coords)
+# entries of one (points, dim, dim) int64 stack in a Jordan-type chunk: 1 MiB
+STACK_ENTRIES = 1 << 17
 
 
 def jordan_type(m: ErModule, alpha: ProjPoint) -> JordanType:
     """Block sizes of the nilpotent operator attached to alpha, from the
-    rank sequence of its powers: a_i = r_{i-1} - 2 r_i + r_{i+1}."""
-    nil = point_operator(m, alpha)
-    ranks = [m.dim]
+    rank sequence of its powers: a_i = r_{i-1} - 2 r_i + r_{i+1}.
+
+    Points are computed in chunks: the p^t points that share all but their
+    last t coordinates, with p^t dim^2 <= STACK_ENTRIES.  A chunk's Jordan
+    types are memoized on m, so a sweep over P^{r-1} ranks each power once
+    per chunk and a single query computes one chunk."""
+    if alpha.p != m.p or alpha.r != m.r:
+        raise ConfigMismatch("alpha over wrong (p, r)")
+    p, coords = m.p, alpha.coords
+    budget = STACK_ENTRIES // max(m.dim, 1) ** 2
+    t = 0
+    while t < m.r - 1 - coords.index(1) and p ** (t + 1) <= budget:
+        t += 1
+    prefix = coords[:m.r - t]
+    if prefix not in m._jordan:
+        m._jordan[prefix] = _jordan_chunk(m, prefix, t)
+    pos = sum(c * p ** k for k, c in enumerate(reversed(coords[m.r - t:])))
+    return m._jordan[prefix][pos]
+
+
+def _jordan_chunk(m: ErModule, prefix: tuple[int, ...], t: int) -> tuple[JordanType, ...]:
+    """Jordan types at the points prefix + tail, tails in base-p order, from
+    one batched rank per power of the stacked point operators."""
+    p, dim = m.p, m.dim
+    coords = np.array([prefix + tail for tail in product(range(p), repeat=t)], dtype=np.int64)
+    nil = np.zeros((len(coords), dim, dim), dtype=np.int64)
+    for l, op in enumerate(m.ops):  # reduced per term: exact for p < 2^31
+        nil = (nil + coords[:, l, None, None] * op.a) % p
+    ranks = [np.full(len(coords), dim)]
     power = nil
-    for _ in range(m.p):
-        ranks.append(rank(power))
-        if ranks[-1] == 0:
+    for _ in range(p):
+        ranks.append(batched_rank(power, p))
+        if not ranks[-1].any():
             break
-        power = power @ nil
-    while len(ranks) < m.p + 2:
-        ranks.append(0)
-    counts = tuple(
-        ranks[i - 1] - 2 * ranks[i] + ranks[i + 1] for i in range(1, m.p + 1)
-    )
-    jt = JordanType(counts)
-    assert jt.total == m.dim
-    return jt
+        power = matmul(power, nil, p)
+    ranks.append(np.zeros(len(coords), dtype=np.int64))
+    r = np.stack(ranks, axis=1)
+    counts = r[:, :-2] - 2 * r[:, 1:-1] + r[:, 2:]
+    bad = np.flatnonzero(counts @ np.arange(1, counts.shape[1] + 1) != dim)
+    if bad.size:
+        raise ValueError(f"the operator at point {tuple(coords[bad[0]].tolist())} is not "
+                         f"nilpotent of order <= p: its Jordan blocks do not add up to {dim}")
+    return tuple(JordanType(tuple(c)) for c in counts.tolist())
 
 
 def jt_formula(n: int, d: int, r: int) -> JordanType:

@@ -5,13 +5,14 @@ into [0, p).  Every value is immutable after construction and every
 operation is a pure function, so callers may share them freely.
 
 Construction.  ``FpMatrix(p, a)`` is the public path: it checks that p is
-prime, reduces ``a`` mod p into a new array and makes that read-only, so
-later writes to the caller's array never reach the matrix.  The trusted
-path ``FpMatrix._reduced(p, a)`` skips both checks and wraps ``a`` itself
-after making it read-only.  It is for results this package has computed
-and reduced: ``a`` must be a 2-d int64 array with entries in [0, p), and
-either fresh (no one else holds it) or a view of an array that is already
-read-only.  It never takes a view of a caller's writable array.
+a prime below 2^31 (``check_modulus``), reduces ``a`` mod p into a new
+array and makes that read-only, so later writes to the caller's array
+never reach the matrix.  The trusted path ``FpMatrix._reduced(p, a)``
+skips both checks and wraps ``a`` itself after making it read-only.  It
+is for results this package has computed and reduced: ``a`` must be a
+2-d int64 array with entries in [0, p), and either fresh (no one else
+holds it) or a view of an array that is already read-only.  It never
+takes a view of a caller's writable array.
 
 Exactness bounds.  An elimination step (in ``_rref``, ``rank`` and
 ``batched_rank``) forms products of two reduced entries and at most one
@@ -20,12 +21,14 @@ exceeds (p-1)^2 in absolute value and int64 is exact for every p < 2^31.
 A matrix product sums (p-1)^2-sized terms along the inner dimension, so
 ``matmul`` (behind ``FpMatrix.__matmul__``) reduces after every chunk of
 k = (2^63 - 1 - p) // (p-1)^2 inner columns; that is exact for every
-p < 2^31 (k = 2 at p = 2^31 - 1) and one chunk for any small p.
+p < 2^31 (k = 2 at p = 2^31 - 1) and one chunk for any small p.  Larger
+moduli are refused wherever a field or a matrix is built.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -48,15 +51,26 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def check_modulus(p: int) -> None:
+    """Raise ValueError unless p is a prime integer below 2^31, where int64
+    arithmetic is exact (module docstring).  The bound is tested first, so
+    a huge modulus never reaches trial division."""
+    if not isinstance(p, numbers.Integral):
+        raise ValueError(f"modulus {p!r} is not an integer")
+    if p >= 2**31:
+        raise ValueError(f"modulus {p} is not below 2^31, where exact int64 arithmetic ends")
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+
+
 @dataclass(frozen=True)
 class PrimeField:
-    """The field F_p for a prime modulus p (checked by trial division)."""
+    """The field F_p for a prime modulus p < 2^31 (checked by trial division)."""
 
     p: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+        check_modulus(self.p)
 
     def inv(self, x: int) -> int:
         # pow with exponent -1 runs the extended Euclidean algorithm
@@ -87,8 +101,7 @@ class FpMatrix:
     a: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+        check_modulus(self.p)
         arr = np.asarray(self.a, dtype=np.int64)
         if arr.ndim != 2:
             raise DimensionMismatch("FpMatrix requires a 2-d array")
@@ -253,24 +266,36 @@ def batched_rank(stack: np.ndarray, p: int) -> np.ndarray:
     """F_p-ranks of a (B, rows, cols) stack of reduced matrices, as B ints.
 
     One fraction-free elimination runs over the whole stack at once,
-    looping over the shorter matrix side.  At column c every matrix with
-    a nonzero entry there takes its first such row as pivot and replaces
-    each row by piv * row - row[c] * pivot_row; that clears column c and
-    zeroes the pivot row itself, so no row is ever swapped or removed."""
+    column by column along the shorter matrix side.  Every matrix with a
+    nonzero entry in the column takes its first such row as pivot and
+    replaces each row by piv * row - row[c] * pivot_row, which clears the
+    column.  When every matrix pivots, the pivot rows are swapped to the
+    top and dropped with the column, so the stack shrinks as in ``rank``;
+    otherwise the pivot rows are zeroed in place and only the column goes.
+    Rows and columns that are zero in every matrix are dropped first.
+    Either way the stack is copied, so the caller's array is never written."""
     a = np.asarray(stack, dtype=np.int64)
+    used = a.any(axis=0)
+    rows, cols = used.any(axis=1), used.any(axis=0)
+    a = a.copy() if rows.all() and cols.all() else a[:, rows][:, :, cols]
     if a.shape[2] > a.shape[1]:
         a = a.transpose(0, 2, 1)
-    a = a.copy()
     ranks = np.zeros(a.shape[0], dtype=np.int64)
-    for c in range(a.shape[2]):
-        nz = a[:, :, c] != 0
-        b = np.flatnonzero(nz.any(axis=1))
-        if b.size == 0:
-            continue
-        piv_row = a[b, nz[b].argmax(axis=1), c:][:, None, :]
-        sub = a[b, :, c:]
-        a[b, :, c:] = (sub * piv_row[:, :, :1] - sub[:, :, :1] * piv_row) % p
-        ranks[b] += 1
+    while a.shape[1] and a.shape[2]:
+        nz = a[:, :, 0] != 0
+        has = nz.any(axis=1)
+        if has.all():
+            pivots = np.arange(a.shape[0]), nz.argmax(axis=1)
+            top = a[pivots]
+            a[pivots] = a[:, 0].copy()
+            a = (a[:, 1:, 1:] * top[:, None, :1] - a[:, 1:, :1] * top[:, None, 1:]) % p
+        else:
+            b = np.flatnonzero(has)
+            piv_row = a[b, nz[b].argmax(axis=1)][:, None, :]
+            sub = a[b]
+            a[b] = (sub * piv_row[:, :, :1] - sub[:, :, :1] * piv_row) % p
+            a = a[:, :, 1:]
+        ranks += has
     return ranks
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from beilinson import emod, properties, reps
 from beilinson.cli import main
 from beilinson.reps import (
     BeilinsonRep, m_module, projective, w_module, x_module, ProjPoint,
@@ -115,6 +116,58 @@ class TestCheck:
         assert code == 0
 
 
+def status(argv):
+    """The exit status of one CLI run, returned or raised."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+M_FLAGS = ["--family", "m", "--n", "2", "--r", "3", "--m", "3", "--d", "2"]
+
+
+class TestExitStatus:
+    """0 done or true, 1 false, 2 usage, 3 invalid input, 4 internal error."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["jordan-type", "--p", "5"] + M_FLAGS, 0),
+        (["check", "ekp", "--p", "5", "--family", "w", "--r", "3", "--m", "3", "--d", "2"], 1),
+        (["jordan-type", "--p", "5"], 2),
+        (["check", "eip", "--family", "m", "--p", "5", "--r", "3"], 2),
+        (["jordan-type", "--p", "4"] + M_FLAGS, 3),
+        (["jordan-type", "--p", "5", "--alpha", "0,0"] + M_FLAGS, 3),
+        (["jordan-type", "--p", "5", "--alpha", "1,0"] + M_FLAGS, 3),
+        (["tau-orbit", "--p", "5", "--family", "projective", "--n", "3", "--r", "3"], 3),
+    ])
+    def test_status(self, argv, code, capsys):
+        assert status(argv) == code
+        captured = capsys.readouterr()
+        if code >= 2:
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert captured.err.startswith("beilinson: ")
+
+    def test_modulus_past_2_to_31_exits_3(self, tmp_path, capsys):
+        doc = json.loads(w_module(5, 2, 3, 3, 2).to_json())
+        doc["p"] = 2**31 + 11
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert status(["check", "eip", "--rep", str(path)]) == 3
+        assert "2^31" in capsys.readouterr().err
+
+    def test_internal_error_exits_4_with_traceback(self, w_file, monkeypatch, capsys):
+        def crash(rep):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(properties, "is_eip_def", crash)
+        assert status(["check", "eip", "--rep", w_file]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("Traceback")
+        assert "RuntimeError: boom" in captured.err
+
+
 class TestJordanType:
     def test_all_points(self, x_file, capsys):
         code, out = run(capsys, [
@@ -132,6 +185,19 @@ class TestJordanType:
         doc = json.loads(out)
         assert doc["alpha"] == [0, 1, 0]
         assert sum((i + 1) * c for i, c in enumerate(doc["blocks"])) == 3
+
+    def test_default_point_never_enumerates_the_space(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(x_module(65521, 2, 3, ProjPoint(65521, (1, 2, 3)), 0, 1).to_json())
+
+        def refuse(p, r):
+            raise AssertionError("proj_points enumerated")
+
+        monkeypatch.setattr(reps, "proj_points", refuse)
+        monkeypatch.setattr(emod, "proj_points", refuse)
+        code, out = run(capsys, ["jordan-type", "--rep", str(path), "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["alpha"] == [0, 0, 1]
 
 
 class TestTauOrbitAndWidth:
@@ -176,6 +242,12 @@ class TestEndRingAndIso:
 
 
 class TestEnvOverrides:
+    def test_env_provides_alpha(self, x_file, monkeypatch, capsys):
+        monkeypatch.setenv("BNR_ALPHA", "0,1,0")
+        code, out = run(capsys, ["jordan-type", "--rep", x_file, "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["alpha"] == [0, 1, 0]
+
     def test_env_provides_p(self, monkeypatch, capsys):
         monkeypatch.setenv("BNR_P", "5")
         monkeypatch.setenv("BNR_R", "3")

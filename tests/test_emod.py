@@ -5,7 +5,9 @@ import json
 
 import numpy as np
 import pytest
+from helpers import random_valid_rep
 
+from beilinson import emod, reps
 from beilinson.emod import (
     EndReport,
     ErModule,
@@ -31,6 +33,7 @@ from beilinson.emod import (
 )
 from beilinson.emod import _power, _scalar_plus_nilpotent, _stable_power
 from beilinson.linalg import FpMatrix, rank
+from beilinson.search import span
 from beilinson.reps import (
     BeilinsonRep,
     ProjPoint,
@@ -86,6 +89,112 @@ class TestJordanType:
         m = forget(m_module(3, 2, 2, 3, 2))
         for alpha in proj_points(3, 2):
             assert jordan_type(m, alpha).total == m.dim
+
+
+def jordan_type_by_point(m, alpha):
+    """The per-point reference: one point operator, its powers ranked one at
+    a time, a_i = r_{i-1} - 2 r_i + r_{i+1}."""
+    nil = span(m.p, m.ops)(alpha.coords)
+    ranks = [m.dim]
+    power = nil
+    for _ in range(m.p):
+        ranks.append(rank(power))
+        if ranks[-1] == 0:
+            break
+        power = power @ nil
+    ranks += [0, 0]
+    return JordanType(tuple(
+        ranks[i - 1] - 2 * ranks[i] + ranks[i + 1] for i in range(1, len(ranks) - 1)
+    ))
+
+
+def chunk_modules():
+    """Forgotten random valid reps (P^3(F_7) among them), radical powers of
+    kE_r, twists, direct sums, and modules of dim 0 and 1."""
+    rng = np.random.default_rng(11)
+    mods = [forget(random_valid_rep(7, n, 4, 3, rng)) for n in (2, 2, 3, 3)]
+    mods += [forget(random_valid_rep(5, 3, 3, 4, rng)) for _ in range(2)]
+    mods += [group_algebra_radical_power(p, r, s)
+             for p, r in ((2, 3), (3, 2), (5, 2)) for s in range(0, r * (p - 1) + 1, 2)]
+    mods.append(twist(forget(m_module(7, 3, 4, 3, 2)), random_invertible(7, 4, rng)))
+    mods.append(forget(direct_sum(w_module(7, 2, 4, 2, 2), m_module(7, 2, 4, 2, 2))))
+    mods += [ErModule(7, 4, 0, tuple(FpMatrix.zeros(7, 0, 0) for _ in range(4))),
+             trivial_module(7, 4)]
+    return mods
+
+
+class TestChunkedJordanTypes:
+    """jordan_type computes whole chunks of points and memoizes them; every
+    point must match the per-point reference, whatever the chunk size."""
+
+    @pytest.mark.parametrize("chunk", ["default", "one point", "p^2 points"])
+    def test_matches_per_point_loop(self, chunk, monkeypatch):
+        for m in chunk_modules():
+            points = proj_points(m.p, m.r)
+            expected = [jordan_type_by_point(m, a) for a in points]
+            fresh = ErModule(m.p, m.r, m.dim, m.ops)
+            if chunk == "one point":
+                monkeypatch.setattr(emod, "STACK_ENTRIES", 1)
+            elif chunk == "p^2 points":
+                monkeypatch.setattr(emod, "STACK_ENTRIES", m.p ** 2 * max(m.dim, 1) ** 2)
+            assert [jordan_type(fresh, a) for a in points] == expected
+            sizes = {len(jts) for jts in fresh._jordan.values()}
+            if chunk == "one point":
+                assert sizes == {1}
+            if chunk == "p^2 points" and (m.p, m.r) == (7, 4):
+                assert sizes == {49, 7, 1}
+            monkeypatch.undo()
+
+    def test_shuffled_queries_on_one_module(self):
+        rng = np.random.default_rng(3)
+        m = forget(random_valid_rep(7, 3, 4, 3, rng))
+        points = list(proj_points(7, 4))
+        expected = {a: jordan_type_by_point(m, a) for a in points}
+        for _ in range(2):
+            rng.shuffle(points)
+            assert all(jordan_type(m, a) == expected[a] for a in points)
+        assert sum(len(jts) for jts in m._jordan.values()) == len(points)
+
+    def test_single_point_never_enumerates_the_space(self, monkeypatch):
+        def refuse(p, r):
+            raise AssertionError("proj_points enumerated")
+
+        for p in (65521, 2**31 - 1):
+            rng = np.random.default_rng(p)
+            m = twist(forget(m_module(p, 3, 3, 3, 2)), random_invertible(p, 3, rng))
+            assert max(int(op.a.max()) for op in m.ops) > p // 2
+            monkeypatch.setattr(emod, "proj_points", refuse)
+            monkeypatch.setattr(reps, "proj_points", refuse)
+            alpha = ProjPoint(p, tuple(int(x) for x in rng.integers(1, p, size=3)))
+            jt = jordan_type(m, alpha)
+            assert jt == jordan_type_by_point(m, alpha)
+            assert jt.total == m.dim
+            assert sum(len(jts) for jts in m._jordan.values()) == 1
+            monkeypatch.undo()
+
+    def test_point_operator_exact_at_largest_int32_prime(self):
+        # x = (p-3) N + (p-1) N + (p-1) N + (p-1) N at alpha = (1, -1, -1, -1)
+        # is (p-3 + 3) N = 0, so two blocks of size 1; the unreduced sum
+        # p-3 + 3(p-1)^2 passes 2^63, so a late reduction would leave 1[2]
+        p = 2**31 - 1
+        n = np.array([[0, 0], [1, 0]], dtype=np.int64)
+        m = ErModule(p, 4, 2, tuple(FpMatrix(p, c * n) for c in (p - 3, p - 1, p - 1, p - 1)))
+        alpha = ProjPoint(p, (1, p - 1, p - 1, p - 1))
+        assert jordan_type(m, alpha) == jordan_type_by_point(m, alpha) == JordanType((2,))
+
+    def test_operator_past_order_p_named(self):
+        block = FpMatrix(2, np.eye(3, k=-1, dtype=np.int64))
+        m = ErModule(2, 2, 3, (block, FpMatrix.zeros(2, 3, 3)))
+        with pytest.raises(ValueError, match=r"point \(1, 0\)"):
+            jordan_type(m, ProjPoint(2, (1, 0)))
+
+    def test_memo_leaves_equality_hash_and_repr(self):
+        m = forget(m_module(5, 2, 3, 3, 2))
+        before = (hash(m), repr(m))
+        jordan_type(m, ProjPoint(5, (1, 0, 0)))
+        assert m._jordan
+        assert (hash(m), repr(m)) == before
+        assert m == ErModule(m.p, m.r, m.dim, m.ops)
 
 
 class TestForget:
@@ -324,6 +433,14 @@ class TestSerialization:
     def test_large_prime_module_loads(self):
         m = forget(w_module(1009, 2, 3, 3, 2))
         assert ErModule.from_json(m.to_json()) == m
+
+    def test_modulus_past_2_to_31_rejected_on_load(self):
+        doc = json.loads(forget(m_module(5, 2, 3, 3, 2)).to_json())
+        doc["p"] = 2**31 + 11
+        with pytest.raises(ValueError, match="2\\^31"):
+            ErModule.from_json(json.dumps(doc))
+        doc["p"] = 2**31 - 1
+        assert ErModule.from_json(json.dumps(doc)).p == 2**31 - 1
 
     def test_invalid_operators_rejected_on_load(self):
         n = [[0, 1], [0, 0]]

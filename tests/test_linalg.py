@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
@@ -39,6 +39,20 @@ class TestPrimeField:
                 PrimeField(bad)
         with pytest.raises(ValueError):
             FpMatrix(4, [[1]])
+
+    def test_moduli_from_2_to_31_refused(self):
+        # 2^31 + 11 is prime, but elimination products wrap in int64 there
+        with pytest.raises(ValueError, match="2\\^31"):
+            FpMatrix(2**31 + 11, [[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match="2\\^31"):
+            PrimeField(2**31 + 11)
+        # a Mersenne prime: trial division would take minutes, the bound is instant
+        with pytest.raises(ValueError, match="2\\^31"):
+            PrimeField(2**61 - 1)
+        with pytest.raises(ValueError, match="not an integer"):
+            FpMatrix(5.0, [[1]])
+        assert FpMatrix(2**31 - 1, [[2**31]]).a.tolist() == [[1]]
+        assert PrimeField(2**31 - 1).p == 2**31 - 1
 
     def test_inverse(self):
         f = PrimeField(7)
@@ -149,25 +163,50 @@ def sympy_product(a, b, p):
                     dtype=np.int64).reshape(a.shape[0], b.shape[1])
 
 
-def low_rank(rng, p, rows, cols):
+def low_rank(rng, p, rows, cols, zeroed=0.1):
     """A product of random factors through a random inner dimension, with
-    some rows and columns zeroed."""
+    about a zeroed share of its rows and of its columns set to zero."""
     k = int(rng.integers(0, min(rows, cols) + 1))
     a = (rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols))) % p
-    a[rng.random(rows) < 0.1] = 0
-    a[:, rng.random(cols) < 0.1] = 0
+    a[rng.random(rows) < zeroed] = 0
+    a[:, rng.random(cols) < zeroed] = 0
     return a
 
 
 @st.composite
 def low_rank_stacks(draw):
-    """(p, stack): up to 8 low-rank matrices of one shape up to 12x12."""
+    """(p, stack): up to 8 low-rank matrices of one shape up to 12x12.  The
+    stack may be empty or all zero, and each matrix zeroes its own rows and
+    columns, so the zero lines differ from matrix to matrix."""
     p = draw(st.sampled_from(ORACLE_PRIMES))
-    count = draw(st.integers(1, 8))
+    count = draw(st.integers(0, 8))
     rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    zeroed = draw(st.sampled_from((0.1, 0.5, 1.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mats = [low_rank(rng, p, rows, cols) for _ in range(count)]
+    mats = [low_rank(rng, p, rows, cols, zeroed) for _ in range(count)]
     return p, np.array(mats, dtype=np.int64).reshape(count, rows, cols)
+
+
+# zero rows and columns that differ from matrix to matrix; only the last
+# row and the last two columns are zero in all three
+STAGGERED = np.zeros((3, 4, 5), dtype=np.int64)
+STAGGERED[0, [0, 2], 1] = 1, 2
+STAGGERED[1, [0, 1], [0, 2]] = 3, 4
+STAGGERED[2, 2, [0, 1]] = 5, 6
+DEGENERATE_STACKS = (
+    (7, np.zeros((0, 4, 3), dtype=np.int64)),  # B = 0
+    (7, np.zeros((3, 0, 5), dtype=np.int64)),  # a side of length 0
+    (5, np.zeros((3, 4, 0), dtype=np.int64)),
+    (3, np.zeros((4, 3, 5), dtype=np.int64)),  # all zero
+    (7, STAGGERED),
+    (7, STAGGERED.transpose(0, 2, 1)),
+)
+
+
+def with_degenerate_stacks(test):
+    for case in DEGENERATE_STACKS:
+        test = example(case)(test)
+    return test
 
 
 @st.composite
@@ -188,6 +227,7 @@ def low_rank_systems(draw):
 
 class TestRankOracle:
     @given(low_rank_stacks())
+    @with_degenerate_stacks
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_rank_matches_sympy_and_rref(self, case):
         p, stack = case
@@ -197,6 +237,7 @@ class TestRankOracle:
             assert rank(FpMatrix(p, a)) == expected
 
     @given(low_rank_stacks())
+    @with_degenerate_stacks
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_batched_rank_matches_sympy(self, case):
         p, stack = case

@@ -224,6 +224,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="arrows 1 and 2 break"):
             BeilinsonRep.from_json(json.dumps(doc))
 
+    def test_modulus_past_2_to_31_rejected_on_load(self):
+        doc = json.loads(m_module(5, 2, 3, 3, 2).to_json())
+        doc["p"] = 2**31 + 11
+        with pytest.raises(ValueError, match="2\\^31"):
+            BeilinsonRep.from_json(json.dumps(doc))
+        doc["p"] = 2**31 - 1
+        assert BeilinsonRep.from_json(json.dumps(doc)).p == 2**31 - 1
+
     def test_schema_fields(self):
         doc = json.loads(m_module(5, 3, 3, 3, 2).to_json())
         assert set(doc) == {"p", "n", "r", "dims", "maps"}
