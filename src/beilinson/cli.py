@@ -108,6 +108,11 @@ def _load_rep(path: str) -> reps.BeilinsonRep:
         _invalid(f"invalid representation in {path}: {exc}")
 
 
+def _input_rep(args) -> reps.BeilinsonRep:
+    """The representation a subcommand works on: --rep FILE, else a family."""
+    return _load_rep(args.rep) if args.rep else _build_rep(args)
+
+
 def _module(rep: reps.BeilinsonRep) -> emod.ErModule:
     """The group-algebra module of rep, or exit status 3 when it has none."""
     try:
@@ -169,7 +174,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_check(args) -> int:
-    rep = _load_rep(args.rep) if args.rep else _build_rep(args)
+    rep = _input_rep(args)
     checker = {
         "eip": properties.is_eip_def,
         "ekp": properties.is_ekp_def,
@@ -185,7 +190,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_jordan_type(args) -> int:
-    rep = _load_rep(args.rep) if args.rep else _build_rep(args)
+    rep = _input_rep(args)
     module = _module(rep)
     if args.all_alpha:
         rows = []
@@ -206,7 +211,7 @@ def cmd_jordan_type(args) -> int:
 
 
 def cmd_tau_orbit(args) -> int:
-    rep = _kronecker(_load_rep(args.rep) if args.rep else _build_rep(args))
+    rep = _kronecker(_input_rep(args))
     info = kronecker.classify(rep, k_max=args.k_max)
     _emit({"dims": list(rep.dims), "kind": info.kind, "exponent": info.exponent,
            "bound": info.bound, "tits_form": info.tits_value,
@@ -215,7 +220,7 @@ def cmd_tau_orbit(args) -> int:
 
 
 def cmd_width(args) -> int:
-    rep = _kronecker(_load_rep(args.rep) if args.rep else _build_rep(args))
+    rep = _kronecker(_input_rep(args))
     report = kronecker.width(rep, k_max=args.k_max,
                              base_label=args.family or "module")
     if args.dot:
@@ -227,7 +232,7 @@ def cmd_width(args) -> int:
 
 
 def cmd_end_ring(args) -> int:
-    rep = _load_rep(args.rep) if args.rep else _build_rep(args)
+    rep = _input_rep(args)
     _, info = emod.end_algebra(_module(rep), seed=args.seed)
     _emit({"dimension": info.dimension, "commutative": info.commutative,
            "local": info.local, "regime": info.regime, "seed": args.seed}, args)

@@ -18,6 +18,7 @@ from .linalg import (
     FpMatrix,
     PrimeField,
     batched_rank,
+    combine,
     image_basis,
     kernel_basis,
     matmul,
@@ -179,9 +180,7 @@ def _jordan_chunk(m: ErModule, prefix: tuple[int, ...], t: int) -> tuple[JordanT
     one batched rank per power of the stacked point operators."""
     p, dim = m.p, m.dim
     coords = np.array([prefix + tail for tail in product(range(p), repeat=t)], dtype=np.int64)
-    nil = np.zeros((len(coords), dim, dim), dtype=np.int64)
-    for l, op in enumerate(m.ops):  # reduced per term: exact for p < 2^31
-        nil = (nil + coords[:, l, None, None] * op.a) % p
+    nil = combine(coords, [op.a for op in m.ops], p)
     ranks = [np.full(len(coords), dim)]
     power = nil
     for _ in range(p):
@@ -227,18 +226,12 @@ def has_constant_jordan_type(m: ErModule) -> tuple[bool, JordanType | None]:
 
 def radical(m: ErModule) -> FpMatrix:
     """Column basis of rad M = sum of the operator images."""
-    stacked = m.ops[0]
-    for op in m.ops[1:]:
-        stacked = stacked.hstack(op)
-    return image_basis(stacked)
+    return image_basis(FpMatrix.hstack(*m.ops))
 
 
 def socle(m: ErModule) -> FpMatrix:
     """Column basis of soc M = intersection of the operator kernels."""
-    stacked = m.ops[0]
-    for op in m.ops[1:]:
-        stacked = stacked.vstack(op)
-    return kernel_basis(stacked)
+    return kernel_basis(FpMatrix.vstack(*m.ops))
 
 
 def rad_series(m: ErModule) -> list[int]:
@@ -246,14 +239,8 @@ def rad_series(m: ErModule) -> list[int]:
     dims = [m.dim]
     basis = FpMatrix.identity(m.p, m.dim)
     while basis.cols:
-        pushed = None
-        for op in m.ops:
-            piece = op @ basis
-            pushed = piece if pushed is None else pushed.hstack(piece)
-        basis = image_basis(pushed)
+        basis = image_basis(FpMatrix.hstack(*(op @ basis for op in m.ops)))
         dims.append(basis.cols)
-        if basis.cols == 0:
-            break
     return dims
 
 
@@ -263,11 +250,7 @@ def soc_series(m: ErModule) -> list[int]:
     basis = FpMatrix.zeros(m.p, m.dim, 0)
     while basis.cols < m.dim:
         pi, _ = quotient_projection(basis)
-        stacked = None
-        for op in m.ops:
-            piece = pi @ op
-            stacked = piece if stacked is None else stacked.vstack(piece)
-        basis = kernel_basis(stacked)
+        basis = kernel_basis(FpMatrix.vstack(*(pi @ op for op in m.ops)))
         dims.append(basis.cols)
     return dims
 

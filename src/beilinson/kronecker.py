@@ -27,10 +27,7 @@ def _require_kronecker(m: BeilinsonRep):
 
 def combined_arrow_matrix(m: BeilinsonRep) -> FpMatrix:
     """Horizontal concatenation [g_1 | ... | g_r] : M_0^r -> M_1."""
-    acc = m.maps[0][0]
-    for l in range(1, m.r):
-        acc = acc.hstack(m.maps[0][l])
-    return acc
+    return FpMatrix.hstack(*m.maps[0])
 
 
 def strip_simple_projective_summands(m: BeilinsonRep) -> tuple[BeilinsonRep, int]:

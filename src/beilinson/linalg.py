@@ -14,15 +14,18 @@ is for results this package has computed and reduced: ``a`` must be a
 holds it) or a view of an array that is already read-only.  It never
 takes a view of a caller's writable array.
 
-Exactness bounds.  An elimination step (in ``_rref``, ``rank`` and
-``batched_rank``) forms products of two reduced entries and at most one
-difference of such terms before it reduces mod p, so no intermediate
-exceeds (p-1)^2 in absolute value and int64 is exact for every p < 2^31.
-A matrix product sums (p-1)^2-sized terms along the inner dimension, so
-``matmul`` (behind ``FpMatrix.__matmul__``) reduces after every chunk of
-k = (2^63 - 1 - p) // (p-1)^2 inner columns; that is exact for every
-p < 2^31 (k = 2 at p = 2^31 - 1) and one chunk for any small p.  Larger
-moduli are refused wherever a field or a matrix is built.
+Exactness bounds.  Every int64 intermediate is kept below 2^63 by one
+rule: reduce mod p after every term, where a term is a product of two
+reduced entries, at most (p-1)^2.  An elimination step (``_rref`` and
+``batched_rank``, behind ``rank``) forms one such product, or one
+difference of two, before it reduces; a linear combination (``combine``)
+adds one term to a reduced accumulator before it reduces.  Either way no
+intermediate exceeds (p-1)^2 + p - 1 in absolute value, which int64 holds
+for every p < 2^31.  A matrix product sums many terms along the inner
+dimension, so ``matmul`` (behind ``FpMatrix.__matmul__``) reduces after
+every chunk of k = (2^63 - 1 - p) // (p-1)^2 inner columns instead: that
+is exact for every p < 2^31 (k = 2 at p = 2^31 - 1) and one chunk for any
+small p.  Larger moduli are refused wherever a field or a matrix is built.
 """
 
 from __future__ import annotations
@@ -91,6 +94,23 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         out += a[..., i:i + k] @ b[..., i:i + k, :]
         out %= p
     return out
+
+
+def combine(coeffs, mats, p: int) -> np.ndarray:
+    """sum_l coeffs[..., l] * mats[l] mod p, as a new array of shape
+    coeffs.shape[:-1] + mats[0].shape, for coefficients in [0, p).
+
+    Terms pair up as ``zip`` pairs them, so the shorter of the coefficient
+    axis and mats sets the length; a term whose coefficients are all zero
+    is skipped.  The sum is reduced after every term (module docstring)."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    acc = np.zeros(coeffs.shape[:-1] + np.shape(mats[0]), dtype=np.int64)
+    for l, mat in enumerate(mats[:coeffs.shape[-1]]):
+        c = coeffs[..., l, None, None]
+        if c.any():
+            acc += c * mat
+            acc %= p
+    return acc
 
 
 @dataclass(frozen=True)
@@ -192,15 +212,17 @@ class FpMatrix:
     def is_zero(self) -> bool:
         return not self.a.any()
 
-    def hstack(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p or self.rows != other.rows:
+    def hstack(self, *others: "FpMatrix") -> "FpMatrix":
+        """[self | others[0] | ...], for any number of operands."""
+        if any(o.p != self.p or o.rows != self.rows for o in others):
             raise DimensionMismatch("hstack mismatch")
-        return FpMatrix._reduced(self.p, np.hstack([self.a, other.a]))
+        return FpMatrix._reduced(self.p, np.hstack([self.a, *(o.a for o in others)]))
 
-    def vstack(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p or self.cols != other.cols:
+    def vstack(self, *others: "FpMatrix") -> "FpMatrix":
+        """self on top of others[0] on top of ..., for any number of operands."""
+        if any(o.p != self.p or o.cols != self.cols for o in others):
             raise DimensionMismatch("vstack mismatch")
-        return FpMatrix._reduced(self.p, np.vstack([self.a, other.a]))
+        return FpMatrix._reduced(self.p, np.vstack([self.a, *(o.a for o in others)]))
 
     def tolist(self):
         return self.a.flatten().tolist()
@@ -238,28 +260,8 @@ def rref(m: FpMatrix):
 
 
 def rank(m: FpMatrix) -> int:
-    """F_p-rank by fraction-free forward elimination, without an RREF.
-
-    Only the nonzero rows and columns take part, oriented so that the loop
-    runs over the shorter side.  Each pivot step replaces every row below
-    the pivot row by piv * row - row[0] * pivot_row and drops the pivot
-    row and column."""
-    p, a = m.p, m.a
-    a = a[a.any(axis=1)]
-    a = a[:, a.any(axis=0)]
-    if a.shape[1] > a.shape[0]:
-        a = a.T
-    r = 0
-    while a.shape[0] and a.shape[1]:
-        nz = a[:, 0].nonzero()[0]
-        if nz.size == 0:
-            a = a[:, 1:]
-            continue
-        if nz[0]:
-            a[[0, nz[0]]] = a[[nz[0], 0]]
-        a = (a[1:, 1:] * a[0, 0] - a[1:, :1] * a[0, 1:]) % p
-        r += 1
-    return r
+    """F_p-rank, without an RREF: ``batched_rank`` of a one-matrix stack."""
+    return int(batched_rank(m.a[None], m.p)[0])
 
 
 def batched_rank(stack: np.ndarray, p: int) -> np.ndarray:
@@ -270,8 +272,9 @@ def batched_rank(stack: np.ndarray, p: int) -> np.ndarray:
     nonzero entry in the column takes its first such row as pivot and
     replaces each row by piv * row - row[c] * pivot_row, which clears the
     column.  When every matrix pivots, the pivot rows are swapped to the
-    top and dropped with the column, so the stack shrinks as in ``rank``;
-    otherwise the pivot rows are zeroed in place and only the column goes.
+    top and dropped with the column, so the stack shrinks (as it always
+    does for a single matrix that pivots); otherwise the pivot rows are
+    zeroed in place and only the column goes.
     Rows and columns that are zero in every matrix are dropped first.
     Either way the stack is copied, so the caller's array is never written."""
     a = np.asarray(stack, dtype=np.int64)

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .linalg import batched_rank, matmul
+from .linalg import batched_rank, combine, matmul
 from .reps import (
     BeilinsonRep,
     ProjPoint,
@@ -63,16 +64,9 @@ def _first_failure(prop: str, p: int, failures) -> PropertyReport:
 
 def point_steps(m: BeilinsonRep, points) -> list[np.ndarray]:
     """Point-operator steps at the given points, one (len(points), dims[i+1],
-    dims[i]) stack per level i, reduced mod p after every arrow term as in
-    ``search.span``, so int64 is exact for every p < 2^31."""
+    dims[i]) stack per level i, by ``linalg.combine``."""
     coords = np.array([a.coords for a in points], dtype=np.int64).reshape(-1, m.r)
-    stacks = []
-    for level in m.maps:
-        acc = np.zeros((len(coords), level[0].rows, level[0].cols), dtype=np.int64)
-        for l, arrow in enumerate(level):
-            acc = (acc + coords[:, l, None, None] * arrow.a) % m.p
-        stacks.append(acc)
-    return stacks
+    return [combine(coords, [arrow.a for arrow in level], m.p) for level in m.maps]
 
 
 def _step_failures(m: BeilinsonRep, needed):
@@ -97,14 +91,9 @@ def is_ekp_def(m: BeilinsonRep) -> PropertyReport:
 # ---------------------------------------------------------------------------
 # homological route
 
-_x_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def cached_x_module(p: int, n: int, r: int, alpha: ProjPoint, i: int, j: int = 1) -> BeilinsonRep:
-    key = (p, n, r, alpha.coords, i, j)
-    if key not in _x_cache:
-        _x_cache[key] = x_module(p, n, r, alpha, i, j)
-    return _x_cache[key]
+    return x_module(p, n, r, alpha, i, j)
 
 
 def hom_dim_x(m: BeilinsonRep, alpha: ProjPoint, i: int, j: int = 1) -> int:

@@ -11,6 +11,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,6 +22,7 @@ from .linalg import (
     DimensionMismatch,
     FpMatrix,
     PrimeField,
+    check_modulus,
     image_basis,
     kernel_basis,
     quotient_projection,
@@ -48,6 +50,7 @@ class ProjPoint:
 
     def __post_init__(self):
         p = self.p
+        check_modulus(p)
         c = tuple(int(x) % p for x in self.coords)
         nz = [i for i, x in enumerate(c) if x]
         if not nz:
@@ -62,17 +65,14 @@ class ProjPoint:
 
 @lru_cache(maxsize=None)
 def proj_points(p: int, r: int) -> tuple[ProjPoint, ...]:
-    """All of P^{r-1}(F_p) in lexicographic order of normalized coordinates."""
-    PrimeField(p)
-    seen = set()
-    for lead in range(r):
-        import itertools
-
-        for tail in itertools.product(range(p), repeat=r - lead - 1):
-            seen.add((0,) * lead + (1,) + tail)
-    pts = tuple(ProjPoint(p, c) for c in sorted(seen))
-    assert len(pts) == (p**r - 1) // (p - 1)
-    return pts
+    """All of P^{r-1}(F_p) in lexicographic order of normalized coordinates:
+    the leading 1 moves from the last coordinate to the first, and the
+    coordinates after it run through F_p in lexicographic order."""
+    return tuple(
+        ProjPoint(p, (0,) * lead + (1,) + tail)
+        for lead in reversed(range(r))
+        for tail in itertools.product(range(p), repeat=r - lead - 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -255,21 +255,21 @@ def x_module(p: int, n: int, r: int, alpha: ProjPoint, i: int, j: int = 1) -> Be
         raise ValueError(f"require 1 <= j <= n-i-1, got j={j}")
     if alpha.p != p or alpha.r != r:
         raise ConfigMismatch("alpha over wrong (p, r)")
-    coeffs = alpha.coords
     projections = []
     sections = []
+    images = []
     dims = []
     for v in range(n):
         if v < i:
-            pi_v, complement = FpMatrix.zeros(p, 0, 0), []
+            u, pi_v, complement = None, FpMatrix.zeros(p, 0, 0), []
         else:
-            u = linear_form_power_matrix(p, r, coeffs, j, v - i - j)
+            u = linear_form_power_matrix(p, r, alpha.coords, j, v - i - j)
             pi_v, complement = quotient_projection(u)
-        sec = np.zeros((pi_v.cols, len(complement)), dtype=np.int64)
-        for a_idx, c in enumerate(complement):
-            sec[c, a_idx] = 1
+        # representatives of the quotient basis are the non-pivot standard
+        # basis vectors recorded by quotient_projection
         projections.append(pi_v)
-        sections.append(FpMatrix(p, sec))
+        sections.append(FpMatrix(p, np.eye(pi_v.cols, dtype=np.int64)[:, complement]))
+        images.append(u)
         dims.append(len(complement))
     big = projective(p, n, r, i)
     maps = []
@@ -279,12 +279,9 @@ def x_module(p: int, n: int, r: int, alpha: ProjPoint, i: int, j: int = 1) -> Be
             if dims[v] == 0 or dims[v + 1] == 0:
                 level.append(FpMatrix.zeros(p, dims[v + 1], dims[v]))
                 continue
-            # representatives of the quotient basis are the non-pivot
-            # standard basis vectors recorded by quotient_projection
             a = projections[v + 1] @ big.maps[v][l] @ sections[v]
             # well-definedness: the image subspace must be a subrepresentation
-            u_v = linear_form_power_matrix(p, r, coeffs, j, v - i - j)
-            check = projections[v + 1] @ big.maps[v][l] @ u_v
+            check = projections[v + 1] @ big.maps[v][l] @ images[v]
             assert check.is_zero(), "arrow image left the subrepresentation"
             level.append(a)
         maps.append(tuple(level))
@@ -347,18 +344,12 @@ def hom_space(x: BeilinsonRep, y: BeilinsonRep) -> list[tuple[FpMatrix, ...]]:
 def direct_sum(x: BeilinsonRep, y: BeilinsonRep) -> BeilinsonRep:
     if not x.same_config(y):
         raise ConfigMismatch("direct_sum requires matching (p, n, r)")
-    p = x.p
     dims = tuple(a + b for a, b in zip(x.dims, y.dims))
-    maps = []
-    for i in range(x.n - 1):
-        level = []
-        for l in range(x.r):
-            blk = np.zeros((dims[i + 1], dims[i]), dtype=np.int64)
-            blk[: x.dims[i + 1], : x.dims[i]] = x.maps[i][l].a
-            blk[x.dims[i + 1]:, x.dims[i]:] = y.maps[i][l].a
-            level.append(FpMatrix(p, blk))
-        maps.append(tuple(level))
-    return BeilinsonRep(p, x.n, x.r, dims, tuple(maps))
+    maps = tuple(
+        tuple(block_diagonal((a, b)) for a, b in zip(x_level, y_level))
+        for x_level, y_level in zip(x.maps, y.maps)
+    )
+    return BeilinsonRep(x.p, x.n, x.r, dims, maps)
 
 
 def support(rep: BeilinsonRep) -> tuple[int, int] | None:
@@ -377,11 +368,7 @@ def is_standardly_graded(rep: BeilinsonRep) -> bool:
     lo, hi = supp
     span = FpMatrix.identity(rep.p, rep.dims[lo])
     for v in range(lo, hi):
-        pushed = None
-        for l in range(rep.r):
-            piece = rep.maps[v][l] @ span
-            pushed = piece if pushed is None else pushed.hstack(piece)
-        span = image_basis(pushed)
+        span = image_basis(FpMatrix.hstack(*(arrow @ span for arrow in rep.maps[v])))
         if span.cols < rep.dims[v + 1]:
             return False
     return True

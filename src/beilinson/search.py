@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .linalg import FpMatrix
+from .linalg import FpMatrix, combine
 
 # random combinations tried after the single basis elements
 RANDOM_CANDIDATES = 200
@@ -22,19 +22,10 @@ ENUMERATION_LIMIT = 10**6
 
 
 def span(p: int, basis: list[FpMatrix]):
-    """The map from a coefficient sequence to its combination of the basis.
-
-    The sum is reduced mod p after every term, so no intermediate entry
-    exceeds (p-1)^2 + p - 1 and int64 suffices for any p < 2^31."""
-
-    def combine(coeffs) -> FpMatrix:
-        acc = np.zeros(basis[0].a.shape, dtype=np.int64)
-        for c, phi in zip(coeffs, basis):
-            if c:
-                acc = (acc + int(c) * phi.a) % p
-        return FpMatrix._reduced(p, acc)
-
-    return combine
+    """The map from a coefficient sequence to its combination of the basis,
+    by ``linalg.combine`` (reduced mod p after every term)."""
+    mats = [phi.a for phi in basis]
+    return lambda coeffs: FpMatrix._reduced(p, combine(coeffs, mats, p))
 
 
 def find_invertible(p: int, basis_size: int, combine, invertible, seed: int = 0) -> str:

@@ -12,6 +12,7 @@ from beilinson.linalg import (
     PrimeField,
     batched_rank,
     cokernel_projection,
+    combine,
     image_basis,
     kernel_basis,
     matmul,
@@ -87,6 +88,26 @@ class TestFpMatrix:
         with pytest.raises(ValueError):
             a.a[0, 0] = 3
 
+    def test_variadic_stacks_match_numpy(self):
+        rng = np.random.default_rng(3)
+        blocks = [rng.integers(0, 7, size=(3, k)) for k in (2, 0, 4)]
+        wide = [FpMatrix(7, b) for b in blocks]
+        tall = [m.T for m in wide]
+        assert np.array_equal(FpMatrix.hstack(*wide).a, np.hstack(blocks))
+        assert np.array_equal(FpMatrix.vstack(*tall).a, np.vstack([b.T for b in blocks]))
+        assert wide[0].hstack() == wide[0] == tall[0].vstack().T
+
+    @pytest.mark.parametrize("bad", range(3))
+    def test_variadic_stacks_check_every_operand(self, bad):
+        for odd in (FpMatrix.zeros(7, 4, 4), FpMatrix.zeros(5, 3, 3)):
+            wide = [FpMatrix.zeros(7, 3, 2)] * 3
+            tall = [FpMatrix.zeros(7, 2, 3)] * 3
+            wide[bad], tall[bad] = odd, odd
+            with pytest.raises(DimensionMismatch):
+                FpMatrix.hstack(*wide)
+            with pytest.raises(DimensionMismatch):
+                FpMatrix.vstack(*tall)
+
     def test_hashable_and_equal(self):
         a = mat(5, [[1, 2]])
         b = mat(5, [[6, 7]])
@@ -109,6 +130,26 @@ class TestFpMatrix:
             for s in range(2)
         ]
         assert matmul(a, b, p).tolist() == expected
+
+
+class TestCombine:
+    def test_matches_python_integers(self):
+        # near the top of the int64 range, stacked coefficients, one zero term
+        p = 2**31 - 1
+        rng = np.random.default_rng(11)
+        mats = p - 1 - rng.integers(0, 3, size=(4, 2, 3))
+        coeffs = p - 1 - rng.integers(0, 3, size=(5, 4))
+        coeffs[:, 2] = 0
+        expected = [[[sum(int(c[l]) * int(mats[l, i, j]) for l in range(4)) % p
+                      for j in range(3)] for i in range(2)] for c in coeffs]
+        assert combine(coeffs, mats, p).tolist() == expected
+        assert combine(coeffs[0], list(mats), p).tolist() == expected[0]
+
+    def test_cut_off_as_zip_cuts(self):
+        mats = [np.eye(2, dtype=np.int64) * k for k in (1, 2, 3)]
+        assert combine((1, 1), mats, 7).tolist() == [[3, 0], [0, 3]]
+        assert combine((1, 1, 1, 5), mats, 7).tolist() == [[6, 0], [0, 6]]
+        assert combine((), mats, 7).tolist() == [[0, 0], [0, 0]]
 
 
 class TestRank:
@@ -174,13 +215,14 @@ def low_rank(rng, p, rows, cols, zeroed=0.1):
 
 
 @st.composite
-def low_rank_stacks(draw):
-    """(p, stack): up to 8 low-rank matrices of one shape up to 12x12.  The
-    stack may be empty or all zero, and each matrix zeroes its own rows and
-    columns, so the zero lines differ from matrix to matrix."""
+def low_rank_stacks(draw, max_count=8, max_side=12):
+    """(p, stack): up to max_count low-rank matrices of one shape up to
+    max_side x max_side.  The stack may be empty or all zero, and each
+    matrix zeroes its own rows and columns, so the zero lines differ from
+    matrix to matrix."""
     p = draw(st.sampled_from(ORACLE_PRIMES))
-    count = draw(st.integers(0, 8))
-    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    count = draw(st.integers(0, max_count))
+    rows, cols = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
     zeroed = draw(st.sampled_from((0.1, 0.5, 1.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mats = [low_rank(rng, p, rows, cols, zeroed) for _ in range(count)]
@@ -200,6 +242,15 @@ DEGENERATE_STACKS = (
     (3, np.zeros((4, 3, 5), dtype=np.int64)),  # all zero
     (7, STAGGERED),
     (7, STAGGERED.transpose(0, 2, 1)),
+)
+
+
+# 40x40 stacks with no zeroed lines, which the derandomized draws rarely
+# reach: one random matrix (full rank but for chance) and three low-rank ones
+FULL_SIZE_STACKS = tuple(
+    (p, np.array([rng.integers(0, p, size=(40, 40))]
+                 + [low_rank(rng, p, 40, 40, zeroed=0.0) for _ in range(3)]))
+    for p, rng in ((2, np.random.default_rng(40)), (65521, np.random.default_rng(41)))
 )
 
 
@@ -245,6 +296,16 @@ class TestRankOracle:
         ranks = batched_rank(stack, p)
         assert ranks.shape == (len(stack),)
         assert ranks.tolist() == expected
+
+    @given(low_rank_stacks(max_count=4, max_side=40))
+    @example(FULL_SIZE_STACKS[0])
+    @example(FULL_SIZE_STACKS[1])
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_both_ranks_match_sympy_up_to_40x40(self, case):
+        p, stack = case
+        expected = [sympy_rank(a, p) for a in stack]
+        assert [rank(FpMatrix(p, a)) for a in stack] == expected
+        assert batched_rank(stack, p).tolist() == expected
 
     def test_batched_rank_leaves_input_unchanged(self):
         stack = np.array([[[1, 2], [3, 4]], [[0, 0], [5, 6]]], dtype=np.int64)

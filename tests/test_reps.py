@@ -74,8 +74,23 @@ class TestProjPoints:
         assert ProjPoint(5, (0, 3, 3)).coords == (0, 1, 1)
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            ProjPoint(5, (0, 0, 0))
+        # the zero vector, then moduli that are not primes below 2^31
+        for p, coords in ((5, (0, 0, 0)), (6, (1, 5)), (0, (1, 0)), (2**31 + 11, (1, 0)),
+                          (5.0, (1, 0))):
+            with pytest.raises(ValueError):
+                ProjPoint(p, coords)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_enumeration_order(self, p, r):
+        # every witness is the first failing point in this order
+        normalized = set()
+        for vec in itertools.product(range(p), repeat=r):
+            lead = next((x for x in vec if x), 0)
+            if lead:
+                inv = pow(lead, p - 2, p)
+                normalized.add(tuple(x * inv % p for x in vec))
+        assert [a.coords for a in proj_points(p, r)] == sorted(normalized)
 
     @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (5, 3)])
     def test_point_count(self, p, r):
