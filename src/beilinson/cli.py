@@ -183,9 +183,7 @@ def cmd_check(args) -> int:
         "cjt": properties.constant_jordan_type,
     }[args.property]
     report = checker(rep)
-    payload = json.loads(report.to_json())
-    payload["jobs"] = args.jobs
-    _emit(payload, args)
+    _emit(json.loads(report.to_json()), args)
     return 0 if report.verdict else 1
 
 
@@ -233,7 +231,7 @@ def cmd_width(args) -> int:
 
 def cmd_end_ring(args) -> int:
     rep = _input_rep(args)
-    _, info = emod.end_algebra(_module(rep), seed=args.seed)
+    _, info = emod.end_algebra(_module(rep))
     _emit({"dimension": info.dimension, "commutative": info.commutative,
            "local": info.local, "regime": info.regime, "seed": args.seed}, args)
     return 0
@@ -243,9 +241,13 @@ def cmd_iso(args) -> int:
     left = _load_rep(args.left)
     right = _load_rep(args.right)
     if args.as_modules:
-        verdict = emod.is_isomorphic(_module(left), _module(right), seed=args.seed)
+        left, right = _module(left), _module(right)
+        config, isomorphic = "(p, r)", emod.is_isomorphic
     else:
-        verdict = reps.rep_isomorphic(left, right, seed=args.seed)
+        config, isomorphic = "(p, n, r)", reps.rep_isomorphic
+    if not left.same_config(right):
+        _invalid(f"{args.left} and {args.right} are over different {config}")
+    verdict = isomorphic(left, right, seed=args.seed)
     _emit({"verdict": verdict, "seed": args.seed}, args)
     return 0 if verdict == "yes" else 1
 
@@ -278,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="decide a point-wise module property")
     check.add_argument("property", choices=("eip", "ekp", "eip-hom", "ekp-hom", "cjt"))
     module_input(check)
-    _add_int(check, "jobs", default=1,
-             help="accepted and echoed in the JSON output; has no effect")
     check.set_defaults(func=cmd_check)
 
     jt = sub.add_parser("jordan-type", help="Jordan type at one or all points")
@@ -295,13 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     width_cmd = sub.add_parser("width", help="width invariant of the translate orbit")
     module_input(width_cmd)
     _add_int(width_cmd, "k-max", default=8)
-    _add_int(width_cmd, "jobs", default=1, help="accepted; has no effect")
     width_cmd.add_argument("--dot", default=None, help="also write a DOT graph here")
     width_cmd.set_defaults(func=cmd_width)
 
     end_ring = sub.add_parser("end-ring", help="endomorphism ring structure report")
     module_input(end_ring)
-    _add_int(end_ring, "seed", default=0)
+    _add_int(end_ring, "seed", default=0, help="accepted and echoed; has no effect")
     end_ring.set_defaults(func=cmd_end_ring)
 
     iso = sub.add_parser("iso", help="compare two stored representations")

@@ -2,14 +2,15 @@
 
 Covers the forgetful functor from graded representations, Jordan types,
 radical/socle series, the radical powers of the group algebra itself,
-twists by invertible coordinate changes, endomorphism algebras, and
-isomorphism / indecomposability testing with certified positives."""
+twists by invertible coordinate changes, endomorphism algebras with
+certified commutativity and locality, certified indecomposability, and
+isomorphism testing with certified positives."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -24,6 +25,7 @@ from .linalg import (
     matmul,
     quotient_projection,
     rank,
+    solve_matrix,
 )
 from .monomials import monomials
 from .reps import (
@@ -314,13 +316,6 @@ def invert(g: FpMatrix) -> FpMatrix:
     return inv
 
 
-def random_invertible(p: int, n: int, rng: np.random.Generator) -> FpMatrix:
-    while True:
-        g = FpMatrix.random(p, n, n, rng)
-        if rank(g) == n:
-            return g
-
-
 # ---------------------------------------------------------------------------
 # hom spaces, endomorphism algebras, isomorphism, indecomposability
 
@@ -368,20 +363,15 @@ def is_isomorphic(m: ErModule, n: ErModule, seed: int = 0) -> str:
                            lambda phi: rank(phi) == m.dim, seed)
 
 
-# End bases up to this dimension get the deterministic locality sweep
-SWEEP_LIMIT = 12
-# random endomorphisms sampled by end_algebra above SWEEP_LIMIT
-LOCALITY_SAMPLES = 50
-# random endomorphisms tried for a Fitting split by is_indecomposable
-FITTING_SAMPLES = 40
-
-
 @dataclass(frozen=True)
 class EndReport:
+    """dim End M and whether End M is commutative and local, both certified
+    by ``_local``.  End of the zero module is the zero ring: not local."""
+
     dimension: int
     commutative: bool
     local: bool
-    regime: str  # "deterministic" or "heuristic"
+    regime: str  # always "deterministic"
 
 
 def _stable_power(phi: FpMatrix) -> FpMatrix:
@@ -407,53 +397,74 @@ def _power(phi: FpMatrix, e: int) -> FpMatrix:
         phi = phi @ phi
 
 
-def _scalar_plus_nilpotent(phi: FpMatrix) -> bool:
-    """Whether phi = c*I + N with c in F_p and N nilpotent.
-
-    That holds exactly when phi^(p^k) is a scalar matrix for the least
-    p^k >= dim: Frobenius fixes c and p^k-th powers kill N, and conversely
-    x^(p^k) - s = (x - s)^(p^k) over F_p."""
-    power, reach = phi, 1
-    while reach < phi.rows:
-        power = _power(power, phi.p)
-        reach *= phi.p
-    a = power.a
-    return not a.size or bool(np.array_equal(a, a[0, 0] * np.eye(phi.rows, dtype=np.int64)))
+def _span_stack(p: int, stack: np.ndarray) -> np.ndarray:
+    """A basis, as a (k, n, n) stack, of the span of the (m, n, n) stack."""
+    n = stack.shape[-1]
+    flat = image_basis(FpMatrix._reduced(p, stack.reshape(len(stack), n * n).T))
+    return np.ascontiguousarray(flat.a.T).reshape(flat.cols, n, n)
 
 
-def _commutative(basis: list[FpMatrix]) -> bool:
-    return all(a @ b == b @ a for a, b in combinations(basis, 2))
+def _products(p: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Every product l @ r, l in left and r in right, as one stack."""
+    return np.concatenate([matmul(a, right, p) for a in left])
 
 
-def end_algebra(m: ErModule, seed: int = 0) -> tuple[list[FpMatrix], EndReport]:
-    """Endomorphism basis with commutativity and locality flags.
+def _local(basis: list[FpMatrix]) -> tuple[bool, bool]:
+    """(commutative, local) for the algebra A spanned by basis, a basis of
+    a subalgebra of n x n matrices over F_p that holds the identity.
 
-    Commutativity is exact (all basis pairs).  For dim End <= SWEEP_LIMIT
-    the locality flag is decided by a deterministic sweep checking every
-    basis element is a scalar plus a nilpotent; in the commutative case
-    that certifies a local ring with residue field F_p.  Above the limit
-    LOCALITY_SAMPLES random elements are checked and the flag is labelled
-    heuristic."""
-    basis = hom_modules(m, m)
+    The commutators generate a two-sided ideal C.  If A is local, A/rad A is
+    a field (Wedderburn's little theorem), so C lies in rad A and is
+    nilpotent; a C that is not nilpotent certifies "not local".  Otherwise
+    A is local exactly when the commutative A/C is, and there a -> a^p is
+    F_p-linear with a fixed space of dimension the number of primitive
+    idempotents (Berlekamp): A is local exactly when that dimension is 1."""
     h = len(basis)
-    commutative = _commutative(basis)
-    if h <= SWEEP_LIMIT:
-        local = all(_scalar_plus_nilpotent(phi) for phi in basis)
-        regime = "deterministic"
-    else:
-        combine = span(m.p, basis)
-        rng = np.random.default_rng(seed)
-        local = all(
-            _scalar_plus_nilpotent(combine(rng.integers(0, m.p, size=h)))
-            for _ in range(LOCALITY_SAMPLES)
-        )
-        regime = "heuristic"
-    return basis, EndReport(h, commutative, local, regime)
+    if h <= 1:
+        return True, h == 1  # the zero ring, or F_p
+    p = basis[0].p
+    stack = np.stack([phi.a for phi in basis])
+    ideal = stack[:0]
+    for i, a in enumerate(stack):
+        comm = (matmul(a, stack[i + 1:], p) - matmul(stack[i + 1:], a, p)) % p
+        if comm.any():
+            ideal = _span_stack(p, np.concatenate([ideal, comm]))
+    commutative = not len(ideal)
+    while len(ideal):
+        grown = _span_stack(p, np.concatenate([ideal, _products(p, stack, ideal),
+                                               _products(p, ideal, stack)]))
+        if len(grown) == len(ideal):
+            break
+        ideal = grown
+    power = ideal
+    while len(power):
+        shorter = _span_stack(p, _products(p, power, ideal))
+        if len(shorter) == len(power):
+            return commutative, False
+        power = shorter
+    n = stack.shape[-1]
+    frob = np.stack([_power(phi, p).a for phi in basis])
+    coords = solve_matrix(FpMatrix._reduced(p, stack.reshape(h, n * n).T),
+                          FpMatrix._reduced(p, np.concatenate([frob, ideal]).reshape(-1, n * n).T))
+    pi, complement = quotient_projection(FpMatrix._reduced(p, coords.a[:, h:]))
+    moved = pi @ FpMatrix._reduced(p, coords.a[:, complement]) - FpMatrix.identity(p, pi.rows)
+    return commutative, pi.rows - rank(moved) == 1
+
+
+def end_algebra(m: ErModule) -> tuple[list[FpMatrix], EndReport]:
+    """Endomorphism basis with certified commutativity and locality flags."""
+    basis = hom_modules(m, m)
+    commutative, local = _local(basis)
+    return basis, EndReport(len(basis), commutative, local, "deterministic")
 
 
 @dataclass(frozen=True)
 class IndecResult:
-    verdict: str  # "yes" | "decomposable" | "probably_yes"
+    """'yes' or 'decomposable', both certified.  summand_dims are the
+    dimensions of a Fitting split of M by the first End basis element that
+    has one, or None when no basis element splits M."""
+
+    verdict: str  # "yes" | "decomposable"
     summand_dims: tuple[int, int] | None = None
 
 
@@ -466,41 +477,22 @@ def _fitting_split(phi: FpMatrix) -> tuple[int, int] | None:
     return None
 
 
-def is_indecomposable(m, seed: int = 0) -> IndecResult:
-    """Certified 'yes' when dim End = 1, or when End is commutative of
-    dimension <= SWEEP_LIMIT with every basis element a scalar plus a
-    nilpotent (then End is local); otherwise randomized Fitting: a sampled
-    endomorphism whose stable power is neither zero nor invertible
-    certifies a direct decomposition."""
+def is_indecomposable(m) -> IndecResult:
+    """'yes' exactly when End is local (``_local``), for a graded
+    representation (its graded End, block-diagonal) or a module; otherwise
+    'decomposable', with the first Fitting split among the End basis."""
     if isinstance(m, BeilinsonRep):
-        dim, basis = m.total_dim, hom_space(m, m)
+        dim, basis = m.total_dim, [block_diagonal(phi) for phi in hom_space(m, m)]
     elif isinstance(m, ErModule):
         dim, basis = m.dim, hom_modules(m, m)
     else:
         raise TypeError("expected a BeilinsonRep or an ErModule")
     if dim == 0:
         raise ValueError("the zero module is neither")
-    h = len(basis)
-    if h == 1:
+    if _local(basis)[1]:
         return IndecResult("yes")
-    if isinstance(m, BeilinsonRep):
-        basis = [block_diagonal(phi) for phi in basis]
-
     for phi in basis:
         split = _fitting_split(phi)
         if split:
             return IndecResult("decomposable", split)
-    combine = span(m.p, basis)
-    rng = np.random.default_rng(seed)
-    for _ in range(FITTING_SAMPLES):
-        coeffs = rng.integers(0, m.p, size=h)
-        if not coeffs.any():
-            continue
-        split = _fitting_split(combine(coeffs))
-        if split:
-            return IndecResult("decomposable", split)
-    if h <= SWEEP_LIMIT and _commutative(basis) and all(
-        _scalar_plus_nilpotent(phi) for phi in basis
-    ):
-        return IndecResult("yes")
-    return IndecResult("probably_yes")
+    return IndecResult("decomposable")

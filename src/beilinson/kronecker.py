@@ -122,7 +122,7 @@ def inverse_coxeter_dims(r: int, dims: tuple[int, int]) -> tuple[int, int]:
     return (-d0 + r * d1, -r * d0 + (r * r - 1) * d1)
 
 
-def classify(m: BeilinsonRep, k_max: int = 8, seed: int = 0) -> Classification:
+def classify(m: BeilinsonRep, k_max: int = 8) -> Classification:
     """Orbit classification of an indecomposable Kronecker representation.
 
     Direction detection runs on dimension vectors alone: for an
@@ -135,7 +135,7 @@ def classify(m: BeilinsonRep, k_max: int = 8, seed: int = 0) -> Classification:
 
     _require_kronecker(m)
     q = tits_form(m.r, m.dims)
-    indec = is_indecomposable(m, seed=seed)
+    indec = is_indecomposable(m)
     if indec.verdict == "decomposable":
         return Classification("decomposable", None, None, q)
     cur = m.dims

@@ -30,7 +30,6 @@ small p.  Larger moduli are refused wherever a field or a matrix is built.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -371,23 +370,3 @@ def quotient_projection(basis: FpMatrix):
     pi[:, pivots] = (-ech[:len(pivots), complement] % p).T
     return FpMatrix._reduced(p, pi), complement.tolist()
 
-
-def subspaces(p: int, d: int):
-    """All subspaces of F_p^d, each as an FpMatrix of basis columns in RREF.
-
-    Exhaustive enumeration; intended for very small d."""
-    for k in range(d + 1):
-        for pivots in itertools.combinations(range(d), k):
-            free_slots = [
-                (i, j)
-                for i in range(k)
-                for j in range(d)
-                if j > pivots[i] and j not in pivots
-            ]
-            for vals in itertools.product(range(p), repeat=len(free_slots)):
-                b = np.zeros((k, d), dtype=np.int64)
-                for i in range(k):
-                    b[i, pivots[i]] = 1
-                for (i, j), v in zip(free_slots, vals):
-                    b[i, j] = v
-                yield FpMatrix(p, b.T.copy())

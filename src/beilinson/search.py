@@ -1,11 +1,14 @@
-"""Linear combinations of a hom basis, and the shared search for an
-invertible element among them.
+"""Linear combinations of a hom basis, and the search for an invertible
+element among them.
 
-Used by the isomorphism tests for both graded representations and
-kE_r-modules.  A found invertible element certifies 'yes'.  'no' is
-certified only when the full coefficient space of the hom basis has been
-enumerated without success; otherwise the verdict degrades to
-'probably_not' after RANDOM_CANDIDATES random combinations."""
+``span`` builds the combinations behind twists, point operators and the
+isomorphism tests.  ``find_invertible`` is the isomorphism search, for
+graded representations and kE_r-modules alike; End locality and
+indecomposability are certified in ``emod`` without it.  A found
+invertible element certifies 'yes'.  'no' is certified only when the full
+coefficient space of the hom basis has been enumerated without success;
+otherwise the verdict degrades to 'probably_not' after RANDOM_CANDIDATES
+random combinations."""
 
 from __future__ import annotations
 

@@ -1,8 +1,10 @@
 """Shared test utilities."""
 
+import itertools
+
 import numpy as np
 
-from beilinson.linalg import FpMatrix, kernel_basis
+from beilinson.linalg import FpMatrix, kernel_basis, rank
 from beilinson.reps import BeilinsonRep, validate
 
 
@@ -55,3 +57,31 @@ def random_valid_rep(p, n, r, max_dim, rng):
     rep = BeilinsonRep(p, n, r, dims, tuple(maps))
     assert validate(rep) == []
     return rep
+
+
+def random_invertible(p, n, rng):
+    while True:
+        g = FpMatrix.random(p, n, n, rng)
+        if rank(g) == n:
+            return g
+
+
+def subspaces(p, d):
+    """All subspaces of F_p^d, each as an FpMatrix of basis columns in RREF.
+
+    Exhaustive enumeration; intended for very small d."""
+    for k in range(d + 1):
+        for pivots in itertools.combinations(range(d), k):
+            free_slots = [
+                (i, j)
+                for i in range(k)
+                for j in range(d)
+                if j > pivots[i] and j not in pivots
+            ]
+            for vals in itertools.product(range(p), repeat=len(free_slots)):
+                b = np.zeros((k, d), dtype=np.int64)
+                for i in range(k):
+                    b[i, pivots[i]] = 1
+                for (i, j), v in zip(free_slots, vals):
+                    b[i, j] = v
+                yield FpMatrix(p, b.T.copy())

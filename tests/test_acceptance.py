@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_valid_rep
+from helpers import random_invertible, random_valid_rep, subspaces
 from beilinson.emod import (
     end_algebra,
     forget,
@@ -17,7 +17,6 @@ from beilinson.emod import (
     is_isomorphic,
     jordan_type,
     jt_formula,
-    random_invertible,
     twist,
 )
 from beilinson.kronecker import (
@@ -28,7 +27,6 @@ from beilinson.kronecker import (
     width,
     wmod_shift_check,
 )
-from beilinson.linalg import subspaces
 from beilinson.properties import (
     is_eip_def,
     is_eip_hom,

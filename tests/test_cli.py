@@ -6,6 +6,7 @@ import pytest
 
 from beilinson import emod, properties, reps
 from beilinson.cli import main
+from beilinson.kronecker import e_lambda
 from beilinson.reps import (
     BeilinsonRep, m_module, projective, w_module, x_module, ProjPoint,
 )
@@ -68,7 +69,6 @@ class TestCheck:
         ])
         doc = json.loads(out)
         assert doc["property"] == "EIP" and doc["verdict"] is True
-        assert doc["jobs"] == 1
 
     def test_broken_relations_exit_3(self, tmp_path, capsys):
         doc = json.loads(projective(5, 3, 3, 0).to_json())
@@ -100,13 +100,6 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"beilinson: cannot read {missing}")
-
-    def test_jobs_accepted_and_echoed(self, w_file, capsys):
-        code, out = run(capsys, [
-            "check", "eip", "--rep", w_file, "--jobs", "2", "--format", "json",
-        ])
-        assert code == 0
-        assert json.loads(out)["jobs"] == 2
 
     def test_family_construction_inline(self, capsys):
         code, _ = run(capsys, [
@@ -155,6 +148,22 @@ class TestExitStatus:
         path.write_text(json.dumps(doc))
         assert status(["check", "eip", "--rep", str(path)]) == 3
         assert "2^31" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("right, flags, code", [
+        (e_lambda(3, 2, (1, 2)), [], 3),
+        (e_lambda(3, 2, (1, 2)), ["--as-modules"], 3),
+        (m_module(5, 3, 3, 3, 2), [], 3),
+        (m_module(5, 3, 3, 3, 2), ["--as-modules"], 1),
+    ], ids=["reps-other-p", "modules-other-p", "reps-other-n", "modules-other-n"])
+    def test_iso_over_different_configs(self, x_file, tmp_path, right, flags, code, capsys):
+        path = tmp_path / "right.json"
+        path.write_text(right.to_json())
+        assert status(["iso", x_file, str(path)] + flags) == code
+        captured = capsys.readouterr()
+        if code == 3:
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert "are over different" in captured.err
 
     def test_internal_error_exits_4_with_traceback(self, w_file, monkeypatch, capsys):
         def crash(rep):

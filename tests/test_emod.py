@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from helpers import random_valid_rep
+from helpers import random_invertible, random_valid_rep
 
 from beilinson import emod, reps
 from beilinson.emod import (
@@ -17,7 +17,7 @@ from beilinson.emod import (
     forget,
     group_algebra_radical_power,
     has_constant_jordan_type,
-    invert,
+    hom_modules,
     is_indecomposable,
     is_isomorphic,
     jordan_type,
@@ -25,14 +25,13 @@ from beilinson.emod import (
     loewy_length,
     rad_series,
     radical,
-    random_invertible,
     soc_series,
     socle,
     twist,
     validate_module,
 )
-from beilinson.emod import _power, _scalar_plus_nilpotent, _stable_power
-from beilinson.linalg import FpMatrix, rank
+from beilinson.emod import _local, _power
+from beilinson.linalg import FpMatrix, batched_rank, combine, matmul, rank
 from beilinson.search import span
 from beilinson.reps import (
     BeilinsonRep,
@@ -322,13 +321,7 @@ class TestEndAlgebra:
     def test_large_end_takes_heuristic_regime(self):
         basis, report = end_algebra(forget(w_module(5, 3, 3, 4, 3)))
         assert len(basis) == 34
-        assert report == EndReport(34, True, True, "heuristic")
-
-
-def sweep_scalar_plus_nilpotent(phi):
-    """Reference locality test: try every scalar c in F_p."""
-    eye = FpMatrix.identity(phi.p, phi.rows)
-    return any(_stable_power(phi - eye.scale(c)).is_zero() for c in range(phi.p))
+        assert report == EndReport(34, True, True, "deterministic")
 
 
 class TestPower:
@@ -343,33 +336,81 @@ class TestPower:
             assert _power(FpMatrix(p, entries), e).a.tolist() == expected
 
 
-class TestScalarPlusNilpotent:
-    def test_frobenius_matches_scalar_sweep(self):
-        rng = np.random.default_rng(3)
-        seen = set()
-        for p in (2, 3, 5, 7):
-            for _ in range(40):
-                dim = int(rng.integers(1, 7))
-                if rng.random() < 0.5:
-                    # a conjugate of c*I + N, N strictly lower triangular
-                    n = np.tril(rng.integers(0, p, size=(dim, dim)), k=-1)
-                    c = int(rng.integers(0, p))
-                    g = random_invertible(p, dim, rng)
-                    phi = g @ FpMatrix(p, n + c * np.eye(dim, dtype=np.int64)) @ invert(g)
-                else:
-                    phi = FpMatrix.random(p, dim, dim, rng)
-                expected = sweep_scalar_plus_nilpotent(phi)
-                assert _scalar_plus_nilpotent(phi) == expected
-                seen.add(expected)
-        assert seen == {True, False}
+def companion_rep(p, poly):
+    """The Kronecker rep with arrows I and the companion matrix of a monic
+    polynomial of degree d (coefficients low to high, leading 1 omitted).
+    For an irreducible polynomial, End(rep) is F_{p^d} and End(forget(rep))
+    is F_{p^d} plus a square-zero ideal: both local, with residue field
+    F_{p^d}.  For d distinct roots in F_p, End(rep) is F_p^d."""
+    d = len(poly)
+    companion = np.eye(d, k=-1, dtype=np.int64)
+    companion[:, -1] = [-c % p for c in poly]
+    arrows = (FpMatrix.identity(p, d), FpMatrix(p, companion))
+    return BeilinsonRep(p, 2, 2, (d, d), (arrows,))
 
-    def test_large_prime(self):
-        p = 10007
-        n = FpMatrix(p, [[0, 0, 0], [5, 0, 0], [p - 1, 3, 0]])
-        g = FpMatrix(p, [[1, 2, 3], [0, 1, 4], [0, 0, 1]])
-        phi = g @ (n + FpMatrix.identity(p, 3).scale(1234)) @ invert(g)
-        assert _scalar_plus_nilpotent(phi)
-        assert not _scalar_plus_nilpotent(phi + FpMatrix(p, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
+
+def enumerated_local(basis):
+    """(commutative, local) by brute force: all basis pairs commute, and
+    every element of the span is nilpotent or invertible (its stable power
+    has rank 0 or full), in a nonzero span."""
+    p, n = basis[0].p, basis[0].rows
+    coeffs = np.array(list(itertools.product(range(p), repeat=len(basis))), dtype=np.int64)
+    power, reach = combine(coeffs, [phi.a for phi in basis], p), 1
+    while reach < n:
+        power, reach = matmul(power, power, p), 2 * reach
+    ranks = batched_rank(power, p)
+    commutative = all(a @ b == b @ a for a, b in itertools.combinations(basis, 2))
+    return commutative, bool(np.isin(ranks, (0, n)).all())
+
+
+def graded_end(rep):
+    return [reps.block_diagonal(phi) for phi in hom_space(rep, rep)]
+
+
+def module_end(rep):
+    m = forget(rep)
+    return hom_modules(m, m)
+
+
+class TestLocal:
+    def test_residue_field_larger_than_prime_field(self):
+        rep = companion_rep(5, (3, 0))  # t^2 - 2
+        _, report = end_algebra(forget(rep))
+        assert report == EndReport(6, False, True, "deterministic")
+        assert _local(graded_end(rep)) == (True, True)
+        assert is_indecomposable(rep) == IndecResult("yes")
+        assert is_indecomposable(forget(rep)) == IndecResult("yes")
+
+    def test_zero_module_end_is_not_local(self):
+        zero = ErModule(5, 2, 0, tuple(FpMatrix.zeros(5, 0, 0) for _ in range(2)))
+        assert end_algebra(zero)[1] == EndReport(0, True, False, "deterministic")
+
+    def test_matches_enumeration(self):
+        """Every small End (p^dim <= 3^6) of random forgotten and graded
+        reps, their direct sums and companion reps, against brute force;
+        all four (commutative, local) outcomes occur."""
+        rng = np.random.default_rng(5)
+        s0, s1 = simple(2, 2, 2, 0), simple(2, 2, 2, 1)
+        # graded End M_2(F_2) x F_2: a proper commutator ideal that is not nilpotent
+        inputs = [direct_sum(direct_sum(s0, s0), s1), companion_rep(2, (1, 1)),
+                  companion_rep(3, (1, 0)), companion_rep(5, (3, 0)), companion_rep(2, (1, 1, 0)),
+                  companion_rep(5, (2, 2))]
+        for _ in range(40):
+            p = int(rng.choice([2, 3, 5]))
+            n, r = int(rng.integers(2, p + 1)), int(rng.integers(2, 4))
+            rep = random_valid_rep(p, n, r, 2, rng)
+            if rng.random() < 0.4:
+                rep = direct_sum(rep, random_valid_rep(p, n, r, 1, rng) if rng.random() < 0.7
+                                 else rep)
+            inputs.append(rep)
+        seen = set()
+        for rep in inputs:
+            for basis in (graded_end(rep), module_end(rep)):
+                if rep.p ** len(basis) <= 3**6:
+                    got = _local(basis)
+                    assert got == enumerated_local(basis)
+                    seen.add(got)
+        assert seen == set(itertools.product((False, True), repeat=2))
 
 
 class TestIndecomposability:
@@ -389,7 +430,14 @@ class TestIndecomposability:
 
     def test_large_end_is_probably_indecomposable(self):
         res = is_indecomposable(forget(w_module(5, 3, 3, 4, 3)))
-        assert res == IndecResult("probably_yes")
+        assert res == IndecResult("yes")
+
+    def test_no_basis_element_splits(self):
+        # arrows I and the companion matrix of (t - 1)(t - 2): End is F_5 x F_5,
+        # not local, though both basis elements are invertible
+        rep = companion_rep(5, (2, 2))
+        assert is_indecomposable(rep) == IndecResult("decomposable")
+        assert is_indecomposable(forget(rep)) == IndecResult("decomposable")
 
     def test_graded_local_end_certified(self):
         # Kronecker rep with arrows I and a nilpotent Jordan block: End is

@@ -131,12 +131,12 @@ class TestTitsForm:
 class TestClassify:
     def test_projectives_preprojective(self):
         for i in range(2):
-            c = classify(projective(5, 2, 3, i), seed=0)
+            c = classify(projective(5, 2, 3, i))
             assert c.kind == "preprojective" and c.exponent == 0
 
     def test_injectives_preinjective(self):
         for i in range(2):
-            c = classify(injective(5, 2, 3, i), seed=0)
+            c = classify(injective(5, 2, 3, i))
             assert c.kind == "preinjective" and c.exponent == 0
 
     def test_regular_module(self):

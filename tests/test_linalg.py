@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
+from helpers import subspaces
 
 from beilinson.linalg import (
     DimensionMismatch,
@@ -21,7 +22,6 @@ from beilinson.linalg import (
     rref,
     solve,
     solve_matrix,
-    subspaces,
 )
 
 
