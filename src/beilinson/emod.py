@@ -4,7 +4,8 @@ Covers the forgetful functor from graded representations, Jordan types,
 radical/socle series, the radical powers of the group algebra itself,
 twists by invertible coordinate changes, endomorphism algebras with
 certified commutativity and locality, certified indecomposability, and
-isomorphism testing with certified positives."""
+isomorphism testing.  Hom spaces and the isomorphism decision after the
+module screens are shared with graded representations (``reps``)."""
 
 from __future__ import annotations
 
@@ -21,6 +22,8 @@ from .linalg import (
     batched_rank,
     combine,
     image_basis,
+    json_int,
+    json_matrix,
     kernel_basis,
     matmul,
     quotient_projection,
@@ -32,11 +35,12 @@ from .reps import (
     BeilinsonRep,
     ConfigMismatch,
     ProjPoint,
+    _intertwiners,
     block_diagonal,
+    decide_isomorphism,
     hom_space,
     proj_points,
 )
-from .search import find_invertible, span
 
 
 @dataclass(frozen=True)
@@ -77,11 +81,8 @@ class ErModule:
     @staticmethod
     def from_json(text: str) -> "ErModule":
         d = json.loads(text)
-        p, r, dim = d["p"], d["r"], d["dim"]
-        ops = tuple(
-            FpMatrix(p, np.asarray(arr, dtype=np.int64).reshape(dim, dim))
-            for arr in d["ops"]
-        )
+        p, r, dim = d["p"], d["r"], json_int(d["dim"], "dim")
+        ops = tuple(json_matrix(p, arr, dim, dim, f"ops[{l}]") for l, arr in enumerate(d["ops"]))
         m = ErModule(p, r, dim, ops)
         problems = validate_module(m)
         if problems:
@@ -300,18 +301,16 @@ def twist(m: ErModule, g: FpMatrix) -> ErModule:
     """The coordinate-change twist: new x_l = sum_t (g^{-1})_{tl} x_t."""
     if g.p != m.p or (g.rows, g.cols) != (m.r, m.r):
         raise ValueError("twist needs an r x r matrix over the same field")
-    ginv = invert(g)
-    combine = span(m.p, m.ops)
-    return ErModule(m.p, m.r, m.dim, tuple(combine(ginv.a[:, l]) for l in range(m.r)))
+    ginv, ops = invert(g), [op.a for op in m.ops]
+    return ErModule(m.p, m.r, m.dim, tuple(FpMatrix._reduced(m.p, combine(ginv.a[:, l], ops, m.p))
+                                          for l in range(m.r)))
 
 
 def invert(g: FpMatrix) -> FpMatrix:
-    from .linalg import solve_matrix
-
     if g.rows != g.cols:
         raise ValueError("only square matrices invert")
     inv = solve_matrix(g, FpMatrix.identity(g.p, g.rows))
-    if inv is None or rank(g) != g.rows:
+    if inv is None:
         raise ValueError("matrix is singular")
     return inv
 
@@ -323,30 +322,17 @@ def hom_modules(m: ErModule, n: ErModule) -> list[FpMatrix]:
     """Basis of the intertwiner space {phi : phi x_l = x_l' phi for all l}."""
     if not m.same_config(n):
         raise ConfigMismatch("hom requires matching (p, r)")
-    p = m.p
-    total = n.dim * m.dim
-    if total == 0:
-        return []
-    blocks = []
-    for l in range(m.r):
-        # row-major vec: vec(phi A - B phi) = (I (x) A^T - B (x) I) vec(phi)
-        row = np.kron(np.eye(n.dim, dtype=np.int64), m.ops[l].a.T) - np.kron(
-            n.ops[l].a, np.eye(m.dim, dtype=np.int64)
-        )
-        blocks.append(row % p)
-    ker = kernel_basis(FpMatrix._reduced(p, np.vstack(blocks)))
-    stack = np.ascontiguousarray(ker.a.T).reshape(ker.cols, n.dim, m.dim)
-    stack.setflags(write=False)
-    return [FpMatrix._reduced(p, phi) for phi in stack]
+    equations = [(0, 0, a, b) for a, b in zip(m.ops, n.ops)]
+    return [phi for (phi,) in _intertwiners(m.p, (m.dim,), (n.dim,), equations)]
 
 
 def is_isomorphic(m: ErModule, n: ErModule, seed: int = 0) -> str:
     """'yes' | 'no' | 'probably_not'.
 
-    Quick certified rejections by dimension, Jordan types at every rational
-    point and radical-series dimensions; then an invertible element is
-    searched in Hom(m, n).  'yes' is always certified by a witness; 'no'
-    after the quick rejections is certified only by exhausted enumeration."""
+    Certified rejections by dimension, by Jordan types at every rational
+    point and by radical-series dimensions come first; then Hom(m, n) goes
+    to ``reps.decide_isomorphism``, which adds the dim Hom(m, n) !=
+    dim End(m) screen."""
     if not m.same_config(n):
         raise ConfigMismatch("isomorphism requires matching (p, r)")
     if m.dim != n.dim:
@@ -358,9 +344,7 @@ def is_isomorphic(m: ErModule, n: ErModule, seed: int = 0) -> str:
             return "no"
     if rad_series(m) != rad_series(n):
         return "no"
-    basis = hom_modules(m, n)
-    return find_invertible(m.p, len(basis), span(m.p, basis),
-                           lambda phi: rank(phi) == m.dim, seed)
+    return decide_isomorphism(hom_modules(m, n), m.dim, lambda: len(hom_modules(m, m)), seed)
 
 
 @dataclass(frozen=True)
@@ -372,17 +356,6 @@ class EndReport:
     commutative: bool
     local: bool
     regime: str  # always "deterministic"
-
-
-def _stable_power(phi: FpMatrix) -> FpMatrix:
-    """phi^(2^k) for the least 2^k >= dim, where image and kernel settle;
-    zero exactly when phi is nilpotent."""
-    power = phi
-    steps = 1
-    while steps < phi.rows and not power.is_zero():
-        power = power @ power
-        steps *= 2
-    return power
 
 
 def _power(phi: FpMatrix, e: int) -> FpMatrix:
@@ -469,9 +442,9 @@ class IndecResult:
 
 
 def _fitting_split(phi: FpMatrix) -> tuple[int, int] | None:
-    """Dimensions of the kernel and image of the stable power of phi, when
-    both are nonzero: then M splits as their direct sum."""
-    r1 = rank(_stable_power(phi))
+    """Dimensions of the kernel and image of phi^dim, where image and kernel
+    have settled, when both are nonzero: then M splits as their direct sum."""
+    r1 = rank(_power(phi, phi.rows))
     if 0 < r1 < phi.rows:
         return (phi.rows - r1, r1)
     return None

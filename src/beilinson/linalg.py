@@ -227,6 +227,26 @@ class FpMatrix:
         return self.a.flatten().tolist()
 
 
+def json_int(value, name: str) -> int:
+    """value, read from JSON, if it is an integer; a float, bool or string
+    raises a ValueError that names the field."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must hold integers, got {value!r}")
+    return value
+
+
+def json_matrix(p: int, entries, rows: int, cols: int, name: str) -> FpMatrix:
+    """The rows x cols matrix stored row-major in the JSON list entries.
+
+    Integers of any size are reduced mod p exactly, as Python integers
+    (``json_int`` refuses anything else), so no entry overflows int64."""
+    check_modulus(p)
+    if not isinstance(entries, list) or len(entries) != rows * cols:
+        raise ValueError(f"{name} must list {rows * cols} entries")
+    flat = [json_int(x, name) % p for x in entries]
+    return FpMatrix._reduced(p, np.array(flat, dtype=np.int64).reshape(rows, cols))
+
+
 def _rref(a: np.ndarray, p: int):
     """Reduced row echelon form mod p; returns (rref, pivot column list)."""
     m = a.copy() % p

@@ -7,6 +7,11 @@ relations between consecutive levels.  The distinguished families here
 family of arrow cokernels) are all built on the shared graded-lex
 monomial bases from :mod:`beilinson.monomials`, so their matrices are
 bit-reproducible.
+
+Every Hom space of the package, graded (``hom_space``) or between
+kE_r-modules (``emod.hom_modules``), is the solution space of one
+Sylvester system built by ``_intertwiners``, and every isomorphism
+verdict comes from ``decide_isomorphism`` on a basis of such a space.
 """
 
 from __future__ import annotations
@@ -23,7 +28,10 @@ from .linalg import (
     FpMatrix,
     PrimeField,
     check_modulus,
+    combine,
     image_basis,
+    json_int,
+    json_matrix,
     kernel_basis,
     quotient_projection,
     rank,
@@ -34,7 +42,6 @@ from .monomials import (
     linear_form_power_matrix,
     multiplication_matrix,
 )
-from .search import find_invertible, span
 
 
 class ConfigMismatch(ValueError):
@@ -133,12 +140,10 @@ class BeilinsonRep:
     def from_json(text: str) -> "BeilinsonRep":
         d = json.loads(text)
         p, n, r = d["p"], d["n"], d["r"]
-        dims = [int(x) for x in d["dims"]]
+        dims = [json_int(x, "dims") for x in d["dims"]]
         maps = tuple(
-            tuple(
-                FpMatrix(p, np.asarray(arr, dtype=np.int64).reshape(dims[i + 1], dims[i]))
-                for arr in level
-            )
+            tuple(json_matrix(p, arr, dims[i + 1], dims[i], f"maps[{i}][{l}]")
+                  for l, arr in enumerate(level))
             for i, level in enumerate(d["maps"])
         )
         rep = BeilinsonRep(p, n, r, tuple(dims), maps)
@@ -296,7 +301,41 @@ def alpha_operator(rep: BeilinsonRep, alpha: ProjPoint) -> list[FpMatrix]:
     entry is sum_l alpha_l * maps[i][l], of shape dims[i+1] x dims[i]."""
     if alpha.p != rep.p or alpha.r != rep.r:
         raise ConfigMismatch("alpha over wrong (p, r)")
-    return [span(rep.p, level)(alpha.coords) for level in rep.maps]
+    return [FpMatrix._reduced(rep.p, combine(alpha.coords, [m.a for m in level], rep.p))
+            for level in rep.maps]
+
+
+def _intertwiners(p: int, xdims, ydims, equations) -> list[tuple[FpMatrix, ...]]:
+    """Basis of the solutions (phi_v), phi_v of shape ydims[v] x xdims[v], of
+    the Sylvester equations phi_w a = b phi_v, one per (v, w, a, b).
+
+    The unknowns are each phi_v row-major, vertices in order, and each
+    equation adds a block of rows (i, j), row-major.  The whole system is
+    written into one preallocated array by index-array writes; where the
+    two terms of an equation meet (v == w), they are subtracted."""
+    offs = np.cumsum([0, *(y * x for x, y in zip(xdims, ydims))])
+    system = np.zeros((sum(ydims[w] * xdims[v] for v, w, _, _ in equations), offs[-1]),
+                      dtype=np.int64)
+    top = 0
+    for v, w, a, b in equations:
+        i = np.arange(ydims[w])[:, None, None]
+        j = np.arange(xdims[v])
+        # phi_w a: phi_w[i, k] enters row (i, j) with a[k, j]
+        rows = top + i * xdims[v] + j[:, None]
+        system[rows, offs[w] + i * xdims[w] + np.arange(xdims[w])] = a.a.T
+        # -b phi_v: phi_v[t, j] enters row (i, j) with -b[i, t]
+        rows = top + i * xdims[v] + j
+        cols = offs[v] + np.arange(ydims[v])[:, None] * xdims[v] + j
+        system[rows, cols] = (system[rows, cols] - b.a[:, :, None]) % p
+        top += ydims[w] * xdims[v]
+    ker = kernel_basis(FpMatrix._reduced(p, system))
+    vecs = np.ascontiguousarray(ker.a.T)
+    vecs.setflags(write=False)
+    return [
+        tuple(FpMatrix._reduced(p, vec[offs[v]:offs[v + 1]].reshape(ydims[v], xdims[v]))
+              for v in range(len(xdims)))
+        for vec in vecs
+    ]
 
 
 def hom_space(x: BeilinsonRep, y: BeilinsonRep) -> list[tuple[FpMatrix, ...]]:
@@ -304,41 +343,9 @@ def hom_space(x: BeilinsonRep, y: BeilinsonRep) -> list[tuple[FpMatrix, ...]]:
     per-vertex matrices phi_v with phi_{v+1} x.maps = y.maps phi_v."""
     if not x.same_config(y):
         raise ConfigMismatch("hom_space requires matching (p, n, r)")
-    p, n = x.p, x.n
-    sizes = [y.dims[v] * x.dims[v] for v in range(n)]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offs[-1])
-    blocks = []
-    for v in range(n - 1):
-        for l in range(x.r):
-            a_x = x.maps[v][l].a
-            a_y = y.maps[v][l].a
-            row = np.zeros((y.dims[v + 1] * x.dims[v], total), dtype=np.int64)
-            if row.shape[0] == 0:
-                continue
-            # row-major vec: vec(phi A) = (I (x) A^T) vec(phi)
-            if sizes[v + 1]:
-                row[:, offs[v + 1]:offs[v + 2]] = np.kron(
-                    np.eye(y.dims[v + 1], dtype=np.int64), a_x.T
-                )
-            if sizes[v]:
-                row[:, offs[v]:offs[v + 1]] -= np.kron(a_y, np.eye(x.dims[v], dtype=np.int64))
-            blocks.append(row % p)
-    if total == 0:
-        return []
-    if blocks:
-        ker = kernel_basis(FpMatrix._reduced(p, np.vstack(blocks)))
-    else:
-        ker = FpMatrix.identity(p, total)
-    vecs = np.ascontiguousarray(ker.a.T)
-    vecs.setflags(write=False)
-    return [
-        tuple(
-            FpMatrix._reduced(p, vec[offs[v]:offs[v + 1]].reshape(y.dims[v], x.dims[v]))
-            for v in range(n)
-        )
-        for vec in vecs
-    ]
+    return _intertwiners(x.p, x.dims, y.dims, [
+        (v, v + 1, x.maps[v][l], y.maps[v][l]) for v in range(x.n - 1) for l in range(x.r)
+    ])
 
 
 def direct_sum(x: BeilinsonRep, y: BeilinsonRep) -> BeilinsonRep:
@@ -405,7 +412,13 @@ def sub_rep(y: BeilinsonRep, bases: list[FpMatrix]) -> BeilinsonRep:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism testing for representations (shared search with kE_r-modules)
+# isomorphism: one decision for graded representations and kE_r-modules
+
+# random combinations tried after the single basis elements
+RANDOM_CANDIDATES = 200
+# enumerate every combination when p^(dim Hom) is at most this
+ENUMERATION_LIMIT = 10**6
+
 
 def block_diagonal(phi: tuple[FpMatrix, ...]) -> FpMatrix:
     """A graded map as one matrix, its vertex components on the diagonal.
@@ -420,22 +433,47 @@ def block_diagonal(phi: tuple[FpMatrix, ...]) -> FpMatrix:
     return FpMatrix(phi[0].p, out)
 
 
+def decide_isomorphism(basis: list[FpMatrix], dim: int, end_dim, seed: int = 0) -> str:
+    """'yes' | 'no' | 'probably_not' for x and y of dimension dim > 0, from
+    a basis of Hom(x, y) as dim x dim matrices; end_dim() gives dim End(x).
+
+    In order: an invertible basis element certifies 'yes'; dim Hom(x, y) !=
+    dim End(x) certifies 'no' (an isomorphism x -> y would carry End(x) onto
+    Hom(x, y)); then RANDOM_CANDIDATES random combinations drawn from seed
+    are tried; then, when p^(dim Hom) <= ENUMERATION_LIMIT, every
+    combination, and exhausting them certifies 'no'.  Otherwise the answer
+    is 'probably_not'.  End is computed only once no basis element is
+    invertible."""
+    if any(rank(phi) == dim for phi in basis):
+        return "yes"
+    h = len(basis)
+    if h != end_dim():
+        return "no"
+    p, mats = basis[0].p, [phi.a for phi in basis]
+
+    def invertible(coeffs) -> bool:
+        return any(coeffs) and rank(FpMatrix._reduced(p, combine(coeffs, mats, p))) == dim
+
+    rng = np.random.default_rng(seed)
+    for _ in range(RANDOM_CANDIDATES):
+        if invertible(tuple(int(c) for c in rng.integers(0, p, size=h))):
+            return "yes"
+    if p**h > ENUMERATION_LIMIT:
+        return "probably_not"
+    return "yes" if any(map(invertible, itertools.product(range(p), repeat=h))) else "no"
+
+
 def rep_isomorphic(x: BeilinsonRep, y: BeilinsonRep, seed: int = 0):
     """Graded isomorphism verdict: 'yes' | 'no' | 'probably_not'.
 
-    'yes' is certified by an explicit vertex-wise invertible intertwiner;
-    'no' is certified by a dimension-vector mismatch, by dim Hom(x, y) !=
-    dim End(x) (an isomorphism x -> y would carry End(x) onto Hom(x, y))
-    or by exhausting the coefficient enumeration of the hom space."""
+    A dimension-vector mismatch is a certified 'no'; otherwise the graded
+    maps of Hom(x, y), as block-diagonal matrices, go to
+    ``decide_isomorphism``."""
     if not x.same_config(y):
         raise ConfigMismatch("isomorphism requires matching (p, n, r)")
     if x.dims != y.dims:
         return "no"
     if x.total_dim == 0:
         return "yes"
-    hom = hom_space(x, y)
-    if len(hom) != len(hom_space(x, x)):
-        return "no"
-    basis = [block_diagonal(phi) for phi in hom]
-    return find_invertible(x.p, len(basis), span(x.p, basis),
-                           lambda phi: rank(phi) == x.total_dim, seed)
+    basis = [block_diagonal(phi) for phi in hom_space(x, y)]
+    return decide_isomorphism(basis, x.total_dim, lambda: len(hom_space(x, x)), seed)

@@ -165,6 +165,30 @@ class TestExitStatus:
             assert captured.err.count("\n") == 1
             assert "are over different" in captured.err
 
+    @pytest.mark.parametrize("field, value, code", [
+        ("entry", 10**30 + 1, 0),  # 1 mod 5: reduced exactly, the same verdict
+        ("entry", 1.5, 3),
+        ("dims", [1.9, 2], 3),
+    ], ids=["huge-entry", "float-entry", "float-dims"])
+    def test_hostile_json(self, tmp_path, field, value, code, capsys):
+        rep = w_module(5, 2, 3, 3, 2)
+        doc = json.loads(rep.to_json())
+        if field == "entry":
+            assert doc["maps"][0][0][0] == 1
+            doc["maps"][0][0][0] = value
+        else:
+            doc[field] = value
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(doc))
+        assert status(["check", "eip", "--rep", str(path)]) == code
+        captured = capsys.readouterr()
+        if code == 3:
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert f"{'maps[0][0]' if field == 'entry' else field} must hold integers" in captured.err
+        else:
+            assert BeilinsonRep.from_json(path.read_text()) == rep
+
     def test_internal_error_exits_4_with_traceback(self, w_file, monkeypatch, capsys):
         def crash(rep):
             raise RuntimeError("boom")

@@ -32,7 +32,6 @@ from beilinson.emod import (
 )
 from beilinson.emod import _local, _power
 from beilinson.linalg import FpMatrix, batched_rank, combine, matmul, rank
-from beilinson.search import span
 from beilinson.reps import (
     BeilinsonRep,
     ProjPoint,
@@ -93,7 +92,7 @@ class TestJordanType:
 def jordan_type_by_point(m, alpha):
     """The per-point reference: one point operator, its powers ranked one at
     a time, a_i = r_{i-1} - 2 r_i + r_{i+1}."""
-    nil = span(m.p, m.ops)(alpha.coords)
+    nil = FpMatrix(m.p, combine(alpha.coords, [op.a for op in m.ops], m.p))
     ranks = [m.dim]
     power = nil
     for _ in range(m.p):
@@ -298,6 +297,15 @@ class TestIsomorphism:
         m = forget(m_module(5, 3, 3, 3, 2))
         assert is_isomorphic(m, m) == "yes"
 
+    def test_hom_dimension_screen_certifies_no(self):
+        # same dimension, Jordan types and radical series; dim Hom(a, b) = 9
+        # against dim End(a) = 7 answers 'no' where the search alone ran
+        # out at 'probably_not'
+        rng = np.random.default_rng(45)
+        a, b = (forget(random_valid_rep(7, 2, 2, 3, rng)) for _ in range(2))
+        assert (len(hom_modules(a, b)), len(hom_modules(a, a))) == (9, 7)
+        assert is_isomorphic(a, b) == "no"
+
 
 class TestEndAlgebra:
     def test_trivial_module(self):
@@ -489,6 +497,21 @@ class TestSerialization:
             ErModule.from_json(json.dumps(doc))
         doc["p"] = 2**31 - 1
         assert ErModule.from_json(json.dumps(doc)).p == 2**31 - 1
+
+    def test_hostile_entries(self):
+        m = forget(m_module(5, 2, 3, 3, 2))
+        doc = json.loads(m.to_json())
+        entry = doc["ops"][1].index(1)
+        doc["ops"][1][entry] = 5 * 10**30 + 1  # 1 mod 5, past int64
+        assert ErModule.from_json(json.dumps(doc)) == m
+        for bad in (1.5, True, "1"):
+            doc["ops"][1][entry] = bad
+            with pytest.raises(ValueError, match=r"ops\[1\] must hold integers"):
+                ErModule.from_json(json.dumps(doc))
+        doc = json.loads(m.to_json())
+        doc["dim"] = float(m.dim)
+        with pytest.raises(ValueError, match="dim must hold integers"):
+            ErModule.from_json(json.dumps(doc))
 
     def test_invalid_operators_rejected_on_load(self):
         n = [[0, 1], [0, 0]]

@@ -449,15 +449,15 @@ class TestTrustedResults:
             self.check(res, p)
 
     def test_hom_bases_span_and_translate(self):
-        from beilinson.emod import forget, hom_modules
+        from beilinson.emod import forget, hom_modules, twist
         from beilinson.kronecker import tau
-        from beilinson.reps import hom_space, w_module
-        from beilinson.search import span
+        from beilinson.reps import ProjPoint, alpha_operator, hom_space, w_module
 
         w = w_module(5, 2, 3, 3, 2)
         phis = [phi for pair in hom_space(w, w) for phi in pair]
         mods = hom_modules(forget(w), forget(w))
-        results = phis + mods + [span(5, mods)((1, 4) * (len(mods) // 2))]
+        results = phis + mods + alpha_operator(w, ProjPoint(5, (1, 4, 2)))
+        results += list(twist(forget(w), FpMatrix(5, [[1, 4, 0], [0, 1, 0], [2, 0, 1]])).ops)
         results += list(tau(w).maps[0])
         assert phis and mods
         for res in results:

@@ -3,15 +3,20 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
+from helpers import random_invertible, random_valid_rep
 
 from beilinson import monomials
-from beilinson.linalg import FpMatrix, rank
+from beilinson.emod import ErModule, forget, hom_modules, invert
+from beilinson.linalg import FpMatrix, kernel_basis, rank
 from beilinson.reps import (
     BeilinsonRep,
     ConfigMismatch,
     ProjPoint,
     alpha_operator,
+    block_diagonal,
+    decide_isomorphism,
     direct_sum,
     dualize,
     hom_space,
@@ -277,18 +282,102 @@ class TestRepIsomorphic:
 
     def test_exhausted_enumeration_certifies_no(self, monkeypatch):
         # dim Hom = 11 against dim End = 13 at p = 2: the Hom-dimension
-        # screen answers before any search (test_search.py enumerates the
-        # same pair's Hom space to the same 'no').
+        # screen answers after the basis pass, before any combination is
+        # formed, so neither the random nor the enumeration regime runs.
         from beilinson import reps
         from beilinson.kronecker import e_lambda
 
-        def no_search(*args, **kwargs):
-            raise AssertionError("the invertible-element search ran")
+        def no_combination(*args, **kwargs):
+            raise AssertionError("a random or enumerated combination was formed")
 
-        monkeypatch.setattr(reps, "find_invertible", no_search)
+        monkeypatch.setattr(reps, "combine", no_combination)
         s0, s1 = simple(2, 2, 2, 0), simple(2, 2, 2, 1)
         left = direct_sum(direct_sum(direct_sum(direct_sum(s0, s0), s1), s1), s1)
         right = direct_sum(direct_sum(direct_sum(e_lambda(2, 2, (1, 0)), s0), s1), s1)
         assert len(hom_space(left, right)) == 11
         assert len(hom_space(left, left)) == 13
         assert rep_isomorphic(left, right) == "no"
+
+
+class TestDecideIsomorphism:
+    def test_empty_basis_is_no(self):
+        assert decide_isomorphism([], 3, lambda: 1) == "no"
+
+    def test_exhausted_enumeration_certifies_no(self, monkeypatch):
+        # S0^2+E(1,0)^2 against S0^3+S1+E(0,1) at p = 2: dim Hom = dim End
+        # = 12, and neither a basis element nor a random combination is
+        # invertible, so all 2^12 coefficient vectors are enumerated.
+        from beilinson import reps
+        from beilinson.kronecker import e_lambda
+
+        s0, s1 = simple(2, 2, 2, 0), simple(2, 2, 2, 1)
+        e10, e01 = e_lambda(2, 2, (1, 0)), e_lambda(2, 2, (0, 1))
+        left = direct_sum(direct_sum(direct_sum(s0, s0), e10), e10)
+        right = direct_sum(direct_sum(direct_sum(direct_sum(s0, s0), s0), s1), e01)
+        basis = [block_diagonal(phi) for phi in hom_space(left, right)]
+        assert len(basis) == len(hom_space(left, left)) == 12
+        tried = []
+        monkeypatch.setattr(reps, "rank", lambda phi: tried.append(phi) or rank(phi))
+        assert decide_isomorphism(basis, left.total_dim, lambda: 12) == "no"
+        assert len(tried) > 2**12
+        assert rep_isomorphic(left, right) == "no"
+
+
+def kron_hom(p, xdims, ydims, equations):
+    """The reference Sylvester system: one np.kron block per equation
+    phi_w a = b phi_v, stacked, with the unknowns of each phi_v row-major,
+    vertices in order; returns its kernel basis as rows."""
+    offs = np.concatenate([[0], np.cumsum([y * x for x, y in zip(xdims, ydims)])])
+    blocks = []
+    for v, w, a, b in equations:
+        row = np.zeros((ydims[w] * xdims[v], offs[-1]), dtype=np.int64)
+        row[:, offs[w]:offs[w + 1]] += np.kron(np.eye(ydims[w], dtype=np.int64), a.a.T)
+        row[:, offs[v]:offs[v + 1]] -= np.kron(b.a, np.eye(xdims[v], dtype=np.int64))
+        blocks.append(row % p)
+    system = np.vstack(blocks) if blocks else np.zeros((0, offs[-1]), dtype=np.int64)
+    return kernel_basis(FpMatrix(p, system)).a.T
+
+
+def assert_same_basis(got, reference, xdims, ydims):
+    assert len(got) == len(reference)
+    for phi, vec in zip(got, reference):
+        assert [m.a.shape for m in phi] == list(zip(ydims, xdims))
+        assert np.array_equal(np.concatenate([m.a.ravel() for m in phi]), vec)
+
+
+class TestHomBuilder:
+    """hom_space and hom_modules against the np.kron reference: the same
+    bases, array for array."""
+
+    def pairs(self):
+        fam = [simple(3, 3, 2, 1), projective(3, 3, 2, 0), injective(3, 3, 2, 1),
+               m_module(3, 3, 2, 3, 2), w_module(3, 3, 2, 4, 3),
+               x_module(3, 3, 2, ProjPoint(3, (1, 2)), 0, 2),
+               x_module(3, 3, 2, ProjPoint(3, (0, 1)), 1, 1),
+               BeilinsonRep(3, 3, 2, (0, 0, 0), tuple((FpMatrix.zeros(3, 0, 0),) * 2
+                                                       for _ in range(2)))]
+        yield from itertools.product(fam, fam)
+        rng = np.random.default_rng(3)
+        for p, n, r in ((2, 2, 2), (3, 3, 2), (5, 3, 3), (7, 2, 3)):
+            for _ in range(4):
+                yield random_valid_rep(p, n, r, 3, rng), random_valid_rep(p, n, r, 3, rng)
+
+    def test_graded(self):
+        for x, y in self.pairs():
+            equations = [(v, v + 1, x.maps[v][l], y.maps[v][l])
+                         for v in range(x.n - 1) for l in range(x.r)]
+            assert_same_basis(hom_space(x, y), kron_hom(x.p, x.dims, y.dims, equations),
+                              x.dims, y.dims)
+
+    def test_modules(self):
+        rng = np.random.default_rng(4)
+        for x, y in self.pairs():
+            m, n = forget(x), forget(y)
+            if m.dim:
+                # a change of basis, so that operator diagonals are not zero
+                # and the two terms of an equation meet on nonzero entries
+                g = random_invertible(m.p, m.dim, rng)
+                m = ErModule(m.p, m.r, m.dim, tuple(g @ op @ invert(g) for op in m.ops))
+            equations = [(0, 0, a, b) for a, b in zip(m.ops, n.ops)]
+            assert_same_basis([(phi,) for phi in hom_modules(m, n)],
+                              kron_hom(m.p, (m.dim,), (n.dim,), equations), (m.dim,), (n.dim,))
