@@ -247,7 +247,7 @@ def cmd_iso(args) -> int:
         config, isomorphic = "(p, n, r)", reps.rep_isomorphic
     if not left.same_config(right):
         _invalid(f"{args.left} and {args.right} are over different {config}")
-    verdict = isomorphic(left, right, seed=args.seed)
+    verdict = isomorphic(left, right)
     _emit({"verdict": verdict, "seed": args.seed}, args)
     return 0 if verdict == "yes" else 1
 
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     iso.add_argument("right")
     iso.add_argument("--as-modules", action="store_true",
                      help="compare the underlying group algebra modules")
-    _add_int(iso, "seed", default=0)
+    _add_int(iso, "seed", default=0, help="accepted and echoed; has no effect")
     _format_flag(iso)
     iso.set_defaults(func=cmd_iso)
 

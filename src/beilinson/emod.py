@@ -4,8 +4,8 @@ Covers the forgetful functor from graded representations, Jordan types,
 radical/socle series, the radical powers of the group algebra itself,
 twists by invertible coordinate changes, endomorphism algebras with
 certified commutativity and locality, certified indecomposability, and
-isomorphism testing.  Hom spaces and the isomorphism decision after the
-module screens are shared with graded representations (``reps``)."""
+certified isomorphism.  As one-vertex quiver representations, modules
+share Hom spaces and the isomorphism decision with graded ones (``reps``)."""
 
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from .linalg import (
     json_matrix,
     kernel_basis,
     matmul,
+    power,
     quotient_projection,
     rank,
     solve_matrix,
@@ -98,7 +99,7 @@ def validate_module(m: ErModule) -> list[str]:
             if m.ops[i] @ m.ops[j] != m.ops[j] @ m.ops[i]:
                 problems.append(f"operators {i + 1} and {j + 1} do not commute")
     for i, op in enumerate(m.ops):
-        if not _power(op, m.p).is_zero():
+        if not power(op, m.p).is_zero():
             problems.append(f"operator {i + 1} is not nilpotent of order <= p")
     return problems
 
@@ -322,17 +323,18 @@ def hom_modules(m: ErModule, n: ErModule) -> list[FpMatrix]:
     """Basis of the intertwiner space {phi : phi x_l = x_l' phi for all l}."""
     if not m.same_config(n):
         raise ConfigMismatch("hom requires matching (p, r)")
-    equations = [(0, 0, a, b) for a, b in zip(m.ops, n.ops)]
-    return [phi for (phi,) in _intertwiners(m.p, (m.dim,), (n.dim,), equations)]
+    return [phi for (phi,) in _intertwiners(m.p, (m.dim,), _arrows(m), (n.dim,), _arrows(n))]
 
 
-def is_isomorphic(m: ErModule, n: ErModule, seed: int = 0) -> str:
-    """'yes' | 'no' | 'probably_not'.
+def _arrows(m: ErModule) -> list[tuple[int, int, FpMatrix]]:
+    """The operators of m as the loops (0, 0, x_l) of a one-vertex quiver."""
+    return [(0, 0, op) for op in m.ops]
 
-    Certified rejections by dimension, by Jordan types at every rational
-    point and by radical-series dimensions come first; then Hom(m, n) goes
-    to ``reps.decide_isomorphism``, which adds the dim Hom(m, n) !=
-    dim End(m) screen."""
+
+def is_isomorphic(m: ErModule, n: ErModule) -> str:
+    """'yes' | 'no', both certified: rejections by dimension, by Jordan types
+    at every rational point and by radical-series dimensions come first,
+    then ``reps.decide_isomorphism`` on m and n as one-vertex quivers."""
     if not m.same_config(n):
         raise ConfigMismatch("isomorphism requires matching (p, r)")
     if m.dim != n.dim:
@@ -344,7 +346,7 @@ def is_isomorphic(m: ErModule, n: ErModule, seed: int = 0) -> str:
             return "no"
     if rad_series(m) != rad_series(n):
         return "no"
-    return decide_isomorphism(hom_modules(m, n), m.dim, lambda: len(hom_modules(m, m)), seed)
+    return decide_isomorphism(m.p, (m.dim,), _arrows(m), (n.dim,), _arrows(n))
 
 
 @dataclass(frozen=True)
@@ -356,18 +358,6 @@ class EndReport:
     commutative: bool
     local: bool
     regime: str  # always "deterministic"
-
-
-def _power(phi: FpMatrix, e: int) -> FpMatrix:
-    """phi^e for e >= 1 by repeated squaring, in O(log e) products."""
-    result = None
-    while True:
-        if e & 1:
-            result = phi if result is None else result @ phi
-        e >>= 1
-        if not e:
-            return result
-        phi = phi @ phi
 
 
 def _span_stack(p: int, stack: np.ndarray) -> np.ndarray:
@@ -409,14 +399,14 @@ def _local(basis: list[FpMatrix]) -> tuple[bool, bool]:
         if len(grown) == len(ideal):
             break
         ideal = grown
-    power = ideal
-    while len(power):
-        shorter = _span_stack(p, _products(p, power, ideal))
-        if len(shorter) == len(power):
+    chain = ideal
+    while len(chain):
+        shorter = _span_stack(p, _products(p, chain, ideal))
+        if len(shorter) == len(chain):
             return commutative, False
-        power = shorter
+        chain = shorter
     n = stack.shape[-1]
-    frob = np.stack([_power(phi, p).a for phi in basis])
+    frob = np.stack([power(phi, p).a for phi in basis])
     coords = solve_matrix(FpMatrix._reduced(p, stack.reshape(h, n * n).T),
                           FpMatrix._reduced(p, np.concatenate([frob, ideal]).reshape(-1, n * n).T))
     pi, complement = quotient_projection(FpMatrix._reduced(p, coords.a[:, h:]))
@@ -444,7 +434,7 @@ class IndecResult:
 def _fitting_split(phi: FpMatrix) -> tuple[int, int] | None:
     """Dimensions of the kernel and image of phi^dim, where image and kernel
     have settled, when both are nonzero: then M splits as their direct sum."""
-    r1 = rank(_power(phi, phi.rows))
+    r1 = rank(power(phi, phi.rows))
     if 0 < r1 < phi.rows:
         return (phi.rows - r1, r1)
     return None

@@ -227,6 +227,18 @@ class FpMatrix:
         return self.a.flatten().tolist()
 
 
+def power(phi: FpMatrix, e: int) -> FpMatrix:
+    """phi^e for e >= 1 by repeated squaring, in O(log e) products."""
+    result = None
+    while True:
+        if e & 1:
+            result = phi if result is None else result @ phi
+        e >>= 1
+        if not e:
+            return result
+        phi = phi @ phi
+
+
 def json_int(value, name: str) -> int:
     """value, read from JSON, if it is an integer; a float, bool or string
     raises a ValueError that names the field."""

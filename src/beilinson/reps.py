@@ -10,8 +10,9 @@ bit-reproducible.
 
 Every Hom space of the package, graded (``hom_space``) or between
 kE_r-modules (``emod.hom_modules``), is the solution space of one
-Sylvester system built by ``_intertwiners``, and every isomorphism
-verdict comes from ``decide_isomorphism`` on a basis of such a space.
+Sylvester system built by ``_intertwiners`` from (v, w, matrix) arrows, and
+every isomorphism verdict is certified by ``decide_isomorphism`` (Fitting
+splitting and Krull-Schmidt cancellation).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .linalg import (
     json_int,
     json_matrix,
     kernel_basis,
+    power,
     quotient_projection,
     rank,
     solve_matrix,
@@ -141,6 +143,8 @@ class BeilinsonRep:
         d = json.loads(text)
         p, n, r = d["p"], d["n"], d["r"]
         dims = [json_int(x, "dims") for x in d["dims"]]
+        if len(dims) != n or len(d["maps"]) != n - 1:
+            raise ValueError(f"need n = {n} dims and n - 1 = {n - 1} levels of maps")
         maps = tuple(
             tuple(json_matrix(p, arr, dims[i + 1], dims[i], f"maps[{i}][{l}]")
                   for l, arr in enumerate(level))
@@ -305,19 +309,25 @@ def alpha_operator(rep: BeilinsonRep, alpha: ProjPoint) -> list[FpMatrix]:
             for level in rep.maps]
 
 
-def _intertwiners(p: int, xdims, ydims, equations) -> list[tuple[FpMatrix, ...]]:
-    """Basis of the solutions (phi_v), phi_v of shape ydims[v] x xdims[v], of
-    the Sylvester equations phi_w a = b phi_v, one per (v, w, a, b).
+def _arrows(rep: BeilinsonRep) -> list[tuple[int, int, FpMatrix]]:
+    """The arrows of rep as (v, v+1, matrix) triples, level by level."""
+    return [(v, v + 1, a) for v, level in enumerate(rep.maps) for a in level]
+
+
+def _intertwiners(p: int, xdims, xarrows, ydims, yarrows) -> list[tuple[FpMatrix, ...]]:
+    """Basis of Hom(x, y), x and y given by vertex dimensions and (v, w, a)
+    arrows in matching order: the solutions (phi_v), phi_v of shape
+    ydims[v] x xdims[v], of phi_w a = b phi_v for each arrow pair a, b.
 
     The unknowns are each phi_v row-major, vertices in order, and each
     equation adds a block of rows (i, j), row-major.  The whole system is
     written into one preallocated array by index-array writes; where the
     two terms of an equation meet (v == w), they are subtracted."""
     offs = np.cumsum([0, *(y * x for x, y in zip(xdims, ydims))])
-    system = np.zeros((sum(ydims[w] * xdims[v] for v, w, _, _ in equations), offs[-1]),
+    system = np.zeros((sum(ydims[w] * xdims[v] for v, w, _ in xarrows), offs[-1]),
                       dtype=np.int64)
     top = 0
-    for v, w, a, b in equations:
+    for (v, w, a), (_, _, b) in zip(xarrows, yarrows):
         i = np.arange(ydims[w])[:, None, None]
         j = np.arange(xdims[v])
         # phi_w a: phi_w[i, k] enters row (i, j) with a[k, j]
@@ -343,9 +353,7 @@ def hom_space(x: BeilinsonRep, y: BeilinsonRep) -> list[tuple[FpMatrix, ...]]:
     per-vertex matrices phi_v with phi_{v+1} x.maps = y.maps phi_v."""
     if not x.same_config(y):
         raise ConfigMismatch("hom_space requires matching (p, n, r)")
-    return _intertwiners(x.p, x.dims, y.dims, [
-        (v, v + 1, x.maps[v][l], y.maps[v][l]) for v in range(x.n - 1) for l in range(x.r)
-    ])
+    return _intertwiners(x.p, x.dims, _arrows(x), y.dims, _arrows(y))
 
 
 def direct_sum(x: BeilinsonRep, y: BeilinsonRep) -> BeilinsonRep:
@@ -393,32 +401,27 @@ def image_rep(phi: tuple[FpMatrix, ...], x: BeilinsonRep, y: BeilinsonRep) -> Be
 
 
 def sub_rep(y: BeilinsonRep, bases: list[FpMatrix]) -> BeilinsonRep:
-    """Subrepresentation of y spanned vertex-wise by the given column bases.
+    """Subrepresentation of y spanned vertex-wise by the given column bases,
+    which must be arrow-stable (``_restrict``)."""
+    dims, arrows = _restrict(_arrows(y), bases)
+    maps = tuple(tuple(a for _, _, a in arrows[v * y.r:(v + 1) * y.r]) for v in range(y.n - 1))
+    return BeilinsonRep(y.p, y.n, y.r, dims, maps)
 
-    The bases must be arrow-stable; the induced arrow matrices are solved
-    for exactly and the stability is asserted."""
-    p = y.p
-    dims = tuple(b.cols for b in bases)
-    maps = []
-    for v in range(y.n - 1):
-        level = []
-        for l in range(y.r):
-            target = y.maps[v][l] @ bases[v]
-            coords = solve_matrix(bases[v + 1], target)
-            assert coords is not None, "subspaces are not arrow-stable"
-            level.append(coords)
-        maps.append(tuple(level))
-    return BeilinsonRep(p, y.n, y.r, dims, tuple(maps))
+
+def _restrict(arrows, bases):
+    """Dimensions and (v, w, matrix) arrows of the subspaces spanned
+    vertex-wise by the column bases, solved for exactly; the subspaces must
+    be arrow-stable, and that is asserted."""
+    restricted = []
+    for v, w, a in arrows:
+        coords = solve_matrix(bases[w], a @ bases[v])
+        assert coords is not None, "subspaces are not arrow-stable"
+        restricted.append((v, w, coords))
+    return tuple(b.cols for b in bases), restricted
 
 
 # ---------------------------------------------------------------------------
 # isomorphism: one decision for graded representations and kE_r-modules
-
-# random combinations tried after the single basis elements
-RANDOM_CANDIDATES = 200
-# enumerate every combination when p^(dim Hom) is at most this
-ENUMERATION_LIMIT = 10**6
-
 
 def block_diagonal(phi: tuple[FpMatrix, ...]) -> FpMatrix:
     """A graded map as one matrix, its vertex components on the diagonal.
@@ -430,50 +433,44 @@ def block_diagonal(phi: tuple[FpMatrix, ...]) -> FpMatrix:
     out = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
     for v, blk in enumerate(phi):
         out[rows[v]:rows[v + 1], cols[v]:cols[v + 1]] = blk.a
-    return FpMatrix(phi[0].p, out)
+    return FpMatrix._reduced(phi[0].p, out)
 
 
-def decide_isomorphism(basis: list[FpMatrix], dim: int, end_dim, seed: int = 0) -> str:
-    """'yes' | 'no' | 'probably_not' for x and y of dimension dim > 0, from
-    a basis of Hom(x, y) as dim x dim matrices; end_dim() gives dim End(x).
+def decide_isomorphism(p: int, xdims, xarrows, ydims, yarrows) -> str:
+    """'yes' | 'no', both certified, for quiver representations x and y
+    given as for ``_intertwiners``; different dimension vectors are 'no'.
 
-    In order: an invertible basis element certifies 'yes'; dim Hom(x, y) !=
-    dim End(x) certifies 'no' (an isomorphism x -> y would carry End(x) onto
-    Hom(x, y)); then RANDOM_CANDIDATES random combinations drawn from seed
-    are tried; then, when p^(dim Hom) <= ENUMERATION_LIMIT, every
-    combination, and exhausting them certifies 'no'.  Otherwise the answer
-    is 'probably_not'.  End is computed only once no basis element is
-    invertible."""
-    if any(rank(phi) == dim for phi in basis):
-        return "yes"
-    h = len(basis)
-    if h != end_dim():
+    Each round, while x != 0: an invertible Hom(x, y) basis element is
+    'yes', and dim Hom(x, y) != dim End(x) is 'no'.  The composites g f (g
+    in Hom(y, x), f in Hom(x, y)) span the ideal of End(x) of maps through
+    y; if all are nilpotent it is nil (nilpotents of the matrix blocks of
+    End(x)/rad have trace 0), misses id_x, and the answer is 'no'.  Else
+    the first non-nilpotent phi gives psi = phi^N, N >= every vertex
+    dimension, and Fitting splits x = ker psi + im psi, y = f(im psi) +
+    ker(psi g) (f on im psi is split by (phi^(N+1) on im psi)^-1 psi g); by
+    Krull-Schmidt the next round compares ker psi with ker(psi g)."""
+    if tuple(xdims) != tuple(ydims):
         return "no"
-    p, mats = basis[0].p, [phi.a for phi in basis]
-
-    def invertible(coeffs) -> bool:
-        return any(coeffs) and rank(FpMatrix._reduced(p, combine(coeffs, mats, p))) == dim
-
-    rng = np.random.default_rng(seed)
-    for _ in range(RANDOM_CANDIDATES):
-        if invertible(tuple(int(c) for c in rng.integers(0, p, size=h))):
+    while sum(xdims):
+        hom = _intertwiners(p, xdims, xarrows, ydims, yarrows)
+        if any(rank(block_diagonal(f)) == sum(xdims) for f in hom):
             return "yes"
-    if p**h > ENUMERATION_LIMIT:
-        return "probably_not"
-    return "yes" if any(map(invertible, itertools.product(range(p), repeat=h))) else "no"
+        if len(hom) != len(_intertwiners(p, xdims, xarrows, xdims, xarrows)):
+            return "no"
+        back = _intertwiners(p, ydims, yarrows, xdims, xarrows)
+        for f, g in itertools.product(hom, back):
+            psi = [power(gv @ fv, max(xdims)) for fv, gv in zip(f, g)]
+            if any(not c.is_zero() for c in psi):
+                break
+        else:
+            return "no"
+        xdims, xarrows = _restrict(xarrows, [kernel_basis(c) for c in psi])
+        ydims, yarrows = _restrict(yarrows, [kernel_basis(c @ gv) for c, gv in zip(psi, g)])
+    return "yes"
 
 
-def rep_isomorphic(x: BeilinsonRep, y: BeilinsonRep, seed: int = 0):
-    """Graded isomorphism verdict: 'yes' | 'no' | 'probably_not'.
-
-    A dimension-vector mismatch is a certified 'no'; otherwise the graded
-    maps of Hom(x, y), as block-diagonal matrices, go to
-    ``decide_isomorphism``."""
+def rep_isomorphic(x: BeilinsonRep, y: BeilinsonRep) -> str:
+    """Graded isomorphism verdict, 'yes' | 'no', by ``decide_isomorphism``."""
     if not x.same_config(y):
         raise ConfigMismatch("isomorphism requires matching (p, n, r)")
-    if x.dims != y.dims:
-        return "no"
-    if x.total_dim == 0:
-        return "yes"
-    basis = [block_diagonal(phi) for phi in hom_space(x, y)]
-    return decide_isomorphism(basis, x.total_dim, lambda: len(hom_space(x, x)), seed)
+    return decide_isomorphism(x.p, x.dims, _arrows(x), y.dims, _arrows(y))

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from beilinson.linalg import FpMatrix, kernel_basis, rank
+from beilinson.linalg import FpMatrix, batched_rank, kernel_basis, rank
 from beilinson.reps import BeilinsonRep, validate
 
 
@@ -85,3 +85,16 @@ def subspaces(p, d):
                 for (i, j), v in zip(free_slots, vals):
                     b[i, j] = v
                 yield FpMatrix(p, b.T.copy())
+
+
+def enumerated_isomorphic(basis):
+    """Reference isomorphism verdict from a basis of Hom(x, y) as square
+    matrices: 'yes' exactly when one of the p^h linear combinations is
+    invertible.  Exhaustive enumeration; intended for small p^h."""
+    if not basis:
+        return "no"
+    p, n = basis[0].p, basis[0].rows
+    coeffs = np.array(list(itertools.product(range(p), repeat=len(basis))), dtype=np.int64)
+    # entries stay below h (p-1)^2, far from overflow at these sizes
+    stack = (coeffs @ np.stack([phi.a.ravel() for phi in basis]) % p).reshape(-1, n, n)
+    return "yes" if (batched_rank(stack, p) == n).any() else "no"

@@ -165,12 +165,15 @@ class TestExitStatus:
             assert captured.err.count("\n") == 1
             assert "are over different" in captured.err
 
-    @pytest.mark.parametrize("field, value, code", [
-        ("entry", 10**30 + 1, 0),  # 1 mod 5: reduced exactly, the same verdict
-        ("entry", 1.5, 3),
-        ("dims", [1.9, 2], 3),
-    ], ids=["huge-entry", "float-entry", "float-dims"])
-    def test_hostile_json(self, tmp_path, field, value, code, capsys):
+    @pytest.mark.parametrize("field, value, message", [
+        ("entry", 10**30 + 1, None),  # 1 mod 5: reduced exactly, the same verdict
+        ("entry", 1.5, "maps[0][0] must hold integers"),
+        ("dims", [1.9, 2], "dims must hold integers"),
+        # its one level twice: more levels than dims allows
+        ("maps", json.loads(w_module(5, 2, 3, 3, 2).to_json())["maps"] * 2,
+         "n - 1 = 1 levels of maps"),
+    ], ids=["huge-entry", "float-entry", "float-dims", "extra-level"])
+    def test_hostile_json(self, tmp_path, field, value, message, capsys):
         rep = w_module(5, 2, 3, 3, 2)
         doc = json.loads(rep.to_json())
         if field == "entry":
@@ -180,12 +183,12 @@ class TestExitStatus:
             doc[field] = value
         path = tmp_path / "hostile.json"
         path.write_text(json.dumps(doc))
-        assert status(["check", "eip", "--rep", str(path)]) == code
+        assert status(["check", "eip", "--rep", str(path)]) == (0 if message is None else 3)
         captured = capsys.readouterr()
-        if code == 3:
+        if message:
             assert captured.out == ""
             assert captured.err.count("\n") == 1
-            assert f"{'maps[0][0]' if field == 'entry' else field} must hold integers" in captured.err
+            assert message in captured.err
         else:
             assert BeilinsonRep.from_json(path.read_text()) == rep
 

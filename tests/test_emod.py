@@ -30,8 +30,8 @@ from beilinson.emod import (
     twist,
     validate_module,
 )
-from beilinson.emod import _local, _power
-from beilinson.linalg import FpMatrix, batched_rank, combine, matmul, rank
+from beilinson.emod import _local
+from beilinson.linalg import FpMatrix, batched_rank, combine, matmul, power, rank
 from beilinson.reps import (
     BeilinsonRep,
     ProjPoint,
@@ -299,8 +299,8 @@ class TestIsomorphism:
 
     def test_hom_dimension_screen_certifies_no(self):
         # same dimension, Jordan types and radical series; dim Hom(a, b) = 9
-        # against dim End(a) = 7 answers 'no' where the search alone ran
-        # out at 'probably_not'
+        # against dim End(a) = 7 answers 'no' before any composite of
+        # Hom(b, a) and Hom(a, b) is formed
         rng = np.random.default_rng(45)
         a, b = (forget(random_valid_rep(7, 2, 2, 3, rng)) for _ in range(2))
         assert (len(hom_modules(a, b)), len(hom_modules(a, a))) == (9, 7)
@@ -341,7 +341,7 @@ class TestPower:
         for e in range(1, 12):
             expected = [[sum(expected[i][k] * entries[k][j] for k in range(3)) % p
                          for j in range(3)] for i in range(3)]
-            assert _power(FpMatrix(p, entries), e).a.tolist() == expected
+            assert power(FpMatrix(p, entries), e).a.tolist() == expected
 
 
 def companion_rep(p, poly):

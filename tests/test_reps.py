@@ -1,11 +1,12 @@
 """Quiver representation constructions and functorial operations."""
 
+import functools
 import itertools
 import json
 
 import numpy as np
 import pytest
-from helpers import random_invertible, random_valid_rep
+from helpers import enumerated_isomorphic, random_invertible, random_valid_rep
 
 from beilinson import monomials
 from beilinson.emod import ErModule, forget, hom_modules, invert
@@ -14,6 +15,7 @@ from beilinson.reps import (
     BeilinsonRep,
     ConfigMismatch,
     ProjPoint,
+    _arrows,
     alpha_operator,
     block_diagonal,
     decide_isomorphism,
@@ -244,6 +246,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="arrows 1 and 2 break"):
             BeilinsonRep.from_json(json.dumps(doc))
 
+    def test_more_levels_than_dims_rejected_on_load(self):
+        doc = json.loads(w_module(5, 2, 3, 3, 2).to_json())
+        doc["maps"] *= 2
+        with pytest.raises(ValueError, match="n - 1 = 1 levels of maps"):
+            BeilinsonRep.from_json(json.dumps(doc))
+        doc["maps"], doc["dims"] = doc["maps"][:1], doc["dims"] * 2
+        with pytest.raises(ValueError, match="n = 2 dims"):
+            BeilinsonRep.from_json(json.dumps(doc))
+
     def test_modulus_past_2_to_31_rejected_on_load(self):
         doc = json.loads(m_module(5, 2, 3, 3, 2).to_json())
         doc["p"] = 2**31 + 11
@@ -280,17 +291,17 @@ class TestRepIsomorphic:
         assert validate(conj) == []
         assert rep_isomorphic(m, conj) == "yes"
 
-    def test_exhausted_enumeration_certifies_no(self, monkeypatch):
+    def test_hom_dimension_screen_certifies_no(self, monkeypatch):
         # dim Hom = 11 against dim End = 13 at p = 2: the Hom-dimension
-        # screen answers after the basis pass, before any combination is
-        # formed, so neither the random nor the enumeration regime runs.
+        # screen answers after the basis pass, before any composite of
+        # Hom(y, x) and Hom(x, y) is formed.
         from beilinson import reps
         from beilinson.kronecker import e_lambda
 
-        def no_combination(*args, **kwargs):
-            raise AssertionError("a random or enumerated combination was formed")
+        def no_composite(*args, **kwargs):
+            raise AssertionError("a composite was formed")
 
-        monkeypatch.setattr(reps, "combine", no_combination)
+        monkeypatch.setattr(reps, "power", no_composite)
         s0, s1 = simple(2, 2, 2, 0), simple(2, 2, 2, 1)
         left = direct_sum(direct_sum(direct_sum(direct_sum(s0, s0), s1), s1), s1)
         right = direct_sum(direct_sum(direct_sum(e_lambda(2, 2, (1, 0)), s0), s1), s1)
@@ -299,16 +310,31 @@ class TestRepIsomorphic:
         assert rep_isomorphic(left, right) == "no"
 
 
+def conjugate(rep, rng):
+    """rep with its arrows conjugated by random invertible vertex matrices."""
+    gs = [random_invertible(rep.p, d, rng) for d in rep.dims]
+    maps = tuple(tuple(gs[v + 1] @ a @ invert(gs[v]) for a in level)
+                 for v, level in enumerate(rep.maps))
+    return BeilinsonRep(rep.p, rep.n, rep.r, rep.dims, maps)
+
+
 class TestDecideIsomorphism:
     def test_empty_basis_is_no(self):
-        assert decide_isomorphism([], 3, lambda: 1) == "no"
+        from beilinson.kronecker import e_lambda
+
+        x, y = e_lambda(2, 2, (1, 0)), e_lambda(2, 2, (0, 1))
+        assert hom_space(x, y) == []
+        assert decide_isomorphism(2, x.dims, _arrows(x), y.dims, _arrows(y)) == "no"
 
     def test_exhausted_enumeration_certifies_no(self, monkeypatch):
         # S0^2+E(1,0)^2 against S0^3+S1+E(0,1) at p = 2: dim Hom = dim End
-        # = 12, and neither a basis element nor a random combination is
-        # invertible, so all 2^12 coefficient vectors are enumerated.
+        # = 12 and no basis element is invertible; the answer needs no
+        # linear combination of the basis at all.
         from beilinson import reps
         from beilinson.kronecker import e_lambda
+
+        def no_combination(*args, **kwargs):
+            raise AssertionError("a linear combination was formed")
 
         s0, s1 = simple(2, 2, 2, 0), simple(2, 2, 2, 1)
         e10, e01 = e_lambda(2, 2, (1, 0)), e_lambda(2, 2, (0, 1))
@@ -316,11 +342,86 @@ class TestDecideIsomorphism:
         right = direct_sum(direct_sum(direct_sum(direct_sum(s0, s0), s0), s1), e01)
         basis = [block_diagonal(phi) for phi in hom_space(left, right)]
         assert len(basis) == len(hom_space(left, left)) == 12
-        tried = []
-        monkeypatch.setattr(reps, "rank", lambda phi: tried.append(phi) or rank(phi))
-        assert decide_isomorphism(basis, left.total_dim, lambda: 12) == "no"
-        assert len(tried) > 2**12
+        assert enumerated_isomorphic(basis) == "no"
+        monkeypatch.setattr(reps, "combine", no_combination)
+        assert decide_isomorphism(2, left.dims, _arrows(left), right.dims, _arrows(right)) == "no"
         assert rep_isomorphic(left, right) == "no"
+
+    def test_matches_enumeration(self, monkeypatch):
+        # sums of 1-3 blocks (simples, E(lambda) bricks, random reps),
+        # each against a conjugated permutation of itself and against a
+        # conjugate with one summand swapped for one of the same dimension
+        # vector, graded and after forget
+        from beilinson import emod, reps
+        from beilinson.kronecker import e_lambda
+
+        rounds, restrict = [], reps._restrict
+        monkeypatch.setattr(reps, "_restrict", lambda *a: rounds.append(1) or restrict(*a))
+        rng = np.random.default_rng(5)
+        verdicts, compared, multi_round = set(), 0, False
+        for p, n in itertools.product((2, 3), (2, 3)):
+            pool = [simple(p, n, 2, i) for i in range(n)]
+            if n == 2:
+                pool += [e_lambda(p, 2, a.coords) for a in proj_points(p, 2)]
+            pool += [random_valid_rep(p, n, 2, 2, rng) for _ in range(3)]
+            for _ in range(12):
+                blocks = [pool[i] for i in rng.integers(0, len(pool), size=rng.integers(1, 4))]
+                x = functools.reduce(direct_sum, blocks)
+                others = [(k, b) for k, a in enumerate(blocks) for b in pool
+                          if b.dims == a.dims and b is not a]
+                partners = [[blocks[i] for i in rng.permutation(len(blocks))]]
+                if others:
+                    k, b = others[rng.integers(len(others))]
+                    partners.append(blocks[:k] + [b] + blocks[k + 1:])
+                for partner in partners:
+                    y = conjugate(functools.reduce(direct_sum, partner), rng)
+                    cases = [(x.dims, _arrows(x), y.dims, _arrows(y),
+                              [block_diagonal(phi) for phi in hom_space(x, y)])]
+                    if p >= n:
+                        fx, fy = forget(x), forget(y)
+                        cases.append(((fx.dim,), emod._arrows(fx), (fy.dim,), emod._arrows(fy),
+                                      hom_modules(fx, fy)))
+                    for xdims, xarrows, ydims, yarrows, basis in cases:
+                        if p ** len(basis) > 2**13:
+                            continue
+                        rounds.clear()
+                        verdict = decide_isomorphism(p, xdims, xarrows, ydims, yarrows)
+                        assert verdict == enumerated_isomorphic(basis), (p, n, xdims)
+                        verdicts.add(verdict)
+                        compared += 1
+                        multi_round |= bool(rounds)
+        assert verdicts == {"yes", "no"} and multi_round and compared >= 100
+
+    def test_certifies_no_where_dimensions_agree(self):
+        # S0^4+E(1,0)^4 against S0^6+S1^2+E(0,1)^2 at p = 2: equal dimension
+        # vectors and dim Hom = dim End = 48, far too many combinations
+        # (2^48) to enumerate
+        from beilinson.kronecker import e_lambda
+
+        s0, s1 = simple(2, 2, 2, 0), simple(2, 2, 2, 1)
+        e10, e01 = e_lambda(2, 2, (1, 0)), e_lambda(2, 2, (0, 1))
+        left = functools.reduce(direct_sum, [s0] * 4 + [e10] * 4)
+        right = functools.reduce(direct_sum, [s0] * 6 + [s1] * 2 + [e01] * 2)
+        assert left.dims == right.dims == (8, 4)
+        assert len(hom_space(left, right)) == len(hom_space(left, left)) == 48
+        assert rep_isomorphic(left, right) == "no"
+
+    def test_certifies_yes_without_an_invertible_basis_element(self):
+        # S0^2+S1^2 plus E(lambda) for each lambda in P^2(F_2), against a
+        # conjugate of the sum in another order: dim Hom = 43 and a random
+        # element of Hom is rarely invertible over F_2
+        from beilinson.kronecker import e_lambda
+
+        rng = np.random.default_rng(0)
+        s0, s1 = simple(2, 2, 3, 0), simple(2, 2, 3, 1)
+        blocks = [s0, s0, s1, s1] + [e_lambda(2, 3, a.coords) for a in proj_points(2, 3)]
+        left = functools.reduce(direct_sum, blocks)
+        right = conjugate(functools.reduce(direct_sum, [blocks[i] for i in rng.permutation(11)]),
+                          rng)
+        basis = [block_diagonal(phi) for phi in hom_space(left, right)]
+        assert left.dims == right.dims == (9, 9) and len(basis) == 43
+        assert all(rank(phi) < 18 for phi in basis)
+        assert rep_isomorphic(left, right) == "yes"
 
 
 def kron_hom(p, xdims, ydims, equations):
