@@ -121,11 +121,17 @@ def _module(rep: reps.BeilinsonRep) -> emod.ErModule:
         _invalid(str(exc))
 
 
-def _kronecker(rep: reps.BeilinsonRep) -> reps.BeilinsonRep:
-    """rep itself, or exit status 3 unless it lives on two vertices."""
+def _orbit(walk, args, **kwargs):
+    """The input rep and walk(rep, k_max=args.k_max, **kwargs), or exit
+    status 3 when rep is off two vertices or walk refuses it (k_max < 0,
+    the zero rep for classify)."""
+    rep = _input_rep(args)
     if rep.n != 2:
         _invalid(f"translates are implemented for two vertices only, not {rep.n}")
-    return rep
+    try:
+        return rep, walk(rep, k_max=args.k_max, **kwargs)
+    except ValueError as exc:
+        _invalid(str(exc))
 
 
 def _emit(payload, args) -> None:
@@ -209,8 +215,7 @@ def cmd_jordan_type(args) -> int:
 
 
 def cmd_tau_orbit(args) -> int:
-    rep = _kronecker(_input_rep(args))
-    info = kronecker.classify(rep, k_max=args.k_max)
+    rep, info = _orbit(kronecker.classify, args)
     _emit({"dims": list(rep.dims), "kind": info.kind, "exponent": info.exponent,
            "bound": info.bound, "tits_form": info.tits_value,
            "k_max": args.k_max}, args)
@@ -218,9 +223,7 @@ def cmd_tau_orbit(args) -> int:
 
 
 def cmd_width(args) -> int:
-    rep = _kronecker(_input_rep(args))
-    report = kronecker.width(rep, k_max=args.k_max,
-                             base_label=args.family or "module")
+    _, report = _orbit(kronecker.width, args, base_label=args.family or "module")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(report.to_dot())

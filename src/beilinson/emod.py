@@ -451,7 +451,7 @@ def is_indecomposable(m) -> IndecResult:
     else:
         raise TypeError("expected a BeilinsonRep or an ErModule")
     if dim == 0:
-        raise ValueError("the zero module is neither")
+        raise ValueError("the zero module is neither decomposable nor indecomposable")
     if _local(basis)[1]:
         return IndecResult("yes")
     for phi in basis:

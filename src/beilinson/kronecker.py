@@ -2,22 +2,24 @@
 
 The translate is computed from an explicit minimal projective presentation
 by the transpose-dual: relations are read off the kernel of the projective
-cover, transposed into the opposite orientation and dualized back.  One
-code path serves both directions, the inverse translate being the dual
-conjugate.  Projective direct summands of the input contribute nothing to
-the transpose and are reported as stripped.
+cover, transposed into the opposite orientation and dualized back.
+Projective direct summands of the input contribute nothing to the
+transpose.  The inverse side comes from the duality D: the inverse
+translate is D tau D, and the inverse half of an orbit scan walks tau^k D m,
+recording each shift as its dual D tau^k D m = tau^-k m.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .linalg import FpMatrix, cokernel_projection, image_basis, kernel_basis, rank
+from .emod import is_indecomposable
+from .linalg import FpMatrix, cokernel_projection, image_basis, kernel_basis
 from .properties import is_eip_def, is_ekp_def
-from .reps import BeilinsonRep, dualize, sub_rep
+from .reps import BeilinsonRep, dualize, m_module, sub_rep, w_module
 
 
 def _require_kronecker(m: BeilinsonRep):
@@ -30,32 +32,21 @@ def combined_arrow_matrix(m: BeilinsonRep) -> FpMatrix:
     return FpMatrix.hstack(*m.maps[0])
 
 
-def strip_simple_projective_summands(m: BeilinsonRep) -> tuple[BeilinsonRep, int]:
+def strip_simple_projective_summands(m: BeilinsonRep) -> BeilinsonRep:
     """Split off the vertex-1 complement of the arrow image: those vectors
     span a direct sum of copies of the simple projective."""
     _require_kronecker(m)
-    gamma = combined_arrow_matrix(m)
-    img = image_basis(gamma)
-    t = m.dims[1] - img.cols
-    if t == 0:
-        return m, 0
-    bases = [FpMatrix.identity(m.p, m.dims[0]), img]
-    return sub_rep(m, bases), t
+    img = image_basis(combined_arrow_matrix(m))
+    if img.cols == m.dims[1]:
+        return m
+    return sub_rep(m, [FpMatrix.identity(m.p, m.dims[0]), img])
 
 
-@dataclass(frozen=True)
-class TauResult:
-    rep: BeilinsonRep
-    stripped_simple_projectives: int
-    stripped_big_projectives: int
-
-
-def tau_detailed(m: BeilinsonRep) -> TauResult:
-    """Auslander-Reiten translate with a record of stripped summands."""
-    _require_kronecker(m)
+def tau(m: BeilinsonRep) -> BeilinsonRep:
+    """Auslander-Reiten translate."""
     p, r = m.p, m.r
-    core, t = strip_simple_projective_summands(m)
-    d0, d1 = core.dims
+    core = strip_simple_projective_summands(m)
+    d0 = core.dims[0]
     # kernel of the projective cover at vertex 1: columns indexed (arrow l,
     # generator i) in arrow-major order, matching the hstack above
     gamma = combined_arrow_matrix(core)
@@ -65,19 +56,12 @@ def tau_detailed(m: BeilinsonRep) -> TauResult:
     # relation slots; the i-th original generator attaches the row vector of
     # its relation coefficients across (relation j, arrow l)
     h = relations.a.reshape(r, d0, s).transpose(2, 0, 1).reshape(s * r, d0)
-    hmat = FpMatrix._reduced(p, h)
-    q, c = cokernel_projection(hmat)
-    stripped_p0 = d0 - rank(hmat)
+    q, c = cokernel_projection(FpMatrix._reduced(p, h))
     # opposite arrows send relation j to the class of slot (j, l); dualizing
     # transposes them back into the standard orientation
     slots = q.a.reshape(c, s, r)
     maps = tuple(FpMatrix._reduced(p, slots[:, :, l].T.copy()) for l in range(r))  # s x c
-    rep = BeilinsonRep(p, 2, r, (c, s), (maps,))
-    return TauResult(rep, t, stripped_p0)
-
-
-def tau(m: BeilinsonRep) -> BeilinsonRep:
-    return tau_detailed(m).rep
+    return BeilinsonRep(p, 2, r, (c, s), (maps,))
 
 
 def tau_inv(m: BeilinsonRep) -> BeilinsonRep:
@@ -115,13 +99,6 @@ class Classification:
     tits_value: int
 
 
-def inverse_coxeter_dims(r: int, dims: tuple[int, int]) -> tuple[int, int]:
-    """Dimension vector of the inverse translate of a non-injective
-    indecomposable: (-d_0 + r d_1, -r d_0 + (r^2-1) d_1)."""
-    d0, d1 = dims
-    return (-d0 + r * d1, -r * d0 + (r * r - 1) * d1)
-
-
 def classify(m: BeilinsonRep, k_max: int = 8) -> Classification:
     """Orbit classification of an indecomposable Kronecker representation.
 
@@ -129,25 +106,21 @@ def classify(m: BeilinsonRep, k_max: int = 8) -> Classification:
     indecomposable the translate obeys the Coxeter recursion, and the orbit
     hits a projective (resp. injective) exactly when the recursion leaves
     the positive quadrant.  This keeps the walk cheap even though the
-    dimension vectors of regular modules grow geometrically.
+    dimension vectors of regular modules grow geometrically.  D reverses
+    dimension vectors, so the inverse recursion is the same recursion on
+    the reversed vector.
     """
-    from .emod import is_indecomposable
-
     _require_kronecker(m)
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     q = tits_form(m.r, m.dims)
-    indec = is_indecomposable(m)
-    if indec.verdict == "decomposable":
+    if is_indecomposable(m).verdict == "decomposable":
         return Classification("decomposable", None, None, q)
-    cur = m.dims
-    for k in range(k_max + 1):
-        cur = coxeter_dims(m.r, cur)
-        if cur[0] <= 0 or cur[1] <= 0:
-            return Classification("preprojective", k, None, q)
-    cur = m.dims
-    for k in range(k_max + 1):
-        cur = inverse_coxeter_dims(m.r, cur)
-        if cur[0] <= 0 or cur[1] <= 0:
-            return Classification("preinjective", k, None, q)
+    for kind, cur in (("preprojective", m.dims), ("preinjective", m.dims[::-1])):
+        for k in range(k_max + 1):
+            cur = coxeter_dims(m.r, cur)
+            if min(cur) <= 0:
+                return Classification(kind, k, None, q)
     return Classification("regular", None, k_max, q)
 
 
@@ -175,27 +148,7 @@ class TauOrbitReport:
     assumptions: tuple[str, ...] = field(default_factory=tuple)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "base": self.base,
-                "p": self.p,
-                "r": self.r,
-                "k_max": self.k_max,
-                "shifts": [
-                    {
-                        "exponent": s.exponent,
-                        "dims": list(s.dims),
-                        "eip": s.eip,
-                        "ekp": s.ekp,
-                        "hit_projective": s.hit_projective,
-                        "hit_injective": s.hit_injective,
-                    }
-                    for s in self.shifts
-                ],
-                "width": self.width,
-                "assumptions": list(self.assumptions),
-            }
-        )
+        return json.dumps(asdict(self))
 
     def to_dot(self) -> str:
         lines = ["digraph tau_orbit {", "  rankdir=RL;"]
@@ -220,6 +173,8 @@ def width(m: BeilinsonRep, k_max: int = 8,
     the equal-kernels property) - 1 when both boundaries lie within the
     scan bound; otherwise the report is partial and the width absent."""
     _require_kronecker(m)
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     shifts: list[ShiftRecord] = []
 
     def record(exponent: int, rep: BeilinsonRep) -> ShiftRecord:
@@ -236,28 +191,24 @@ def width(m: BeilinsonRep, k_max: int = 8,
         return rec
 
     base = record(0, m)
-    m0 = 0 if base.eip else None
-    m1 = 0 if base.ekp else None
-    cur = m
-    k = 0
-    while m0 is None and k < k_max:
-        k += 1
-        cur = tau(cur)
-        rec = record(k, cur)
-        if rec.hit_projective:
-            break
-        if rec.eip:
-            m0 = k
-    cur = m
-    k = 0
-    while m1 is None and k < k_max:
-        k += 1
-        cur = tau_inv(cur)
-        rec = record(-k, cur)
-        if rec.hit_injective:
-            break
-        if rec.ekp:
-            m1 = -k
+
+    def scan(sign: int, boundary: str) -> int | None:
+        """Least exponent sign * k, k <= k_max, whose shift has the boundary
+        property; the inverse side walks tau^k D m and records its duals."""
+        if getattr(base, boundary):
+            return 0
+        cur = m if sign > 0 else dualize(m)
+        for k in range(1, k_max + 1):
+            cur = tau(cur)
+            rec = record(sign * k, cur if sign > 0 else dualize(cur))
+            if cur.total_dim == 0:
+                return None
+            if getattr(rec, boundary):
+                return sign * k
+        return None
+
+    m0 = scan(1, "eip")
+    m1 = scan(-1, "ekp")
     w = m0 - m1 - 1 if (m0 is not None and m1 is not None) else None
     shifts.sort(key=lambda s: s.exponent)
     return TauOrbitReport(
@@ -272,8 +223,6 @@ def wmod_shift_check(p: int, r: int, m: int) -> bool:
 
     Holds for r >= 3 only; r = 2 inputs are rejected because there the
     translate of the slice module is an equal-kernels module instead."""
-    from .reps import m_module, w_module
-
     if r < 3:
         raise ValueError("requires r >= 3; the statement fails for r = 2")
     if m <= 2:

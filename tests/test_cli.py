@@ -120,6 +120,17 @@ def status(argv):
 M_FLAGS = ["--family", "m", "--n", "2", "--r", "3", "--m", "3", "--d", "2"]
 
 
+P0_FLAGS = ["--family", "projective", "--p", "5", "--n", "2", "--r", "3", "--i", "0"]
+
+
+def assert_one_line_refusal(code, capsys):
+    captured = capsys.readouterr()
+    if code >= 2:
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("beilinson: ")
+
+
 class TestExitStatus:
     """0 done or true, 1 false, 2 usage, 3 invalid input, 4 internal error."""
 
@@ -132,14 +143,24 @@ class TestExitStatus:
         (["jordan-type", "--p", "5", "--alpha", "0,0"] + M_FLAGS, 3),
         (["jordan-type", "--p", "5", "--alpha", "1,0"] + M_FLAGS, 3),
         (["tau-orbit", "--p", "5", "--family", "projective", "--n", "3", "--r", "3"], 3),
+        (["tau-orbit"] + P0_FLAGS + ["--k-max", "-1"], 3),
+        (["width"] + P0_FLAGS + ["--k-max", "-1"], 3),
     ])
     def test_status(self, argv, code, capsys):
         assert status(argv) == code
-        captured = capsys.readouterr()
-        if code >= 2:
-            assert captured.out == ""
-            assert captured.err.count("\n") == 1
-            assert captured.err.startswith("beilinson: ")
+        assert_one_line_refusal(code, capsys)
+
+    @pytest.mark.parametrize("command", ["tau-orbit", "width"])
+    def test_negative_k_max_from_environment_exits_3(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("BNR_K_MAX", "-1")
+        assert status([command] + P0_FLAGS) == 3
+        assert_one_line_refusal(3, capsys)
+
+    def test_tau_orbit_of_zero_rep_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text('{"p": 5, "n": 2, "r": 3, "dims": [0, 0], "maps": [[[], [], []]]}')
+        assert status(["tau-orbit", "--rep", str(path)]) == 3
+        assert_one_line_refusal(3, capsys)
 
     def test_modulus_past_2_to_31_exits_3(self, tmp_path, capsys):
         doc = json.loads(w_module(5, 2, 3, 3, 2).to_json())

@@ -1,17 +1,23 @@
 """Auslander-Reiten translate and width invariant on the r-Kronecker quiver."""
 
+import json
+
 import numpy as np
 import pytest
 
+from helpers import random_valid_rep
+
+from beilinson.emod import is_indecomposable
 from beilinson.kronecker import (
+    Classification,
+    ShiftRecord,
+    TauOrbitReport,
     classify,
     combined_arrow_matrix,
     coxeter_dims,
     e_lambda,
-    inverse_coxeter_dims,
     strip_simple_projective_summands,
     tau,
-    tau_detailed,
     tau_inv,
     tits_form,
     width,
@@ -20,6 +26,7 @@ from beilinson.kronecker import (
 from beilinson.linalg import FpMatrix, cokernel_projection, kernel_basis
 from beilinson.properties import is_eip_def, is_ekp_def
 from beilinson.reps import (
+    BeilinsonRep,
     ProjPoint,
     direct_sum,
     dualize,
@@ -56,8 +63,11 @@ class TestTauBasics:
             assert tau(rep).dims == coxeter_dims(3, rep.dims)
 
     def test_inverse_coxeter_inverts(self):
+        # classify's inverse recursion: the same recursion on reversed dims
         for dims in ((6, 3), (1, 1), (1, 2), (13, 5)):
-            assert inverse_coxeter_dims(3, coxeter_dims(3, dims)) == dims
+            assert coxeter_dims(3, coxeter_dims(3, dims)[::-1])[::-1] == dims
+        for rep in (w_module(5, 2, 3, 3, 2), e_lambda(5, 3, (1, 1, 1))):
+            assert tau_inv(rep).dims == coxeter_dims(3, rep.dims[::-1])[::-1]
 
     def test_tau_inv_round_trip(self):
         w = w_module(5, 2, 3, 3, 2)
@@ -66,9 +76,8 @@ class TestTauBasics:
     def test_projective_summands_stripped(self):
         w = w_module(5, 2, 3, 3, 2)
         padded = direct_sum(w, projective(5, 2, 3, 1))
-        detail = tau_detailed(padded)
-        assert detail.stripped_simple_projectives == 1
-        assert detail.rep.dims == tau(w).dims
+        assert strip_simple_projective_summands(padded).dims == w.dims
+        assert tau(padded).dims == tau(w).dims
 
     def test_tau_of_x_is_dual_of_x(self):
         for coords in ((1, 0, 0), (0, 1, 0), (1, 1, 1), (1, 2, 3), (1, 4, 2)):
@@ -78,8 +87,8 @@ class TestTauBasics:
 
 def loop_tau_maps(m):
     """The translate's arrows with the relation and slot shuffles written
-    as per-entry loops: the reference for tau_detailed's reshapes."""
-    core, _ = strip_simple_projective_summands(m)
+    as per-entry loops: the reference for tau's reshapes."""
+    core = strip_simple_projective_summands(m)
     p, r, d0 = m.p, m.r, core.dims[0]
     relations = kernel_basis(combined_arrow_matrix(core))
     s = relations.cols
@@ -105,6 +114,113 @@ class TestTauMatchesLoop:
         reps.append(tau(reps[0]))
         for rep in reps:
             assert [a.a.tolist() for a in tau(rep).maps[0]] == loop_tau_maps(rep)
+
+
+def two_loop_width(m, k_max):
+    """width with its inverse side walked by tau_inv in a second loop: the
+    reference for width's one scan, whose inverse side runs through D."""
+    shifts = []
+
+    def record(exponent, rep):
+        dead = rep.total_dim == 0
+        rec = ShiftRecord(exponent, (rep.dims[0], rep.dims[1]),
+                          eip=(not dead) and is_eip_def(rep).verdict,
+                          ekp=(not dead) and is_ekp_def(rep).verdict,
+                          hit_projective=dead and exponent > 0,
+                          hit_injective=dead and exponent < 0)
+        shifts.append(rec)
+        return rec
+
+    base = record(0, m)
+    m0 = 0 if base.eip else None
+    m1 = 0 if base.ekp else None
+    cur, k = m, 0
+    while m0 is None and k < k_max:
+        k += 1
+        cur = tau(cur)
+        rec = record(k, cur)
+        if rec.hit_projective:
+            break
+        if rec.eip:
+            m0 = k
+    cur, k = m, 0
+    while m1 is None and k < k_max:
+        k += 1
+        cur = tau_inv(cur)
+        rec = record(-k, cur)
+        if rec.hit_injective:
+            break
+        if rec.ekp:
+            m1 = -k
+    w = m0 - m1 - 1 if (m0 is not None and m1 is not None) else None
+    shifts.sort(key=lambda s: s.exponent)
+    return TauOrbitReport(f"rep dims {m.dims}", m.p, m.r, k_max, tuple(shifts), w, ())
+
+
+def two_recursion_classify(m, k_max):
+    """classify with the inverse Coxeter recursion written out: the
+    reference for its one recursion on reversed dims."""
+    r, q = m.r, tits_form(m.r, m.dims)
+    if is_indecomposable(m).verdict == "decomposable":
+        return Classification("decomposable", None, None, q)
+    steps = (("preprojective", lambda d0, d1: ((r * r - 1) * d0 - r * d1, r * d0 - d1)),
+             ("preinjective", lambda d0, d1: (-d0 + r * d1, -r * d0 + (r * r - 1) * d1)))
+    for kind, step in steps:
+        cur = m.dims
+        for k in range(k_max + 1):
+            cur = step(*cur)
+            if cur[0] <= 0 or cur[1] <= 0:
+                return Classification(kind, k, None, q)
+    return Classification("regular", None, k_max, q)
+
+
+def hand_json(report):
+    """TauOrbitReport.to_json with its keys written out: the reference
+    for the dataclass serializer."""
+    return json.dumps({
+        "base": report.base, "p": report.p, "r": report.r, "k_max": report.k_max,
+        "shifts": [{"exponent": s.exponent, "dims": list(s.dims), "eip": s.eip,
+                    "ekp": s.ekp, "hit_projective": s.hit_projective,
+                    "hit_injective": s.hit_injective} for s in report.shifts],
+        "width": report.width,
+        "assumptions": list(report.assumptions),
+    })
+
+
+def orbit_corpus():
+    """Projectives, injectives, simples, W, M, E(lambda), X_alpha, the zero
+    rep, S(0) + E(lambda) and 20 seeded random reps over four (p, r)."""
+    rng = np.random.default_rng(14)
+    corpus = []
+    for p, r in ((5, 3), (3, 2), (7, 4), (2, 3)):
+        ones, alpha = (1,) * r, (1,) + (0,) * (r - 1)
+        zero = json.dumps({"p": p, "n": 2, "r": r, "dims": [0, 0], "maps": [[[]] * r]})
+        corpus += [family(p, 2, r, i) for family in (projective, injective, simple)
+                   for i in range(2)]
+        corpus += [w_module(p, 2, r, 3, 2), m_module(p, 2, r, 3, 2), e_lambda(p, r, ones),
+                   x_module(p, 2, r, ProjPoint(p, alpha), 0, 1),
+                   BeilinsonRep.from_json(zero),
+                   direct_sum(simple(p, 2, r, 0), e_lambda(p, r, ones))]
+        corpus += [random_valid_rep(p, 2, r, 3, rng) for _ in range(5)]
+    return corpus
+
+
+def outcome(run):
+    try:
+        return run()
+    except ValueError as exc:
+        return repr(exc)
+
+
+class TestOrbitMatchesReference:
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 8])
+    def test_same_reports_and_classes(self, k_max):
+        for rep in orbit_corpus():
+            report, ref = width(rep, k_max), two_loop_width(rep, k_max)
+            assert report.to_json() == hand_json(ref)
+            assert report.to_dot() == ref.to_dot()
+            assert (outcome(lambda: classify(rep, k_max))
+                    == outcome(lambda: two_recursion_classify(rep, k_max)))
 
 
 class TestELambda:
@@ -146,6 +262,13 @@ class TestClassify:
     def test_decomposable_flagged(self):
         s = direct_sum(simple(5, 2, 3, 0), simple(5, 2, 3, 0))
         assert classify(s).kind == "decomposable"
+
+    def test_negative_k_max_rejected(self):
+        # P(0) is preprojective at k_max = 0; a negative bound has no verdict
+        assert classify(projective(5, 2, 3, 0), k_max=0).kind == "preprojective"
+        for walk in (classify, width):
+            with pytest.raises(ValueError, match="k_max"):
+                walk(projective(5, 2, 3, 0), k_max=-1)
 
     def test_r2_kronecker_regular(self):
         # For the 2-Kronecker the dimension vector (1,1) modules are the
