@@ -5,8 +5,6 @@ prime fields."""
 from .linalg import (
     DimensionMismatch,
     FpMatrix,
-    PrimeField,
-    cokernel_projection,
     image_basis,
     kernel_basis,
     rank,

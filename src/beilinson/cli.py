@@ -124,7 +124,7 @@ def _module(rep: reps.BeilinsonRep) -> emod.ErModule:
 def _orbit(walk, args, **kwargs):
     """The input rep and walk(rep, k_max=args.k_max, **kwargs), or exit
     status 3 when rep is off two vertices or walk refuses it (k_max < 0,
-    the zero rep for classify)."""
+    the zero rep)."""
     rep = _input_rep(args)
     if rep.n != 2:
         _invalid(f"translates are implemented for two vertices only, not {rep.n}")

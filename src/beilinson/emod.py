@@ -18,8 +18,8 @@ import numpy as np
 
 from .linalg import (
     FpMatrix,
-    PrimeField,
     batched_rank,
+    check_modulus,
     combine,
     image_basis,
     json_int,
@@ -52,11 +52,12 @@ class ErModule:
     r: int
     dim: int
     ops: tuple[FpMatrix, ...]
-    # Jordan types by chunk prefix, filled by jordan_type
+    # Jordan types by point (normalized coordinates), filled a chunk at a
+    # time by jordan_type
     _jordan: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        PrimeField(self.p)
+        check_modulus(self.p)
         if self.r < 2:
             raise ValueError("require r >= 2")
         if len(self.ops) != self.r:
@@ -99,7 +100,7 @@ def validate_module(m: ErModule) -> list[str]:
             if m.ops[i] @ m.ops[j] != m.ops[j] @ m.ops[i]:
                 problems.append(f"operators {i + 1} and {j + 1} do not commute")
     for i, op in enumerate(m.ops):
-        if not power(op, m.p).is_zero():
+        if power(op.a, m.p, m.p).any():
             problems.append(f"operator {i + 1} is not nilpotent of order <= p")
     return problems
 
@@ -161,45 +162,43 @@ def jordan_type(m: ErModule, alpha: ProjPoint) -> JordanType:
     """Block sizes of the nilpotent operator attached to alpha, from the
     rank sequence of its powers: a_i = r_{i-1} - 2 r_i + r_{i+1}.
 
-    Points are computed in chunks: the p^t points that share all but their
-    last t coordinates, with p^t dim^2 <= STACK_ENTRIES.  A chunk's Jordan
-    types are memoized on m, so a sweep over P^{r-1} ranks each power once
-    per chunk and a single query computes one chunk."""
+    Points are computed in chunks (``_jordan_chunk``) whose Jordan types
+    are memoized on m by point, so a sweep over P^{r-1} ranks each power
+    once per chunk and a single query computes one chunk."""
     if alpha.p != m.p or alpha.r != m.r:
         raise ConfigMismatch("alpha over wrong (p, r)")
-    p, coords = m.p, alpha.coords
-    budget = STACK_ENTRIES // max(m.dim, 1) ** 2
+    if alpha.coords not in m._jordan:
+        m._jordan.update(_jordan_chunk(m, alpha.coords))
+    return m._jordan[alpha.coords]
+
+
+def _jordan_chunk(m: ErModule, coords: tuple[int, ...]) -> dict[tuple[int, ...], JordanType]:
+    """Jordan types at the chunk of points that holds coords: the p^t
+    points that share all but their last t coordinates, t as large as
+    p^t dim^2 <= STACK_ENTRIES and the coordinates after the leading 1
+    allow.  One batched rank per power of the stacked point operators."""
+    p, dim = m.p, m.dim
+    budget = STACK_ENTRIES // max(dim, 1) ** 2
     t = 0
     while t < m.r - 1 - coords.index(1) and p ** (t + 1) <= budget:
         t += 1
-    prefix = coords[:m.r - t]
-    if prefix not in m._jordan:
-        m._jordan[prefix] = _jordan_chunk(m, prefix, t)
-    pos = sum(c * p ** k for k, c in enumerate(reversed(coords[m.r - t:])))
-    return m._jordan[prefix][pos]
-
-
-def _jordan_chunk(m: ErModule, prefix: tuple[int, ...], t: int) -> tuple[JordanType, ...]:
-    """Jordan types at the points prefix + tail, tails in base-p order, from
-    one batched rank per power of the stacked point operators."""
-    p, dim = m.p, m.dim
-    coords = np.array([prefix + tail for tail in product(range(p), repeat=t)], dtype=np.int64)
-    nil = combine(coords, [op.a for op in m.ops], p)
-    ranks = [np.full(len(coords), dim)]
+    points = [coords[:m.r - t] + tail for tail in product(range(p), repeat=t)]
+    nil = combine(np.array(points, dtype=np.int64), [op.a for op in m.ops], p)
+    ranks = [np.full(len(points), dim)]
     power = nil
     for _ in range(p):
         ranks.append(batched_rank(power, p))
         if not ranks[-1].any():
             break
         power = matmul(power, nil, p)
-    ranks.append(np.zeros(len(coords), dtype=np.int64))
+    ranks.append(np.zeros(len(points), dtype=np.int64))
     r = np.stack(ranks, axis=1)
     counts = r[:, :-2] - 2 * r[:, 1:-1] + r[:, 2:]
     bad = np.flatnonzero(counts @ np.arange(1, counts.shape[1] + 1) != dim)
     if bad.size:
-        raise ValueError(f"the operator at point {tuple(coords[bad[0]].tolist())} is not "
+        raise ValueError(f"the operator at point {points[bad[0]]} is not "
                          f"nilpotent of order <= p: its Jordan blocks do not add up to {dim}")
-    return tuple(JordanType(tuple(c)) for c in counts.tolist())
+    return {point: JordanType(tuple(c)) for point, c in zip(points, counts.tolist())}
 
 
 def jt_formula(n: int, d: int, r: int) -> JordanType:
@@ -272,7 +271,7 @@ def group_algebra_radical_power(p: int, r: int, s: int) -> ErModule:
     Basis: exponent tuples in [0, p-1]^r of total degree >= s; each
     variable acts by exponent bump, vanishing past exponent p-1.  s runs
     from 0 (the regular module, dimension p^r) to r(p-1)+1 (zero)."""
-    PrimeField(p)
+    check_modulus(p)
     top = r * (p - 1) + 1
     if not 0 <= s <= top:
         raise ValueError(f"require 0 <= s <= {top}, got s={s}")
@@ -406,7 +405,7 @@ def _local(basis: list[FpMatrix]) -> tuple[bool, bool]:
             return commutative, False
         chain = shorter
     n = stack.shape[-1]
-    frob = np.stack([power(phi, p).a for phi in basis])
+    frob = power(stack, p, p)
     coords = solve_matrix(FpMatrix._reduced(p, stack.reshape(h, n * n).T),
                           FpMatrix._reduced(p, np.concatenate([frob, ideal]).reshape(-1, n * n).T))
     pi, complement = quotient_projection(FpMatrix._reduced(p, coords.a[:, h:]))
@@ -434,7 +433,7 @@ class IndecResult:
 def _fitting_split(phi: FpMatrix) -> tuple[int, int] | None:
     """Dimensions of the kernel and image of phi^dim, where image and kernel
     have settled, when both are nonzero: then M splits as their direct sum."""
-    r1 = rank(power(phi, phi.rows))
+    r1 = rank(FpMatrix._reduced(phi.p, power(phi.a, phi.rows, phi.p)))
     if 0 < r1 < phi.rows:
         return (phi.rows - r1, r1)
     return None

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .emod import is_indecomposable
-from .linalg import FpMatrix, cokernel_projection, image_basis, kernel_basis
+from .linalg import FpMatrix, image_basis, kernel_basis, quotient_projection
 from .properties import is_eip_def, is_ekp_def
 from .reps import BeilinsonRep, dualize, m_module, sub_rep, w_module
 
@@ -56,7 +56,8 @@ def tau(m: BeilinsonRep) -> BeilinsonRep:
     # relation slots; the i-th original generator attaches the row vector of
     # its relation coefficients across (relation j, arrow l)
     h = relations.a.reshape(r, d0, s).transpose(2, 0, 1).reshape(s * r, d0)
-    q, c = cokernel_projection(FpMatrix._reduced(p, h))
+    q, complement = quotient_projection(FpMatrix._reduced(p, h))
+    c = len(complement)
     # opposite arrows send relation j to the class of slot (j, l); dualizing
     # transposes them back into the standard orientation
     slots = q.a.reshape(c, s, r)
@@ -171,10 +172,13 @@ def width(m: BeilinsonRep, k_max: int = 8,
     caller, not verified here.  The width is (least exponent whose shift
     has the equal-images property) - (greatest exponent whose shift has
     the equal-kernels property) - 1 when both boundaries lie within the
-    scan bound; otherwise the report is partial and the width absent."""
+    scan bound; otherwise the report is partial and the width absent.  The
+    zero representation has no orbit and is refused."""
     _require_kronecker(m)
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
+    if m.total_dim == 0:
+        raise ValueError("the zero representation has no translate orbit")
     shifts: list[ShiftRecord] = []
 
     def record(exponent: int, rep: BeilinsonRep) -> ShiftRecord:

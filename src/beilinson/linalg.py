@@ -25,7 +25,7 @@ for every p < 2^31.  A matrix product sums many terms along the inner
 dimension, so ``matmul`` (behind ``FpMatrix.__matmul__``) reduces after
 every chunk of k = (2^63 - 1 - p) // (p-1)^2 inner columns instead: that
 is exact for every p < 2^31 (k = 2 at p = 2^31 - 1) and one chunk for any
-small p.  Larger moduli are refused wherever a field or a matrix is built.
+small p.  Larger moduli are refused wherever a matrix, point or module is built.
 """
 
 from __future__ import annotations
@@ -63,20 +63,6 @@ def check_modulus(p: int) -> None:
         raise ValueError(f"modulus {p} is not below 2^31, where exact int64 arithmetic ends")
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """The field F_p for a prime modulus p < 2^31 (checked by trial division)."""
-
-    p: int
-
-    def __post_init__(self):
-        check_modulus(self.p)
-
-    def inv(self, x: int) -> int:
-        # pow with exponent -1 runs the extended Euclidean algorithm
-        return pow(int(x) % self.p, -1, self.p)
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -227,16 +213,18 @@ class FpMatrix:
         return self.a.flatten().tolist()
 
 
-def power(phi: FpMatrix, e: int) -> FpMatrix:
-    """phi^e for e >= 1 by repeated squaring, in O(log e) products."""
+def power(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a^e mod p for e >= 1 and a reduced int64 array, stacked or not, by
+    repeated squaring with ``matmul``: O(log e) products.  At e = 1 it
+    returns a itself."""
     result = None
     while True:
         if e & 1:
-            result = phi if result is None else result @ phi
+            result = a if result is None else matmul(result, a, p)
         e >>= 1
         if not e:
             return result
-        phi = phi @ phi
+        a = matmul(a, a, p)
 
 
 def json_int(value, name: str) -> int:
@@ -354,14 +342,6 @@ def image_basis(m: FpMatrix) -> FpMatrix:
     """Column basis of the column space (original pivot columns)."""
     _, pivots = _rref(m.a, m.p)
     return FpMatrix._reduced(m.p, m.a[:, pivots])
-
-
-def cokernel_projection(m: FpMatrix):
-    """Surjection q with q @ m = 0 and rank(q) = rows(m) - rank(m).
-
-    Returns (q, coker_dim)."""
-    q = kernel_basis(m.transpose()).transpose()
-    return q, q.rows
 
 
 def solve(a: FpMatrix, b) -> np.ndarray | None:

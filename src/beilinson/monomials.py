@@ -4,7 +4,9 @@ A monomial in r commuting variables is an exponent tuple (e_1, ..., e_r).
 Bases of each graded piece are ordered graded-lexicographically (within a
 fixed degree, descending lex on the exponent tuple, so x_1^d comes first).
 This order is fixed once and for all so every matrix in the library is
-bit-reproducible.
+bit-reproducible.  Only multiplication by a single variable is built here;
+multiplication by a linear form is the matching combination of those
+(``reps.alpha_operator``), and its powers are composites of it.
 """
 
 from __future__ import annotations
@@ -58,45 +60,4 @@ def multiplication_matrix(p: int, r: int, degree: int, var: int) -> FpMatrix:
     for j, mono in enumerate(src):
         bumped = tuple(e + (1 if i == var - 1 else 0) for i, e in enumerate(mono))
         a[tgt_index[bumped], j] = 1
-    return FpMatrix(p, a)
-
-
-def linear_form_power(p: int, coeffs: tuple[int, ...], power: int) -> dict[tuple[int, ...], int]:
-    """Coefficients mod p of (sum_l coeffs[l] x_l)^power as {exponents: c}."""
-    r = len(coeffs)
-    poly = {tuple(0 for _ in range(r)): 1}
-    linear = {}
-    for l, c in enumerate(coeffs):
-        if c % p:
-            e = tuple(1 if i == l else 0 for i in range(r))
-            linear[e] = c % p
-    for _ in range(power):
-        nxt: dict[tuple[int, ...], int] = {}
-        for ea, ca in poly.items():
-            for eb, cb in linear.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                nxt[e] = (nxt.get(e, 0) + ca * cb) % p
-        poly = {e: c for e, c in nxt.items() if c}
-    return poly
-
-
-def linear_form_power_matrix(
-    p: int, r: int, coeffs: tuple[int, ...], power: int, src_degree: int
-) -> FpMatrix:
-    """Matrix of multiplication by (sum coeffs[l] x_l)^power.
-
-    Maps the degree-src_degree piece to the degree-(src_degree + power)
-    piece; an empty matrix when the source degree is negative."""
-    tgt_degree = src_degree + power
-    rows = dim_degree(r, tgt_degree)
-    if src_degree < 0:
-        return FpMatrix.zeros(p, rows, 0)
-    poly = linear_form_power(p, coeffs, power)
-    src = monomials(r, src_degree)
-    tgt_index = monomial_index(r, tgt_degree)
-    a = np.zeros((rows, len(src)), dtype=np.int64)
-    for j, mono in enumerate(src):
-        for e, c in poly.items():
-            shifted = tuple(x + y for x, y in zip(mono, e))
-            a[tgt_index[shifted], j] = c
     return FpMatrix(p, a)

@@ -27,23 +27,19 @@ import numpy as np
 from .linalg import (
     DimensionMismatch,
     FpMatrix,
-    PrimeField,
     check_modulus,
     combine,
     image_basis,
     json_int,
     json_matrix,
     kernel_basis,
+    matmul,
     power,
     quotient_projection,
     rank,
     solve_matrix,
 )
-from .monomials import (
-    dim_degree,
-    linear_form_power_matrix,
-    multiplication_matrix,
-)
+from .monomials import dim_degree, multiplication_matrix
 
 
 class ConfigMismatch(ValueError):
@@ -98,7 +94,7 @@ class BeilinsonRep:
     maps: tuple[tuple[FpMatrix, ...], ...]
 
     def __post_init__(self):
-        PrimeField(self.p)
+        check_modulus(self.p)
         if self.n < 2 or self.r < 2:
             raise ValueError("require n >= 2 and r >= 2")
         dims = tuple(int(d) for d in self.dims)
@@ -256,45 +252,34 @@ def x_module(p: int, n: int, r: int, alpha: ProjPoint, i: int, j: int = 1) -> Be
     """Cokernel of right multiplication by the j-th power of the linear form
     with coefficients alpha, as a map P(i+j) -> P(i).
 
-    Quotient bases are the complement of the column-reduced image pivots in
-    the graded-lex monomial basis, so the result is deterministic."""
+    At vertex v that map is the j-fold composite of the point operator of
+    P(i) (``alpha_operator``) ending at v, and has no columns below vertex
+    i + j.  Quotient bases are the complement of the column-reduced image
+    pivots in the graded-lex monomial basis, so the result is deterministic."""
     if not 0 <= i <= n - 2:
         raise ValueError(f"require 0 <= i <= n-2, got i={i}")
     if not 1 <= j <= n - i - 1:
         raise ValueError(f"require 1 <= j <= n-i-1, got j={j}")
-    if alpha.p != p or alpha.r != r:
-        raise ConfigMismatch("alpha over wrong (p, r)")
-    projections = []
-    sections = []
-    images = []
-    dims = []
-    for v in range(n):
-        if v < i:
-            u, pi_v, complement = None, FpMatrix.zeros(p, 0, 0), []
-        else:
-            u = linear_form_power_matrix(p, r, alpha.coords, j, v - i - j)
-            pi_v, complement = quotient_projection(u)
-        # representatives of the quotient basis are the non-pivot standard
-        # basis vectors recorded by quotient_projection
-        projections.append(pi_v)
-        sections.append(FpMatrix(p, np.eye(pi_v.cols, dtype=np.int64)[:, complement]))
-        images.append(u)
-        dims.append(len(complement))
     big = projective(p, n, r, i)
+    steps = alpha_operator(big, alpha)
+    images = [FpMatrix.zeros(p, d, 0) for d in big.dims[:i + j]]
+    for v in range(i + j, n):
+        u = steps[v - j]
+        for step in steps[v - j + 1:v]:
+            u = step @ u
+        images.append(u)
+    # the quotient basis at v is the classes of the non-pivot standard basis
+    # vectors that quotient_projection records
+    projections = [quotient_projection(u) for u in images]
     maps = []
-    for v in range(n - 1):
-        level = []
-        for l in range(r):
-            if dims[v] == 0 or dims[v + 1] == 0:
-                level.append(FpMatrix.zeros(p, dims[v + 1], dims[v]))
-                continue
-            a = projections[v + 1] @ big.maps[v][l] @ sections[v]
-            # well-definedness: the image subspace must be a subrepresentation
-            check = projections[v + 1] @ big.maps[v][l] @ images[v]
-            assert check.is_zero(), "arrow image left the subrepresentation"
-            level.append(a)
-        maps.append(tuple(level))
-    return BeilinsonRep(p, n, r, tuple(dims), tuple(maps))
+    for v, level in enumerate(big.maps):
+        pi, complement = projections[v + 1][0], projections[v][1]
+        # well-definedness: the image subspace must be a subrepresentation
+        assert all((pi @ a @ images[v]).is_zero() for a in level), \
+            "arrow image left the subrepresentation"
+        maps.append(tuple(pi @ FpMatrix._reduced(p, a.a[:, complement]) for a in level))
+    dims = tuple(len(complement) for _, complement in projections)
+    return BeilinsonRep(p, n, r, dims, tuple(maps))
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +430,11 @@ def decide_isomorphism(p: int, xdims, xarrows, ydims, yarrows) -> str:
     in Hom(y, x), f in Hom(x, y)) span the ideal of End(x) of maps through
     y; if all are nilpotent it is nil (nilpotents of the matrix blocks of
     End(x)/rad have trace 0), misses id_x, and the answer is 'no'.  Else
-    the first non-nilpotent phi gives psi = phi^N, N >= every vertex
-    dimension, and Fitting splits x = ker psi + im psi, y = f(im psi) +
-    ker(psi g) (f on im psi is split by (phi^(N+1) on im psi)^-1 psi g); by
-    Krull-Schmidt the next round compares ker psi with ker(psi g)."""
+    the first non-nilpotent phi = g f (f in basis order, then g) gives
+    psi = phi^N, N >= every vertex dimension, and Fitting splits
+    x = ker psi + im psi, y = f(im psi) + ker(psi g) (f on im psi is split
+    by (phi^(N+1) on im psi)^-1 psi g); by Krull-Schmidt the next round
+    compares ker psi with ker(psi g)."""
     if tuple(xdims) != tuple(ydims):
         return "no"
     while sum(xdims):
@@ -458,12 +444,18 @@ def decide_isomorphism(p: int, xdims, xarrows, ydims, yarrows) -> str:
         if len(hom) != len(_intertwiners(p, xdims, xarrows, xdims, xarrows)):
             return "no"
         back = _intertwiners(p, ydims, yarrows, xdims, xarrows)
-        for f, g in itertools.product(hom, back):
-            psi = [power(gv @ fv, max(xdims)) for fv, gv in zip(f, g)]
-            if any(not c.is_zero() for c in psi):
+        # per vertex, the components g_v of every g as one stack, so the
+        # composites with one f are powered together
+        gs = [np.array([g[v].a for g in back], dtype=np.int64).reshape(len(back), dx, dy)
+              for v, (dx, dy) in enumerate(zip(xdims, ydims))]
+        for f in hom:
+            powers = [power(matmul(gv, fv.a, p), max(xdims), p) for gv, fv in zip(gs, f)]
+            live = np.flatnonzero(np.any([c.any(axis=(1, 2)) for c in powers], axis=0))
+            if live.size:
                 break
         else:
             return "no"
+        g, psi = back[live[0]], [FpMatrix._reduced(p, c[live[0]].copy()) for c in powers]
         xdims, xarrows = _restrict(xarrows, [kernel_basis(c) for c in psi])
         ydims, yarrows = _restrict(yarrows, [kernel_basis(c @ gv) for c, gv in zip(psi, g)])
     return "yes"

@@ -4,8 +4,9 @@ import itertools
 
 import numpy as np
 
-from beilinson.linalg import FpMatrix, batched_rank, kernel_basis, rank
-from beilinson.reps import BeilinsonRep, validate
+from beilinson.linalg import FpMatrix, batched_rank, kernel_basis, quotient_projection, rank
+from beilinson.monomials import dim_degree, monomial_index, monomials
+from beilinson.reps import BeilinsonRep, projective, validate
 
 
 def random_valid_rep(p, n, r, max_dim, rng):
@@ -98,3 +99,46 @@ def enumerated_isomorphic(basis):
     # entries stay below h (p-1)^2, far from overflow at these sizes
     stack = (coeffs @ np.stack([phi.a.ravel() for phi in basis]) % p).reshape(-1, n, n)
     return "yes" if (batched_rank(stack, p) == n).any() else "no"
+
+
+def linear_form_power_matrix(p, r, coeffs, power, src_degree):
+    """Matrix of multiplication by (sum coeffs[l] x_l)^power from the
+    degree-src_degree piece to the degree-(src_degree + power) piece, from
+    the polynomial expanded term by term as {exponents: coefficient}; an
+    empty matrix when the source degree is negative."""
+    rows = dim_degree(r, src_degree + power)
+    if src_degree < 0:
+        return FpMatrix.zeros(p, rows, 0)
+    poly = {(0,) * r: 1}
+    for _ in range(power):
+        nxt = {}
+        for e, c in poly.items():
+            for l, a in enumerate(coeffs):
+                bumped = tuple(x + (t == l) for t, x in enumerate(e))
+                nxt[bumped] = (nxt.get(bumped, 0) + c * a) % p
+        poly = {e: c for e, c in nxt.items() if c}
+    tgt_index = monomial_index(r, src_degree + power)
+    a = np.zeros((rows, dim_degree(r, src_degree)), dtype=np.int64)
+    for j, mono in enumerate(monomials(r, src_degree)):
+        for e, c in poly.items():
+            a[tgt_index[tuple(x + y for x, y in zip(mono, e))], j] = c
+    return FpMatrix(p, a)
+
+
+def reference_x_module(p, n, r, alpha, i, j):
+    """x_module with each image built by linear_form_power_matrix and each
+    arrow sandwiched between a quotient projection and a section of
+    identity columns: the reference for x_module's point-operator images."""
+    big = projective(p, n, r, i)
+    projections, sections, images = [], [], []
+    for v in range(n):
+        u = linear_form_power_matrix(p, r, alpha.coords, j, v - i - j)
+        pi, complement = quotient_projection(u)
+        projections.append(pi)
+        sections.append(FpMatrix(p, np.eye(pi.cols, dtype=np.int64)[:, complement]))
+        images.append(u)
+    maps = tuple(
+        tuple(projections[v + 1] @ a @ sections[v] for a in level)
+        for v, level in enumerate(big.maps)
+    )
+    return BeilinsonRep(p, n, r, tuple(s.cols for s in sections), maps)

@@ -121,6 +121,7 @@ M_FLAGS = ["--family", "m", "--n", "2", "--r", "3", "--m", "3", "--d", "2"]
 
 
 P0_FLAGS = ["--family", "projective", "--p", "5", "--n", "2", "--r", "3", "--i", "0"]
+ZERO_REP = '{"p": 5, "n": 2, "r": 3, "dims": [0, 0], "maps": [[[], [], []]]}'
 
 
 def assert_one_line_refusal(code, capsys):
@@ -158,8 +159,14 @@ class TestExitStatus:
 
     def test_tau_orbit_of_zero_rep_exits_3(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
-        path.write_text('{"p": 5, "n": 2, "r": 3, "dims": [0, 0], "maps": [[[], [], []]]}')
+        path.write_text(ZERO_REP)
         assert status(["tau-orbit", "--rep", str(path)]) == 3
+        assert_one_line_refusal(3, capsys)
+
+    def test_width_of_zero_rep_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text(ZERO_REP)
+        assert status(["width", "--rep", str(path)]) == 3
         assert_one_line_refusal(3, capsys)
 
     def test_modulus_past_2_to_31_exits_3(self, tmp_path, capsys):

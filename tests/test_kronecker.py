@@ -23,7 +23,7 @@ from beilinson.kronecker import (
     width,
     wmod_shift_check,
 )
-from beilinson.linalg import FpMatrix, cokernel_projection, kernel_basis
+from beilinson.linalg import FpMatrix, kernel_basis
 from beilinson.properties import is_eip_def, is_ekp_def
 from beilinson.reps import (
     BeilinsonRep,
@@ -87,7 +87,8 @@ class TestTauBasics:
 
 def loop_tau_maps(m):
     """The translate's arrows with the relation and slot shuffles written
-    as per-entry loops: the reference for tau's reshapes."""
+    as per-entry loops, and the cokernel taken as the left null space of
+    h: the reference for tau's reshapes and its quotient_projection."""
     core = strip_simple_projective_summands(m)
     p, r, d0 = m.p, m.r, core.dims[0]
     relations = kernel_basis(combined_arrow_matrix(core))
@@ -96,7 +97,8 @@ def loop_tau_maps(m):
     for j in range(s):
         for l in range(r):
             h[j * r + l, :] = relations.a[l * d0:(l + 1) * d0, j]
-    q, c = cokernel_projection(FpMatrix(p, h))
+    q = kernel_basis(FpMatrix(p, h).T).T
+    c = q.rows
     maps = []
     for l in range(r):
         dl = np.zeros((c, s), dtype=np.int64)
@@ -188,18 +190,17 @@ def hand_json(report):
 
 
 def orbit_corpus():
-    """Projectives, injectives, simples, W, M, E(lambda), X_alpha, the zero
-    rep, S(0) + E(lambda) and 20 seeded random reps over four (p, r)."""
+    """Projectives, injectives, simples, W, M, E(lambda), X_alpha,
+    S(0) + E(lambda) and 20 seeded random reps over four (p, r); the zero
+    rep, which both refuse, is in TestWidth.test_zero_rep_refused."""
     rng = np.random.default_rng(14)
     corpus = []
     for p, r in ((5, 3), (3, 2), (7, 4), (2, 3)):
         ones, alpha = (1,) * r, (1,) + (0,) * (r - 1)
-        zero = json.dumps({"p": p, "n": 2, "r": r, "dims": [0, 0], "maps": [[[]] * r]})
         corpus += [family(p, 2, r, i) for family in (projective, injective, simple)
                    for i in range(2)]
         corpus += [w_module(p, 2, r, 3, 2), m_module(p, 2, r, 3, 2), e_lambda(p, r, ones),
                    x_module(p, 2, r, ProjPoint(p, alpha), 0, 1),
-                   BeilinsonRep.from_json(zero),
                    direct_sum(simple(p, 2, r, 0), e_lambda(p, r, ones))]
         corpus += [random_valid_rep(p, 2, r, 3, rng) for _ in range(5)]
     return corpus
@@ -287,6 +288,18 @@ class TestWidth:
     def test_x_module_width_two(self):
         x = x_module(5, 2, 3, ProjPoint(5, (1, 0, 0)), 0, 1)
         assert width(x).width == 2
+
+    def test_zero_rep_refused(self):
+        # the zero rep has no translate orbit, and classify finds it neither
+        # decomposable nor indecomposable
+        for p, r in ((5, 3), (3, 2), (7, 4), (2, 3)):
+            zero = BeilinsonRep.from_json(
+                json.dumps({"p": p, "n": 2, "r": r, "dims": [0, 0], "maps": [[[]] * r]}))
+            for k_max in (0, 8):
+                with pytest.raises(ValueError, match="zero representation"):
+                    width(zero, k_max)
+                with pytest.raises(ValueError, match="zero module"):
+                    classify(zero, k_max)
 
     def test_report_shape(self):
         report = width(e_lambda(5, 3, (1, 1, 1)), base_label="brick")

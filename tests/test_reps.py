@@ -6,7 +6,12 @@ import json
 
 import numpy as np
 import pytest
-from helpers import enumerated_isomorphic, random_invertible, random_valid_rep
+from helpers import (
+    enumerated_isomorphic,
+    random_invertible,
+    random_valid_rep,
+    reference_x_module,
+)
 
 from beilinson import monomials
 from beilinson.emod import ErModule, forget, hom_modules, invert
@@ -156,6 +161,22 @@ class TestFamilies:
     def test_x_module_wrong_point_config(self):
         with pytest.raises(ConfigMismatch):
             x_module(5, 3, 3, ProjPoint(3, (1, 0, 0)), 0, 1)
+
+    def test_x_module_matches_polynomial_reference(self):
+        # p in {2, 3, 5, 7}, r in {2, 3, 4}, n <= 5, every i and j, at the
+        # first and last points of P^{r-1}(F_p) and up to six seeded others
+        rng = np.random.default_rng(15)
+        compared = 0
+        for p, r in itertools.product((2, 3, 5, 7), (2, 3, 4)):
+            points = proj_points(p, r)
+            picks = {0, len(points) - 1, *rng.integers(0, len(points), size=6).tolist()}
+            for n, k in itertools.product(range(2, 6), sorted(picks)):
+                for i in range(n - 1):
+                    for j in range(1, n - i):
+                        expected = reference_x_module(p, n, r, points[k], i, j)
+                        assert x_module(p, n, r, points[k], i, j).to_json() == expected.to_json()
+                        compared += 1
+        assert compared > 1000
 
 
 class TestDualize:
@@ -404,6 +425,24 @@ class TestDecideIsomorphism:
         right = functools.reduce(direct_sum, [s0] * 6 + [s1] * 2 + [e01] * 2)
         assert left.dims == right.dims == (8, 4)
         assert len(hom_space(left, right)) == len(hom_space(left, left)) == 48
+        assert rep_isomorphic(left, right) == "no"
+
+    def test_nil_exit_on_fourfold_sums(self, monkeypatch):
+        # dim Hom(x, y) = dim End(x) = 5 and every composite through y is
+        # nilpotent, so the fourfold sums get "no" from the nil exit of the
+        # first round, without a Fitting split
+        from beilinson import reps
+
+        x = BeilinsonRep.from_json(json.dumps({
+            "p": 2, "n": 3, "r": 2, "dims": [2, 2, 3],
+            "maps": [[[0, 1, 1, 0], [1, 0, 1, 0]], [[0, 1, 1, 1, 0, 1], [0, 1, 0, 0, 0, 1]]]}))
+        y = BeilinsonRep.from_json(json.dumps({
+            "p": 2, "n": 3, "r": 2, "dims": [2, 2, 3],
+            "maps": [[[0, 0, 0, 0], [1, 0, 1, 0]], [[0, 0, 1, 1, 0, 0], [1, 1, 1, 0, 0, 1]]]}))
+        assert len(hom_space(x, y)) == len(hom_space(x, x)) == 5
+        left, right = (functools.reduce(direct_sum, [rep] * 4) for rep in (x, y))
+        assert len(hom_space(left, right)) == len(hom_space(left, left)) == 80
+        monkeypatch.setattr(reps, "_restrict", lambda *a: pytest.fail("Fitting split taken"))
         assert rep_isomorphic(left, right) == "no"
 
     def test_certifies_yes_without_an_invertible_basis_element(self):
