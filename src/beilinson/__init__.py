@@ -8,7 +8,6 @@ from .linalg import (
     image_basis,
     kernel_basis,
     rank,
-    solve,
 )
 from .reps import (
     BeilinsonRep,

@@ -18,6 +18,8 @@ from . import emod, kronecker, properties, reps
 from .linalg import check_modulus
 
 ENV_PREFIX = "BNR_"
+FAMILIES = ("projective", "injective", "simple", "m", "w", "x", "e")
+FORMATS = ("text", "json")
 
 
 def _env_default(name: str):
@@ -32,6 +34,15 @@ def _add_int(parser: argparse.ArgumentParser, name: str, required: bool = False,
         default, required = env, False
     parser.add_argument(f"--{name}", type=int, required=required and default is None,
                         default=default, help=help)
+
+
+def _format_choice(value: str) -> str:
+    """value if it names an output format.  argparse also applies a type
+    to a string default such as BNR_FORMAT, which its choices check skips."""
+    if value not in FORMATS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {value!r} (choose from {', '.join(map(repr, FORMATS))})")
+    return value
 
 
 def _parse_coeffs(text: str) -> tuple[int, ...]:
@@ -51,7 +62,7 @@ def _invalid(message: str):
 
 
 def _alpha_from_args(args, p: int, r: int) -> reps.ProjPoint:
-    raw = args.alpha or _env_default("alpha")
+    raw = args.alpha
     if raw is None:
         _usage_error("an --alpha value such as '1,0,0' is required here")
     try:
@@ -71,8 +82,7 @@ def _build_rep(args) -> reps.BeilinsonRep:
         _usage_error("--p and --r are required when constructing a family member")
     if kind in ("m", "w") and (args.m is None or args.d is None):
         _usage_error(f"--m and --d are required for the {kind} family")
-    lam = args.lam or _env_default("lam")
-    if kind == "e" and not lam:
+    if kind == "e" and args.lam is None:
         _usage_error("--lam is required for the e family")
     try:
         check_modulus(args.p)  # before ProjPoint reduces an --alpha mod p
@@ -89,7 +99,7 @@ def _build_rep(args) -> reps.BeilinsonRep:
         if kind == "x":
             return reps.x_module(args.p, args.n, args.r, _alpha_from_args(args, args.p, args.r),
                                  args.i, args.j)
-        return kronecker.e_lambda(args.p, args.r, _parse_coeffs(lam))
+        return kronecker.e_lambda(args.p, args.r, _parse_coeffs(args.lam))
     except (TypeError, ValueError) as exc:
         _invalid(f"invalid parameters for the {kind} family: {exc}")
 
@@ -123,11 +133,8 @@ def _module(rep: reps.BeilinsonRep) -> emod.ErModule:
 
 def _orbit(walk, args, **kwargs):
     """The input rep and walk(rep, k_max=args.k_max, **kwargs), or exit
-    status 3 when rep is off two vertices or walk refuses it (k_max < 0,
-    the zero rep)."""
+    status 3 when walk refuses it (n != 2, k_max < 0, the zero rep)."""
     rep = _input_rep(args)
-    if rep.n != 2:
-        _invalid(f"translates are implemented for two vertices only, not {rep.n}")
     try:
         return rep, walk(rep, k_max=args.k_max, **kwargs)
     except ValueError as exc:
@@ -156,14 +163,14 @@ def _common_rep_flags(parser: argparse.ArgumentParser,
     _add_int(parser, "d", help="length parameter for the m/w families")
     _add_int(parser, "i", default=0, help="vertex index")
     _add_int(parser, "j", default=1, help="power of the linear form")
-    parser.add_argument("--alpha", default=None,
+    parser.add_argument("--alpha", default=_env_default("alpha"),
                         help="comma-separated point coordinates, e.g. 1,0,0")
-    parser.add_argument("--lam", default=None,
+    parser.add_argument("--lam", default=_env_default("lam"),
                         help="comma-separated scalars for the e family")
 
 
 def _format_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json"),
+    parser.add_argument("--format", type=_format_choice, choices=FORMATS,
                         default=_env_default("format") or "text")
 
 
@@ -206,7 +213,7 @@ def cmd_jordan_type(args) -> int:
                "points": rows}, args)
     else:
         # without --alpha, the first point of P^{r-1} in enumeration order
-        point = (_alpha_from_args(args, rep.p, rep.r) if args.alpha or _env_default("alpha")
+        point = (_alpha_from_args(args, rep.p, rep.r) if args.alpha is not None
                  else reps.ProjPoint(rep.p, (0,) * (rep.r - 1) + (1,)))
         jt = emod.jordan_type(module, point)
         _emit({"alpha": list(point.coords), "jordan_type": str(jt),
@@ -263,18 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     construct = sub.add_parser("construct", help="build a family member as JSON")
-    construct.add_argument("family",
-                           choices=("projective", "injective", "simple", "m",
-                                    "w", "x", "e"))
+    construct.add_argument("family", choices=FAMILIES)
     _common_rep_flags(construct, require_config=True)
     construct.add_argument("--out", default=None, help="output path (stdout if omitted)")
     construct.set_defaults(func=cmd_construct)
 
-    def module_input(cmd, with_family=True):
-        if with_family:
-            cmd.add_argument("--family", default=None,
-                             choices=("projective", "injective", "simple",
-                                      "m", "w", "x", "e"))
+    def module_input(cmd):
+        cmd.add_argument("--family", default=None, choices=FAMILIES)
         cmd.add_argument("--rep", default=None,
                          help="path to a representation JSON file")
         _common_rep_flags(cmd)

@@ -2,9 +2,9 @@
 
 The translate is computed from an explicit minimal projective presentation
 by the transpose-dual: relations are read off the kernel of the projective
-cover, transposed into the opposite orientation and dualized back.
-Projective direct summands of the input contribute nothing to the
-transpose.  The inverse side comes from the duality D: the inverse
+cover, transposed into the opposite orientation and dualized back.  The
+relations are the kernel of [g_1 | ... | g_r] on the whole representation:
+simple projective summands add none.  The inverse side comes from the duality D: the inverse
 translate is D tau D, and the inverse half of an orbit scan walks tau^k D m,
 recording each shift as its dual D tau^k D m = tau^-k m.
 """
@@ -17,40 +17,23 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .emod import is_indecomposable
-from .linalg import FpMatrix, image_basis, kernel_basis, quotient_projection
+from .linalg import FpMatrix, kernel_basis, quotient_projection
 from .properties import is_eip_def, is_ekp_def
-from .reps import BeilinsonRep, dualize, m_module, sub_rep, w_module
+from .reps import BeilinsonRep, dualize, m_module, w_module
 
 
 def _require_kronecker(m: BeilinsonRep):
     if m.n != 2:
-        raise ValueError("translates are implemented for two vertices only")
-
-
-def combined_arrow_matrix(m: BeilinsonRep) -> FpMatrix:
-    """Horizontal concatenation [g_1 | ... | g_r] : M_0^r -> M_1."""
-    return FpMatrix.hstack(*m.maps[0])
-
-
-def strip_simple_projective_summands(m: BeilinsonRep) -> BeilinsonRep:
-    """Split off the vertex-1 complement of the arrow image: those vectors
-    span a direct sum of copies of the simple projective."""
-    _require_kronecker(m)
-    img = image_basis(combined_arrow_matrix(m))
-    if img.cols == m.dims[1]:
-        return m
-    return sub_rep(m, [FpMatrix.identity(m.p, m.dims[0]), img])
+        raise ValueError(f"translates are implemented for two vertices only, not {m.n}")
 
 
 def tau(m: BeilinsonRep) -> BeilinsonRep:
     """Auslander-Reiten translate."""
-    p, r = m.p, m.r
-    core = strip_simple_projective_summands(m)
-    d0 = core.dims[0]
+    _require_kronecker(m)
+    p, r, d0 = m.p, m.r, m.dims[0]
     # kernel of the projective cover at vertex 1: columns indexed (arrow l,
-    # generator i) in arrow-major order, matching the hstack above
-    gamma = combined_arrow_matrix(core)
-    relations = kernel_basis(gamma)  # (r*d0) x s
+    # generator i) in arrow-major order, matching [g_1 | ... | g_r]
+    relations = kernel_basis(FpMatrix.hstack(*m.maps[0]))  # (r*d0) x s
     s = relations.cols
     # transpose: generators of the opposite-orientation cokernel sit at the
     # relation slots; the i-th original generator attaches the row vector of
@@ -164,8 +147,7 @@ class TauOrbitReport:
         return "\n".join(lines)
 
 
-def width(m: BeilinsonRep, k_max: int = 8,
-          base_label: str = "", assumptions: tuple[str, ...] = ()) -> TauOrbitReport:
+def width(m: BeilinsonRep, k_max: int = 8, base_label: str = "") -> TauOrbitReport:
     """Scan the translate orbit of a quasi-simple regular representation.
 
     quasi-simplicity of the input is an asserted precondition of the
@@ -216,9 +198,7 @@ def width(m: BeilinsonRep, k_max: int = 8,
     w = m0 - m1 - 1 if (m0 is not None and m1 is not None) else None
     shifts.sort(key=lambda s: s.exponent)
     return TauOrbitReport(
-        base_label or f"rep dims {m.dims}", m.p, m.r, k_max, tuple(shifts), w,
-        tuple(assumptions),
-    )
+        base_label or f"rep dims {m.dims}", m.p, m.r, k_max, tuple(shifts), w)
 
 
 def wmod_shift_check(p: int, r: int, m: int) -> bool:

@@ -133,17 +133,6 @@ class FpMatrix:
     def identity(p: int, n: int) -> "FpMatrix":
         return FpMatrix(p, np.eye(n, dtype=np.int64))
 
-    @staticmethod
-    def from_rows(p: int, rows) -> "FpMatrix":
-        arr = np.asarray(rows, dtype=np.int64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        return FpMatrix(p, arr)
-
-    @staticmethod
-    def random(p: int, rows: int, cols: int, rng: np.random.Generator) -> "FpMatrix":
-        return FpMatrix(p, rng.integers(0, p, size=(rows, cols), dtype=np.int64))
-
     # -- basic structure -------------------------------------------------
     @property
     def rows(self) -> int:
@@ -155,10 +144,6 @@ class FpMatrix:
 
     def transpose(self) -> "FpMatrix":
         return FpMatrix._reduced(self.p, self.a.T.copy())
-
-    @property
-    def T(self) -> "FpMatrix":
-        return self.transpose()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpMatrix):
@@ -190,9 +175,6 @@ class FpMatrix:
         if self.p != other.p or self.a.shape != other.a.shape:
             raise DimensionMismatch("shape or modulus mismatch in subtraction")
         return FpMatrix._reduced(self.p, (self.a - other.a) % self.p)
-
-    def scale(self, c: int) -> "FpMatrix":
-        return FpMatrix._reduced(self.p, (self.a * (c % self.p)) % self.p)
 
     def is_zero(self) -> bool:
         return not self.a.any()
@@ -342,15 +324,6 @@ def image_basis(m: FpMatrix) -> FpMatrix:
     """Column basis of the column space (original pivot columns)."""
     _, pivots = _rref(m.a, m.p)
     return FpMatrix._reduced(m.p, m.a[:, pivots])
-
-
-def solve(a: FpMatrix, b) -> np.ndarray | None:
-    """Any solution x of a x = b, or None. b is a length-rows(a) vector."""
-    bv = np.asarray(b, dtype=np.int64).reshape(-1) % a.p
-    if bv.shape[0] != a.rows:
-        raise DimensionMismatch("right-hand side length mismatch")
-    sol = solve_matrix(a, FpMatrix(a.p, bv.reshape(-1, 1)))
-    return None if sol is None else sol.a[:, 0].copy()
 
 
 def solve_matrix(a: FpMatrix, b: FpMatrix) -> FpMatrix | None:

@@ -381,14 +381,7 @@ def is_costandardly_graded(rep: BeilinsonRep) -> bool:
 
 def image_rep(phi: tuple[FpMatrix, ...], x: BeilinsonRep, y: BeilinsonRep) -> BeilinsonRep:
     """The image of an intertwiner phi: x -> y, as a subrepresentation of y."""
-    bases = [image_basis(phi_v) for phi_v in phi]
-    return sub_rep(y, bases)
-
-
-def sub_rep(y: BeilinsonRep, bases: list[FpMatrix]) -> BeilinsonRep:
-    """Subrepresentation of y spanned vertex-wise by the given column bases,
-    which must be arrow-stable (``_restrict``)."""
-    dims, arrows = _restrict(_arrows(y), bases)
+    dims, arrows = _restrict(_arrows(y), [image_basis(phi_v) for phi_v in phi])
     maps = tuple(tuple(a for _, _, a in arrows[v * y.r:(v + 1) * y.r]) for v in range(y.n - 1))
     return BeilinsonRep(y.p, y.n, y.r, dims, maps)
 

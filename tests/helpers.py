@@ -16,7 +16,8 @@ def random_valid_rep(p, n, r, max_dim, rng):
     dims = tuple(int(rng.integers(1, max_dim + 1)) for _ in range(n))
     maps = []
     level0 = tuple(
-        FpMatrix.random(p, dims[1], dims[0], rng) for _ in range(r)
+        FpMatrix(p, rng.integers(0, p, size=(dims[1], dims[0]), dtype=np.int64))
+        for _ in range(r)
     )
     maps.append(level0)
     for v in range(1, n - 1):
@@ -62,7 +63,7 @@ def random_valid_rep(p, n, r, max_dim, rng):
 
 def random_invertible(p, n, rng):
     while True:
-        g = FpMatrix.random(p, n, n, rng)
+        g = FpMatrix(p, rng.integers(0, p, size=(n, n), dtype=np.int64))
         if rank(g) == n:
             return g
 

@@ -27,6 +27,7 @@ from beilinson.kronecker import (
     width,
     wmod_shift_check,
 )
+from beilinson.linalg import FpMatrix
 from beilinson.properties import (
     is_eip_def,
     is_eip_hom,
@@ -210,8 +211,8 @@ def test_criterion_08_no_maps_and_closures():
             coeffs[0] = 1
         phi = tuple(
             sum(
-                (b[v].scale(int(c)) for c, b in zip(coeffs[1:], basis[1:])),
-                basis[0][v].scale(int(coeffs[0])),
+                (FpMatrix(src.p, int(c) * b[v].a) for c, b in zip(coeffs[1:], basis[1:])),
+                FpMatrix(src.p, int(coeffs[0]) * basis[0][v].a),
             )
             for v in range(src.n)
         )

@@ -157,6 +157,21 @@ class TestExitStatus:
         assert status([command] + P0_FLAGS) == 3
         assert_one_line_refusal(3, capsys)
 
+    @pytest.mark.parametrize("command", ["tau-orbit", "width"])
+    def test_off_two_vertices_exits_3(self, command, capsys):
+        argv = [command, "--p", "5", "--family", "projective", "--n", "3", "--r", "3"]
+        assert status(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "beilinson: translates are implemented for two vertices only, not 3\n"
+
+    def test_format_from_environment_is_checked(self, w_file, monkeypatch, capsys):
+        monkeypatch.setenv("BNR_FORMAT", "xml")
+        assert status(["check", "eip", "--rep", w_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'xml'" in captured.err
+
     def test_tau_orbit_of_zero_rep_exits_3(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
         path.write_text(ZERO_REP)
@@ -311,6 +326,25 @@ class TestEnvOverrides:
         code, out = run(capsys, ["jordan-type", "--rep", x_file, "--format", "json"])
         assert code == 0
         assert json.loads(out)["alpha"] == [0, 1, 0]
+
+    def test_flag_beats_env_alpha(self, x_file, monkeypatch, capsys):
+        monkeypatch.setenv("BNR_ALPHA", "1,0,0")
+        code, out = run(capsys, ["jordan-type", "--rep", x_file, "--alpha", "0,1,0",
+                                 "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["alpha"] == [0, 1, 0]
+
+    @pytest.mark.parametrize("env", [None, "1,0,0"])
+    def test_empty_alpha_exits_3(self, x_file, env, monkeypatch, capsys):
+        if env is not None:
+            monkeypatch.setenv("BNR_ALPHA", env)
+        assert status(["jordan-type", "--rep", x_file, "--alpha", ""]) == 3
+        assert_one_line_refusal(3, capsys)
+
+    def test_empty_lam_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setenv("BNR_LAM", "1,1,1")
+        assert status(["construct", "e", "--p", "5", "--r", "3", "--lam", ""]) == 3
+        assert_one_line_refusal(3, capsys)
 
     def test_env_provides_p(self, monkeypatch, capsys):
         monkeypatch.setenv("BNR_P", "5")

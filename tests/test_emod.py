@@ -271,12 +271,12 @@ class TestTwist:
 
     def test_twist_preserves_commutativity(self):
         m = forget(m_module(5, 2, 3, 3, 2))
-        g = FpMatrix.from_rows(5, [[1, 2, 0], [0, 1, 0], [3, 0, 1]])
+        g = FpMatrix(5, [[1, 2, 0], [0, 1, 0], [3, 0, 1]])
         assert validate_module(twist(m, g)) == []
 
     def test_twist_permutes_jordan_types(self):
         m = forget(m_module(3, 2, 2, 3, 2))
-        g = FpMatrix.from_rows(3, [[0, 1], [1, 0]])
+        g = FpMatrix(3, [[0, 1], [1, 0]])
         before = sorted(str(jordan_type(m, a)) for a in proj_points(3, 2))
         after = sorted(
             str(jordan_type(twist(m, g), a)) for a in proj_points(3, 2)
@@ -460,7 +460,7 @@ class TestIndecomposability:
     def test_graded_local_end_certified(self):
         # Kronecker rep with arrows I and a nilpotent Jordan block: End is
         # {aI + bN}, two-dimensional, commutative and local.
-        arrows = (FpMatrix.identity(5, 2), FpMatrix.from_rows(5, [[0, 1], [0, 0]]))
+        arrows = (FpMatrix.identity(5, 2), FpMatrix(5, [[0, 1], [0, 0]]))
         rep = BeilinsonRep(5, 2, 2, (2, 2), (arrows,))
         assert len(hom_space(rep, rep)) == 2
         assert is_indecomposable(rep) == IndecResult("yes")
@@ -474,7 +474,7 @@ class TestConstantJordanType:
     def test_non_cjt_example(self):
         # One operator zero, the other a single Jordan block: the point
         # (1,0) behaves differently from (0,1).
-        n = FpMatrix.from_rows(3, [[0, 0], [1, 0]])
+        n = FpMatrix(3, [[0, 0], [1, 0]])
         z = FpMatrix.zeros(3, 2, 2)
         m = ErModule(3, 2, 2, (n, z))
         ok, _ = has_constant_jordan_type(m)

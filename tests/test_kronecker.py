@@ -13,17 +13,15 @@ from beilinson.kronecker import (
     ShiftRecord,
     TauOrbitReport,
     classify,
-    combined_arrow_matrix,
     coxeter_dims,
     e_lambda,
-    strip_simple_projective_summands,
     tau,
     tau_inv,
     tits_form,
     width,
     wmod_shift_check,
 )
-from beilinson.linalg import FpMatrix, kernel_basis
+from beilinson.linalg import FpMatrix, image_basis, kernel_basis, solve_matrix
 from beilinson.properties import is_eip_def, is_ekp_def
 from beilinson.reps import (
     BeilinsonRep,
@@ -74,10 +72,10 @@ class TestTauBasics:
         assert rep_isomorphic(tau_inv(tau(w)), w) == "yes"
 
     def test_projective_summands_stripped(self):
+        # a simple projective summand adds no relations
         w = w_module(5, 2, 3, 3, 2)
         padded = direct_sum(w, projective(5, 2, 3, 1))
-        assert strip_simple_projective_summands(padded).dims == w.dims
-        assert tau(padded).dims == tau(w).dims
+        assert tau(padded).to_json() == tau(w).to_json()
 
     def test_tau_of_x_is_dual_of_x(self):
         for coords in ((1, 0, 0), (0, 1, 0), (1, 1, 1), (1, 2, 3), (1, 4, 2)):
@@ -86,18 +84,22 @@ class TestTauBasics:
 
 
 def loop_tau_maps(m):
-    """The translate's arrows with the relation and slot shuffles written
-    as per-entry loops, and the cokernel taken as the left null space of
-    h: the reference for tau's reshapes and its quotient_projection."""
-    core = strip_simple_projective_summands(m)
-    p, r, d0 = m.p, m.r, core.dims[0]
-    relations = kernel_basis(combined_arrow_matrix(core))
+    """The translate's arrows with the simple projective summands split
+    off first, the relation and slot shuffles written as per-entry loops,
+    and the cokernel taken as the left null space of h: the reference for
+    tau's relations on the whole rep, its reshapes and its
+    quotient_projection."""
+    p, r, d0 = m.p, m.r, m.dims[0]
+    arrows = FpMatrix.hstack(*m.maps[0])
+    # the arrows in coordinates of a basis of their image: the vertex-1
+    # complement of that image spans the simple projective summands
+    relations = kernel_basis(solve_matrix(image_basis(arrows), arrows))
     s = relations.cols
     h = np.zeros((r * s, d0), dtype=np.int64)
     for j in range(s):
         for l in range(r):
             h[j * r + l, :] = relations.a[l * d0:(l + 1) * d0, j]
-    q = kernel_basis(FpMatrix(p, h).T).T
+    q = kernel_basis(FpMatrix(p, h).transpose()).transpose()
     c = q.rows
     maps = []
     for l in range(r):

@@ -33,7 +33,6 @@ from beilinson.reps import (
     proj_points,
     projective,
     simple,
-    sub_rep,
     validate,
     w_module,
     x_module,
@@ -147,7 +146,7 @@ class TestConstantRank:
     def test_non_constant_rank_witnessed(self):
         # Arrow matrices [1 0] and [0 0]: rank drops at the point (0,1).
         maps = (
-            (FpMatrix.from_rows(3, [[1]]), FpMatrix.from_rows(3, [[0]])),
+            (FpMatrix(3, [[1]]), FpMatrix(3, [[0]])),
         )
         rep = BeilinsonRep(3, 2, 2, (1, 1), maps)
         report = constant_rank(rep, 1)
@@ -245,7 +244,7 @@ class TestBatchedSweepMatchesPointLoop:
         a = FpMatrix(p, [[int(x) * int(y) % p for y in v] for x in u])
         b = FpMatrix(p, p - 1 - rng.integers(0, 9, size=(3, 3)))
         # arrows l = 1, 2 are l * a and l * b, so the relations hold
-        rep = BeilinsonRep(p, 3, 2, (3, 3, 3), ((a, a.scale(2)), (b, b.scale(2))))
+        rep = BeilinsonRep(p, 3, 2, (3, 3, 3), ((a, FpMatrix(p, 2 * a.a)), (b, FpMatrix(p, 2 * b.a))))
         assert validate(rep) == []
         points = tuple(ProjPoint(p, c) for c in ((0, 1), (1, 0), (1, (p - 1) // 2), (1, p - 1)))
         monkeypatch.setattr(properties, "proj_points", lambda p_, r_: points)
@@ -264,7 +263,7 @@ class TestBatchedSweepMatchesPointLoop:
         # sum were reduced only at the end
         p = 2**31 - 1
         arrow = FpMatrix(p, [[p - 1, p - 2, 1], [p - 3, 5, p - 1]])
-        level = tuple(arrow.scale(k + 1) for k in range(4))
+        level = tuple(FpMatrix(p, (k + 1) * arrow.a) for k in range(4))
         rep = BeilinsonRep(p, 2, 4, (3, 2), (level,))
         points = [ProjPoint(p, (1, p - 1, p - 1, p - 1)), ProjPoint(p, (0, 1, p - 1, p - 2)),
                   ProjPoint(p, (1, 0, 0, 0))]

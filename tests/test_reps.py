@@ -301,8 +301,8 @@ class TestRepIsomorphic:
     def test_conjugated_rep_recognized(self):
         m = m_module(3, 2, 2, 3, 2)
         assert m.dims == (2, 3)
-        g0 = FpMatrix.from_rows(3, [[1, 1], [0, 2]])
-        g1 = FpMatrix.from_rows(3, [[2, 0, 0], [0, 1, 1], [0, 0, 1]])
+        g0 = FpMatrix(3, [[1, 1], [0, 2]])
+        g1 = FpMatrix(3, [[2, 0, 0], [0, 1, 1], [0, 0, 1]])
         from beilinson.linalg import solve_matrix
         g0_inv = solve_matrix(g0, FpMatrix.identity(3, 2))
         conj = BeilinsonRep(
