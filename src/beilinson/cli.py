@@ -22,8 +22,8 @@ FAMILIES = ("projective", "injective", "simple", "m", "w", "x", "e")
 FORMATS = ("text", "json")
 
 
-def _env_default(name: str):
-    return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
+def _env_default(name: str, unset=None):
+    return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"), unset)
 
 
 def _add_int(parser: argparse.ArgumentParser, name: str, required: bool = False,
@@ -171,7 +171,7 @@ def _common_rep_flags(parser: argparse.ArgumentParser,
 
 def _format_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", type=_format_choice, choices=FORMATS,
-                        default=_env_default("format") or "text")
+                        default=_env_default("format", "text"))
 
 
 def cmd_construct(args) -> int:

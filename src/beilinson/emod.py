@@ -37,6 +37,7 @@ from .reps import (
     ConfigMismatch,
     ProjPoint,
     _intertwiners,
+    _noncommuting,
     block_diagonal,
     decide_isomorphism,
     hom_space,
@@ -94,15 +95,11 @@ class ErModule:
 
 def validate_module(m: ErModule) -> list[str]:
     """Invariant violations: non-commuting pairs or non-vanishing p-th powers."""
-    problems = []
-    for i in range(m.r):
-        for j in range(i + 1, m.r):
-            if m.ops[i] @ m.ops[j] != m.ops[j] @ m.ops[i]:
-                problems.append(f"operators {i + 1} and {j + 1} do not commute")
-    for i, op in enumerate(m.ops):
-        if power(op.a, m.p, m.p).any():
-            problems.append(f"operator {i + 1} is not nilpotent of order <= p")
-    return problems
+    problems = [f"operators {i + 1} and {j + 1} do not commute"
+                for i, j in _noncommuting(m.ops, m.ops, m.p)]
+    powers = power(np.stack([op.a for op in m.ops]), m.p, m.p)
+    return problems + [f"operator {i + 1} is not nilpotent of order <= p"
+                       for i in np.flatnonzero(powers.any(axis=(1, 2))).tolist()]
 
 
 @dataclass(frozen=True)
@@ -301,9 +298,9 @@ def twist(m: ErModule, g: FpMatrix) -> ErModule:
     """The coordinate-change twist: new x_l = sum_t (g^{-1})_{tl} x_t."""
     if g.p != m.p or (g.rows, g.cols) != (m.r, m.r):
         raise ValueError("twist needs an r x r matrix over the same field")
-    ginv, ops = invert(g), [op.a for op in m.ops]
-    return ErModule(m.p, m.r, m.dim, tuple(FpMatrix._reduced(m.p, combine(ginv.a[:, l], ops, m.p))
-                                          for l in range(m.r)))
+    ops = combine(invert(g).a.T, [op.a for op in m.ops], m.p)
+    ops.setflags(write=False)
+    return ErModule(m.p, m.r, m.dim, tuple(FpMatrix._reduced(m.p, op) for op in ops))
 
 
 def invert(g: FpMatrix) -> FpMatrix:
@@ -368,7 +365,7 @@ def _span_stack(p: int, stack: np.ndarray) -> np.ndarray:
 
 def _products(p: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Every product l @ r, l in left and r in right, as one stack."""
-    return np.concatenate([matmul(a, right, p) for a in left])
+    return matmul(left[:, None], right[None], p).reshape(-1, *left.shape[1:])
 
 
 def _local(basis: list[FpMatrix]) -> tuple[bool, bool]:

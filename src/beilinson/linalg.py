@@ -14,22 +14,20 @@ is for results this package has computed and reduced: ``a`` must be a
 holds it) or a view of an array that is already read-only.  It never
 takes a view of a caller's writable array.
 
-Exactness bounds.  Every int64 intermediate is kept below 2^63 by one
-rule: reduce mod p after every term, where a term is a product of two
-reduced entries, at most (p-1)^2.  An elimination step (``_rref`` and
-``batched_rank``, behind ``rank``) forms one such product, or one
-difference of two, before it reduces; a linear combination (``combine``)
-adds one term to a reduced accumulator before it reduces.  Either way no
-intermediate exceeds (p-1)^2 + p - 1 in absolute value, which int64 holds
-for every p < 2^31.  A matrix product sums many terms along the inner
-dimension, so ``matmul`` (behind ``FpMatrix.__matmul__``) reduces after
-every chunk of k = (2^63 - 1 - p) // (p-1)^2 inner columns instead: that
-is exact for every p < 2^31 (k = 2 at p = 2^31 - 1) and one chunk for any
-small p.  Larger moduli are refused wherever a matrix, point or module is built.
+Exactness bounds.  Every int64 intermediate stays below 2^63 for every
+p < 2^31; larger moduli are refused wherever a matrix, point or module is
+built.  An elimination step (``_rref`` and ``batched_rank``, behind
+``rank``) reduces after one product of two reduced entries or one
+difference of two, so no intermediate exceeds (p-1)^2 + p - 1 in absolute
+value.  Every sum of products is one ``matmul`` (behind ``@``, ``power``
+and ``combine``), which reduces after every chunk of
+k = (2^63 - 1 - p) // (p-1)^2 inner columns: k = 2 at p = 2^31 - 1, and one
+chunk for any small p.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -85,17 +83,15 @@ def combine(coeffs, mats, p: int) -> np.ndarray:
     """sum_l coeffs[..., l] * mats[l] mod p, as a new array of shape
     coeffs.shape[:-1] + mats[0].shape, for coefficients in [0, p).
 
-    Terms pair up as ``zip`` pairs them, so the shorter of the coefficient
-    axis and mats sets the length; a term whose coefficients are all zero
-    is skipped.  The sum is reduced after every term (module docstring)."""
+    One ``matmul`` of the coefficients with the mats flattened to
+    (L, rows * cols); the coefficient axis must have length L = len(mats)."""
     coeffs = np.asarray(coeffs, dtype=np.int64)
-    acc = np.zeros(coeffs.shape[:-1] + np.shape(mats[0]), dtype=np.int64)
-    for l, mat in enumerate(mats[:coeffs.shape[-1]]):
-        c = coeffs[..., l, None, None]
-        if c.any():
-            acc += c * mat
-            acc %= p
-    return acc
+    mats = np.asarray(mats, dtype=np.int64)
+    if coeffs.shape[-1] != len(mats):
+        raise DimensionMismatch(f"{coeffs.shape[-1]} coefficients for {len(mats)} matrices")
+    # an explicit size, since a step between vertices may have no entries
+    flat = mats.reshape(len(mats), math.prod(mats.shape[1:]))
+    return matmul(coeffs, flat, p).reshape(coeffs.shape[:-1] + mats.shape[1:])
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
-from .linalg import batched_rank, combine, matmul
+from .linalg import batched_rank, matmul
 from .reps import (
     BeilinsonRep,
     ProjPoint,
     hom_space,
+    point_steps,
     proj_points,
     x_module,
 )
@@ -53,21 +55,14 @@ class PropertyReport:
         return json.dumps(d)
 
 
-def _first_failure(prop: str, p: int, failures) -> PropertyReport:
+def _first_failure(prop: str, p: int, failures, ranks=None) -> PropertyReport:
     """False with the first (point, level) that failures yields, else true."""
     hit = next(failures, None)
-    return PropertyReport(prop, hit is None, p, witness=hit)
+    return PropertyReport(prop, hit is None, p, witness=hit, ranks=ranks)
 
 
 # ---------------------------------------------------------------------------
 # definition route
-
-def point_steps(m: BeilinsonRep, points) -> list[np.ndarray]:
-    """Point-operator steps at the given points, one (len(points), dims[i+1],
-    dims[i]) stack per level i, by ``linalg.combine``."""
-    coords = np.array([a.coords for a in points], dtype=np.int64).reshape(-1, m.r)
-    return [combine(coords, [arrow.a for arrow in level], m.p) for level in m.maps]
-
 
 def _step_failures(m: BeilinsonRep, needed):
     """(point, level) pairs, in enumeration order, where the step rank of
@@ -129,35 +124,40 @@ def is_ekp_hom(m: BeilinsonRep) -> PropertyReport:
 # ---------------------------------------------------------------------------
 # constant rank / constant Jordan type
 
-def constant_rank(m: BeilinsonRep, j: int,
-                  with_profile: bool = False) -> PropertyReport:
-    """Rank of the j-fold step composites equal across all points."""
+def _composites(m: BeilinsonRep, points):
+    """For j = 1 .. n-1 in turn, the j-fold step composites at the points,
+    one stack per starting level.  Each j-fold composite is one stacked
+    product of a (j-1)-fold one, formed when the next j is asked for."""
+    composites = steps = point_steps(m, points)
+    for j in range(1, m.n):
+        yield composites
+        composites = [matmul(s, c, m.p) for s, c in zip(steps[j:], composites)]
+
+
+def _rank_changes(points, totals, j: int):
+    """(point, j) for each point, in order, whose total differs from the first's."""
+    for b in np.flatnonzero(totals != totals[0]):
+        yield points[b], j
+
+
+def constant_rank(m: BeilinsonRep, j: int) -> PropertyReport:
+    """Rank of the j-fold step composites equal across all points; the
+    report carries the total rank at every point."""
     if not 1 <= j <= m.n - 1:
         raise ValueError(f"require 1 <= j <= n-1, got j={j}")
     points = proj_points(m.p, m.r)
-    steps = point_steps(m, points)
-    ranks = np.zeros(len(points), dtype=np.int64)
-    for i in range(m.n - j):
-        comp = steps[i]
-        for t in range(1, j):
-            comp = matmul(steps[i + t], comp, m.p)
-        ranks += batched_rank(comp, m.p)
-    ranks = ranks.tolist()
-    profile = tuple((a.coords, rk) for a, rk in zip(points, ranks)) if with_profile else None
-    tag = f"CR{j}"
-    for a, rk in zip(points, ranks):
-        if rk != ranks[0]:
-            return PropertyReport(tag, False, m.p, witness=(a, j), ranks=profile)
-    return PropertyReport(tag, True, m.p, ranks=profile)
+    composites = next(islice(_composites(m, points), j - 1, None))
+    totals = sum(batched_rank(c, m.p) for c in composites)
+    profile = tuple(zip((a.coords for a in points), totals.tolist()))
+    return _first_failure(f"CR{j}", m.p, _rank_changes(points, totals, j), profile)
 
 
 def constant_jordan_type(m: BeilinsonRep) -> PropertyReport:
-    """Conjunction of constant j-rank over j = 1 .. n-1."""
-    for j in range(1, m.n):
-        rep = constant_rank(m, j)
-        if not rep.verdict:
-            return PropertyReport("CJT", False, m.p, witness=rep.witness)
-    return PropertyReport("CJT", True, m.p)
+    """Conjunction of constant j-rank over j = 1 .. n-1, from one sweep."""
+    points = proj_points(m.p, m.r)
+    failures = (hit for j, composites in enumerate(_composites(m, points), 1)
+                for hit in _rank_changes(points, sum(batched_rank(c, m.p) for c in composites), j))
+    return _first_failure("CJT", m.p, failures)
 
 
 def no_maps_check(eip_member: BeilinsonRep, ekp_member: BeilinsonRep) -> bool:

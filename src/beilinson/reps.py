@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -160,15 +160,18 @@ class BeilinsonRep:
 
 def validate(rep: BeilinsonRep) -> list[tuple[int, tuple[int, int]]]:
     """Commutativity violations as (level, (arrow l, arrow k)); [] when ok."""
-    violations = []
-    for i in range(rep.n - 2):
-        for l in range(rep.r):
-            for k in range(l + 1, rep.r):
-                lhs = rep.maps[i + 1][l] @ rep.maps[i][k]
-                rhs = rep.maps[i + 1][k] @ rep.maps[i][l]
-                if lhs != rhs:
-                    violations.append((i, (l + 1, k + 1)))
-    return violations
+    return [(i, (l + 1, k + 1))
+            for i in range(rep.n - 2)
+            for l, k in _noncommuting(rep.maps[i + 1], rep.maps[i], rep.p)]
+
+
+def _noncommuting(ahead, behind, p: int) -> list[list[int]]:
+    """The pairs [l, k], l < k in order, with ahead[l] behind[k] != ahead[k]
+    behind[l], from one stacked product of every ahead[l] with every behind[k]."""
+    a, b = (np.stack([m.a for m in mats]) for mats in (ahead, behind))
+    prods = matmul(a[:, None], b[None], p)
+    broken = (prods != prods.transpose(1, 0, 2, 3)).any(axis=(2, 3))
+    return np.argwhere(np.triu(broken, 1)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +266,7 @@ def x_module(p: int, n: int, r: int, alpha: ProjPoint, i: int, j: int = 1) -> Be
     big = projective(p, n, r, i)
     steps = alpha_operator(big, alpha)
     images = [FpMatrix.zeros(p, d, 0) for d in big.dims[:i + j]]
-    for v in range(i + j, n):
-        u = steps[v - j]
-        for step in steps[v - j + 1:v]:
-            u = step @ u
-        images.append(u)
+    images += [reduce(lambda u, step: step @ u, steps[v - j:v]) for v in range(i + j, n)]
     # the quotient basis at v is the classes of the non-pivot standard basis
     # vectors that quotient_projection records
     projections = [quotient_projection(u) for u in images]
@@ -285,13 +284,20 @@ def x_module(p: int, n: int, r: int, alpha: ProjPoint, i: int, j: int = 1) -> Be
 # ---------------------------------------------------------------------------
 # operators and hom spaces
 
+def point_steps(rep: BeilinsonRep, points) -> list[np.ndarray]:
+    """Point-operator steps sum_l alpha_l * maps[i][l] at the given points
+    alpha, one (len(points), dims[i+1], dims[i]) stack per level i."""
+    coords = np.array([a.coords for a in points], dtype=np.int64).reshape(-1, rep.r)
+    return [combine(coords, [arrow.a for arrow in level], rep.p) for level in rep.maps]
+
+
 def alpha_operator(rep: BeilinsonRep, alpha: ProjPoint) -> list[FpMatrix]:
     """Step matrices of the nilpotent operator attached to alpha: the i-th
-    entry is sum_l alpha_l * maps[i][l], of shape dims[i+1] x dims[i]."""
+    entry is sum_l alpha_l * maps[i][l], of shape dims[i+1] x dims[i]; the
+    one-point case of ``point_steps``."""
     if alpha.p != rep.p or alpha.r != rep.r:
         raise ConfigMismatch("alpha over wrong (p, r)")
-    return [FpMatrix._reduced(rep.p, combine(alpha.coords, [m.a for m in level], rep.p))
-            for level in rep.maps]
+    return [FpMatrix._reduced(rep.p, stack[0].copy()) for stack in point_steps(rep, (alpha,))]
 
 
 def _arrows(rep: BeilinsonRep) -> list[tuple[int, int, FpMatrix]]:

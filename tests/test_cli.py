@@ -51,6 +51,15 @@ class TestConstruct:
         doc = json.loads(out)
         assert doc["dims"] == [1, 1]
 
+    @pytest.mark.parametrize("family, build", [
+        ("injective", reps.injective), ("simple", reps.simple)])
+    def test_vertex_families(self, family, build, capsys):
+        code, out = run(capsys, [
+            "construct", family, "--p", "5", "--n", "3", "--r", "3", "--i", "1",
+        ])
+        assert code == 0
+        assert out == build(5, 3, 3, 1).to_json() + "\n"
+
     def test_missing_config_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["construct", "x", "--p", "5", "--r", "3", "--i", "0"])
@@ -171,6 +180,17 @@ class TestExitStatus:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "invalid choice: 'xml'" in captured.err
+
+    def test_empty_format_from_environment_exits_2(self, w_file, monkeypatch, capsys):
+        # a set but empty BNR_FORMAT is refused like --format ""
+        monkeypatch.setenv("BNR_FORMAT", "")
+        assert status(["check", "eip", "--rep", w_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: ''" in captured.err
+        monkeypatch.delenv("BNR_FORMAT")
+        assert status(["check", "eip", "--rep", w_file, "--format", ""]) == 2
+        assert "invalid choice: ''" in capsys.readouterr().err
 
     def test_tau_orbit_of_zero_rep_exits_3(self, tmp_path, capsys):
         path = tmp_path / "zero.json"

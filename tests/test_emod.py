@@ -37,6 +37,7 @@ from beilinson.reps import (
     ProjPoint,
     direct_sum,
     hom_space,
+    injective,
     m_module,
     proj_points,
     projective,
@@ -304,6 +305,20 @@ class TestIsomorphism:
     def test_self_iso(self):
         m = forget(m_module(5, 3, 3, 3, 2))
         assert is_isomorphic(m, m) == "yes"
+
+    def test_radical_series_screen_certifies_no(self, monkeypatch):
+        # P(0) and I(2) at (5, 3, 3) agree in dimension and in Jordan type at
+        # all 31 points; their radical series tell them apart before any Hom
+        # system is built
+        a, b = forget(projective(5, 3, 3, 0)), forget(injective(5, 3, 3, 2))
+        assert all(jordan_type(a, alpha) == jordan_type(b, alpha) for alpha in proj_points(5, 3))
+        assert (rad_series(a), rad_series(b)) == ([10, 9, 6, 0], [10, 4, 1, 0])
+
+        def no_decision(*args, **kwargs):
+            raise AssertionError("the isomorphism decision ran")
+
+        monkeypatch.setattr(emod, "decide_isomorphism", no_decision)
+        assert is_isomorphic(a, b) == "no"
 
     def test_hom_dimension_screen_certifies_no(self):
         # same dimension, Jordan types and radical series; dim Hom(a, b) = 9

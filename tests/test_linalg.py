@@ -136,11 +136,18 @@ class TestCombine:
         assert combine(coeffs, mats, p).tolist() == expected
         assert combine(coeffs[0], list(mats), p).tolist() == expected[0]
 
-    def test_cut_off_as_zip_cuts(self):
+    def test_length_mismatch_raises(self):
         mats = [np.eye(2, dtype=np.int64) * k for k in (1, 2, 3)]
-        assert combine((1, 1), mats, 7).tolist() == [[3, 0], [0, 3]]
-        assert combine((1, 1, 1, 5), mats, 7).tolist() == [[6, 0], [0, 6]]
-        assert combine((), mats, 7).tolist() == [[0, 0], [0, 0]]
+        assert combine((1, 1, 1), mats, 7).tolist() == [[6, 0], [0, 6]]
+        for coeffs in ((1, 1), (1, 1, 1, 5), ()):
+            with pytest.raises(DimensionMismatch):
+                combine(coeffs, mats, 7)
+
+    def test_zero_size_steps(self):
+        # a step into or out of a zero-dimensional vertex has no entries
+        for shape in ((0, 3), (3, 0), (0, 0)):
+            mats = np.zeros((2,) + shape, dtype=np.int64)
+            assert combine(np.ones((4, 2), dtype=np.int64), mats, 5).shape == (4,) + shape
 
 
 class TestRank:
@@ -155,14 +162,14 @@ class TestRank:
         assert rank(FpMatrix(3, rows)) == 2
 
     @given(st.integers(0, 3 ** 9 - 1))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_rank_transpose_invariant(self, seedval):
         digits = [(seedval // 3 ** k) % 3 for k in range(9)]
         m = FpMatrix(3, [digits[0:3], digits[3:6], digits[6:9]])
         assert rank(m) == rank(m.transpose())
 
     @given(st.integers(0, 2 ** 12 - 1))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_rank_nullity(self, seedval):
         digits = [(seedval >> k) & 1 for k in range(12)]
         m = FpMatrix(2, [digits[0:4], digits[4:8], digits[8:12]])

@@ -18,7 +18,6 @@ from beilinson.properties import (
     is_ekp_def,
     is_ekp_hom,
     no_maps_check,
-    point_steps,
 )
 from beilinson.reps import (
     BeilinsonRep,
@@ -30,6 +29,7 @@ from beilinson.reps import (
     image_rep,
     injective,
     m_module,
+    point_steps,
     proj_points,
     projective,
     simple,
@@ -153,7 +153,7 @@ class TestConstantRank:
         assert not report.verdict and report.witness is not None
 
     def test_rank_profile_exposed(self):
-        report = constant_rank(m_module(5, 2, 3, 3, 2), 1, with_profile=True)
+        report = constant_rank(m_module(5, 2, 3, 3, 2), 1)
         assert report.verdict
         assert report.ranks
 
@@ -202,6 +202,15 @@ def loop_constant_rank(rep, j):
     return PropertyReport(f"CR{j}", True, rep.p, ranks=profile)
 
 
+def loop_constant_jordan_type(rep):
+    """False at the first j whose loop constant rank fails, with its witness."""
+    for j in range(1, rep.n):
+        report = loop_constant_rank(rep, j)
+        if not report.verdict:
+            return PropertyReport("CJT", False, rep.p, witness=report.witness)
+    return PropertyReport("CJT", True, rep.p)
+
+
 def sweep_inputs():
     rng = np.random.default_rng(7)
     for p, n, r, max_dim in ((2, 3, 2, 3), (3, 3, 3, 3), (5, 2, 3, 4), (7, 4, 2, 3), (3, 2, 4, 5)):
@@ -223,8 +232,9 @@ class TestBatchedSweepMatchesPointLoop:
                 (is_eip_def(rep), loop_step_report("EIP", rep, rep.dims[1:])),
                 (is_ekp_def(rep), loop_step_report("EKP", rep, rep.dims[:-1])),
             ]
-            pairs += [(constant_rank(rep, j, with_profile=True), loop_constant_rank(rep, j))
+            pairs += [(constant_rank(rep, j), loop_constant_rank(rep, j))
                       for j in range(1, rep.n)]
+            pairs.append((constant_jordan_type(rep), loop_constant_jordan_type(rep)))
             for got, want in pairs:
                 assert got == want, label
                 assert got.to_json() == want.to_json(), label
@@ -233,6 +243,7 @@ class TestBatchedSweepMatchesPointLoop:
         assert {v for prop, v in verdicts if prop == "EIP"} == {True, False}
         assert {v for prop, v in verdicts if prop == "EKP"} == {True, False}
         assert {v for prop, v in verdicts if prop == "CR1"} == {True, False}
+        assert {v for prop, v in verdicts if prop == "CJT"} == {True, False}
 
     def test_composite_ranks_exact_at_large_prime(self, monkeypatch):
         # the 2-fold composite of 3x3 steps sums three products near (p-1)^2;
@@ -256,7 +267,7 @@ class TestBatchedSweepMatchesPointLoop:
                     for i in range(3)]
             expected.append((alpha.coords, rank(FpMatrix(p, comp))))
         assert [rk for _, rk in expected] == [1, 1, 0, 1]
-        assert constant_rank(rep, 2, with_profile=True).ranks == tuple(expected)
+        assert constant_rank(rep, 2).ranks == tuple(expected)
 
     def test_point_stacks_exact_at_large_prime(self):
         # three arrow terms near (p-1)^2 each would overflow int64 if the

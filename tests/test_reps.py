@@ -193,6 +193,12 @@ class TestDualize:
         assert is_costandardly_graded(m)
         assert is_standardly_graded(dualize(m))
 
+    def test_sum_of_simples_is_neither(self):
+        # S0 + S1 is neither generated at vertex 0 nor cogenerated at vertex 1
+        s = direct_sum(simple(5, 3, 3, 0), simple(5, 3, 3, 1))
+        assert not is_standardly_graded(s)
+        assert not is_costandardly_graded(s)
+
 
 class TestHomSpace:
     def test_end_of_simple_is_one_dimensional(self):
@@ -367,6 +373,23 @@ class TestDecideIsomorphism:
         monkeypatch.setattr(reps, "combine", no_combination)
         assert decide_isomorphism(2, left.dims, _arrows(left), right.dims, _arrows(right)) == "no"
         assert rep_isomorphic(left, right) == "no"
+
+    def test_krull_schmidt_rounds_certify(self, monkeypatch):
+        # with no Hom basis element taken as invertible, the verdicts come
+        # from Fitting splits and cancellation, over several rounds
+        from beilinson import reps
+        from beilinson.kronecker import e_lambda
+
+        rounds, restrict = [], reps._restrict
+        monkeypatch.setattr(reps, "_restrict", lambda *a: rounds.append(1) or restrict(*a))
+        monkeypatch.setattr(reps, "rank", lambda m: -1)
+        s0, s1 = simple(3, 2, 2, 0), simple(3, 2, 2, 1)
+        e12, e11 = e_lambda(3, 2, (1, 2)), e_lambda(3, 2, (1, 1))
+        x = functools.reduce(direct_sum, [s0, e12, s1, e11])
+        for blocks, verdict in (([e11, s1, e12, s0], "yes"), ([e12, s1, e12, s0], "no")):
+            rounds.clear()
+            assert rep_isomorphic(x, functools.reduce(direct_sum, blocks)) == verdict
+            assert len(rounds) >= 4  # two _restrict calls per round
 
     def test_matches_enumeration(self, monkeypatch):
         # sums of 1-3 blocks (simples, E(lambda) bricks, random reps),
