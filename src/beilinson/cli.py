@@ -46,7 +46,16 @@ def _format_choice(value: str) -> str:
 
 
 def _parse_coeffs(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.replace(",", " ").split())
+    """The integers of a list such as 1,0,0, as the argparse type of --alpha
+    and --lam: an empty or non-integer value is a usage error."""
+    try:
+        coeffs = tuple(int(part) for part in text.replace(",", " ").split())
+    except ValueError:
+        coeffs = ()
+    if not coeffs:
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r}: need comma-separated integers such as 1,0,0")
+    return coeffs
 
 
 def _usage_error(message: str):
@@ -62,12 +71,12 @@ def _invalid(message: str):
 
 
 def _alpha_from_args(args, p: int, r: int) -> reps.ProjPoint:
-    raw = args.alpha
-    if raw is None:
+    if args.alpha is None:
         _usage_error("an --alpha value such as '1,0,0' is required here")
+    raw = ",".join(map(str, args.alpha))
     try:
-        point = reps.ProjPoint(p, _parse_coeffs(raw))
-    except (TypeError, ValueError) as exc:
+        point = reps.ProjPoint(p, args.alpha)
+    except ValueError as exc:
         _invalid(f"invalid --alpha {raw!r}: {exc}")
     if point.r != r:
         _invalid(f"invalid --alpha {raw!r}: need {r} coordinates")
@@ -99,7 +108,7 @@ def _build_rep(args) -> reps.BeilinsonRep:
         if kind == "x":
             return reps.x_module(args.p, args.n, args.r, _alpha_from_args(args, args.p, args.r),
                                  args.i, args.j)
-        return kronecker.e_lambda(args.p, args.r, _parse_coeffs(args.lam))
+        return kronecker.e_lambda(args.p, args.r, args.lam)
     except (TypeError, ValueError) as exc:
         _invalid(f"invalid parameters for the {kind} family: {exc}")
 
@@ -163,9 +172,9 @@ def _common_rep_flags(parser: argparse.ArgumentParser,
     _add_int(parser, "d", help="length parameter for the m/w families")
     _add_int(parser, "i", default=0, help="vertex index")
     _add_int(parser, "j", default=1, help="power of the linear form")
-    parser.add_argument("--alpha", default=_env_default("alpha"),
+    parser.add_argument("--alpha", type=_parse_coeffs, default=_env_default("alpha"),
                         help="comma-separated point coordinates, e.g. 1,0,0")
-    parser.add_argument("--lam", default=_env_default("lam"),
+    parser.add_argument("--lam", type=_parse_coeffs, default=_env_default("lam"),
                         help="comma-separated scalars for the e family")
 
 

@@ -4,8 +4,9 @@ Covers the forgetful functor from graded representations, Jordan types,
 radical/socle series, the radical powers of the group algebra itself,
 twists by invertible coordinate changes, endomorphism algebras with
 certified commutativity and locality, certified indecomposability, and
-certified isomorphism.  As one-vertex quiver representations, modules
-share Hom spaces and the isomorphism decision with graded ones (``reps``)."""
+certified isomorphism.  As one-vertex quivers (``dims`` and loop
+``arrows``), modules share the Hom solver, its per-vertex basis stacks and
+the isomorphism decision with graded representations (``reps``)."""
 
 from __future__ import annotations
 
@@ -40,7 +41,6 @@ from .reps import (
     _noncommuting,
     block_diagonal,
     decide_isomorphism,
-    hom_space,
     proj_points,
 )
 
@@ -67,6 +67,15 @@ class ErModule:
             if op.p != self.p or (op.rows, op.cols) != (self.dim, self.dim):
                 raise ValueError("operator shape or modulus mismatch")
         object.__setattr__(self, "ops", tuple(self.ops))
+
+    # the module as a one-vertex quiver: its operators are the loops
+    @property
+    def dims(self) -> tuple[int]:
+        return (self.dim,)
+
+    @property
+    def arrows(self) -> list[tuple[int, int, FpMatrix]]:
+        return [(0, 0, op) for op in self.ops]
 
     def same_config(self, other: "ErModule") -> bool:
         return (self.p, self.r) == (other.p, other.r)
@@ -319,12 +328,8 @@ def hom_modules(m: ErModule, n: ErModule) -> list[FpMatrix]:
     """Basis of the intertwiner space {phi : phi x_l = x_l' phi for all l}."""
     if not m.same_config(n):
         raise ConfigMismatch("hom requires matching (p, r)")
-    return [phi for (phi,) in _intertwiners(m.p, (m.dim,), _arrows(m), (n.dim,), _arrows(n))]
-
-
-def _arrows(m: ErModule) -> list[tuple[int, int, FpMatrix]]:
-    """The operators of m as the loops (0, 0, x_l) of a one-vertex quiver."""
-    return [(0, 0, op) for op in m.ops]
+    (stack,) = _intertwiners(m.p, m.dims, m.arrows, n.dims, n.arrows)
+    return [FpMatrix._reduced(m.p, phi) for phi in stack]
 
 
 def is_isomorphic(m: ErModule, n: ErModule) -> str:
@@ -342,7 +347,7 @@ def is_isomorphic(m: ErModule, n: ErModule) -> str:
             return "no"
     if rad_series(m) != rad_series(n):
         return "no"
-    return decide_isomorphism(m.p, (m.dim,), _arrows(m), (n.dim,), _arrows(n))
+    return decide_isomorphism(m.p, m.dims, m.arrows, n.dims, n.arrows)
 
 
 @dataclass(frozen=True)
@@ -368,9 +373,9 @@ def _products(p: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return matmul(left[:, None], right[None], p).reshape(-1, *left.shape[1:])
 
 
-def _local(basis: list[FpMatrix]) -> tuple[bool, bool]:
-    """(commutative, local) for the algebra A spanned by basis, a basis of
-    a subalgebra of n x n matrices over F_p that holds the identity.
+def _local(stack: np.ndarray, p: int) -> tuple[bool, bool]:
+    """(commutative, local) for the algebra A spanned by the (h, n, n) stack,
+    a basis of a subalgebra of n x n matrices over F_p that holds the identity.
 
     The commutators generate a two-sided ideal C.  If A is local, A/rad A is
     a field (Wedderburn's little theorem), so C lies in rad A and is
@@ -378,11 +383,9 @@ def _local(basis: list[FpMatrix]) -> tuple[bool, bool]:
     A is local exactly when the commutative A/C is, and there a -> a^p is
     F_p-linear with a fixed space of dimension the number of primitive
     idempotents (Berlekamp): A is local exactly when that dimension is 1."""
-    h = len(basis)
+    h = len(stack)
     if h <= 1:
         return True, h == 1  # the zero ring, or F_p
-    p = basis[0].p
-    stack = np.stack([phi.a for phi in basis])
     ideal = stack[:0]
     for i, a in enumerate(stack):
         comm = (matmul(a, stack[i + 1:], p) - matmul(stack[i + 1:], a, p)) % p
@@ -412,9 +415,9 @@ def _local(basis: list[FpMatrix]) -> tuple[bool, bool]:
 
 def end_algebra(m: ErModule) -> tuple[list[FpMatrix], EndReport]:
     """Endomorphism basis with certified commutativity and locality flags."""
-    basis = hom_modules(m, m)
-    commutative, local = _local(basis)
-    return basis, EndReport(len(basis), commutative, local, "deterministic")
+    (stack,) = _intertwiners(m.p, m.dims, m.arrows, m.dims, m.arrows)
+    basis = [FpMatrix._reduced(m.p, phi) for phi in stack]
+    return basis, EndReport(len(basis), *_local(stack, m.p), "deterministic")
 
 
 @dataclass(frozen=True)
@@ -427,31 +430,18 @@ class IndecResult:
     summand_dims: tuple[int, int] | None = None
 
 
-def _fitting_split(phi: FpMatrix) -> tuple[int, int] | None:
-    """Dimensions of the kernel and image of phi^dim, where image and kernel
-    have settled, when both are nonzero: then M splits as their direct sum."""
-    r1 = rank(FpMatrix._reduced(phi.p, power(phi.a, phi.rows, phi.p)))
-    if 0 < r1 < phi.rows:
-        return (phi.rows - r1, r1)
-    return None
-
-
 def is_indecomposable(m) -> IndecResult:
     """'yes' exactly when End is local (``_local``), for a graded
     representation (its graded End, block-diagonal) or a module; otherwise
-    'decomposable', with the first Fitting split among the End basis."""
-    if isinstance(m, BeilinsonRep):
-        dim, basis = m.total_dim, [block_diagonal(phi) for phi in hom_space(m, m)]
-    elif isinstance(m, ErModule):
-        dim, basis = m.dim, hom_modules(m, m)
-    else:
+    'decomposable', with the first split M = ker phi^dim + im phi^dim, both
+    nonzero, among the End basis elements phi."""
+    if not isinstance(m, (BeilinsonRep, ErModule)):
         raise TypeError("expected a BeilinsonRep or an ErModule")
+    dim = sum(m.dims)
     if dim == 0:
         raise ValueError("the zero module is neither decomposable nor indecomposable")
-    if _local(basis)[1]:
+    end = block_diagonal(_intertwiners(m.p, m.dims, m.arrows, m.dims, m.arrows))
+    if _local(end, m.p)[1]:
         return IndecResult("yes")
-    for phi in basis:
-        split = _fitting_split(phi)
-        if split:
-            return IndecResult("decomposable", split)
-    return IndecResult("decomposable")
+    images = [int(r) for r in batched_rank(power(end, dim, m.p), m.p) if 0 < r < dim]
+    return IndecResult("decomposable", (dim - images[0], images[0]) if images else None)

@@ -8,11 +8,12 @@ family of arrow cokernels) are all built on the shared graded-lex
 monomial bases from :mod:`beilinson.monomials`, so their matrices are
 bit-reproducible.
 
-Every Hom space of the package, graded (``hom_space``) or between
-kE_r-modules (``emod.hom_modules``), is the solution space of one
-Sylvester system built by ``_intertwiners`` from (v, w, matrix) arrows, and
-every isomorphism verdict is certified by ``decide_isomorphism`` (Fitting
-splitting and Krull-Schmidt cancellation).
+Every Hom space, graded or between kE_r-modules (one-vertex quivers), is
+solved by ``_intertwiners`` from ``dims`` and ``arrows`` as one basis
+stack per vertex.  The certificates read the stacks: isomorphism
+(``decide_isomorphism``: Fitting splitting, Krull-Schmidt cancellation),
+End locality and indecomposability (``emod``); only ``hom_space`` and
+``hom_modules`` cut them into ``FpMatrix`` elements.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from .linalg import (
     DimensionMismatch,
     FpMatrix,
+    batched_rank,
     check_modulus,
     combine,
     image_basis,
@@ -36,7 +38,6 @@ from .linalg import (
     matmul,
     power,
     quotient_projection,
-    rank,
     solve_matrix,
 )
 from .monomials import dim_degree, multiplication_matrix
@@ -119,6 +120,11 @@ class BeilinsonRep:
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
+
+    @property
+    def arrows(self) -> list[tuple[int, int, FpMatrix]]:
+        """The arrows as (v, v+1, matrix) triples, level by level."""
+        return [(v, v + 1, a) for v, level in enumerate(self.maps) for a in level]
 
     def same_config(self, other: "BeilinsonRep") -> bool:
         return (self.p, self.n, self.r) == (other.p, other.n, other.r)
@@ -300,15 +306,11 @@ def alpha_operator(rep: BeilinsonRep, alpha: ProjPoint) -> list[FpMatrix]:
     return [FpMatrix._reduced(rep.p, stack[0].copy()) for stack in point_steps(rep, (alpha,))]
 
 
-def _arrows(rep: BeilinsonRep) -> list[tuple[int, int, FpMatrix]]:
-    """The arrows of rep as (v, v+1, matrix) triples, level by level."""
-    return [(v, v + 1, a) for v, level in enumerate(rep.maps) for a in level]
-
-
-def _intertwiners(p: int, xdims, xarrows, ydims, yarrows) -> list[tuple[FpMatrix, ...]]:
+def _intertwiners(p: int, xdims, xarrows, ydims, yarrows) -> list[np.ndarray]:
     """Basis of Hom(x, y), x and y given by vertex dimensions and (v, w, a)
     arrows in matching order: the solutions (phi_v), phi_v of shape
-    ydims[v] x xdims[v], of phi_w a = b phi_v for each arrow pair a, b.
+    ydims[v] x xdims[v], of phi_w a = b phi_v for each arrow pair a, b: per
+    vertex v, one read-only (dim Hom, ydims[v], xdims[v]) view of the basis.
 
     The unknowns are each phi_v row-major, vertices in order, and each
     equation adds a block of rows (i, j), row-major.  The whole system is
@@ -329,14 +331,10 @@ def _intertwiners(p: int, xdims, xarrows, ydims, yarrows) -> list[tuple[FpMatrix
         cols = offs[v] + np.arange(ydims[v])[:, None] * xdims[v] + j
         system[rows, cols] = (system[rows, cols] - b.a[:, :, None]) % p
         top += ydims[w] * xdims[v]
-    ker = kernel_basis(FpMatrix._reduced(p, system))
-    vecs = np.ascontiguousarray(ker.a.T)
+    vecs = np.ascontiguousarray(kernel_basis(FpMatrix._reduced(p, system)).a.T)
     vecs.setflags(write=False)
-    return [
-        tuple(FpMatrix._reduced(p, vec[offs[v]:offs[v + 1]].reshape(ydims[v], xdims[v]))
-              for v in range(len(xdims)))
-        for vec in vecs
-    ]
+    return [vecs[:, offs[v]:offs[v + 1]].reshape(len(vecs), ydims[v], xdims[v])
+            for v in range(len(xdims))]
 
 
 def hom_space(x: BeilinsonRep, y: BeilinsonRep) -> list[tuple[FpMatrix, ...]]:
@@ -344,7 +342,8 @@ def hom_space(x: BeilinsonRep, y: BeilinsonRep) -> list[tuple[FpMatrix, ...]]:
     per-vertex matrices phi_v with phi_{v+1} x.maps = y.maps phi_v."""
     if not x.same_config(y):
         raise ConfigMismatch("hom_space requires matching (p, n, r)")
-    return _intertwiners(x.p, x.dims, _arrows(x), y.dims, _arrows(y))
+    stacks = _intertwiners(x.p, x.dims, x.arrows, y.dims, y.arrows)
+    return [tuple(FpMatrix._reduced(x.p, phi) for phi in f) for f in zip(*stacks)]
 
 
 def direct_sum(x: BeilinsonRep, y: BeilinsonRep) -> BeilinsonRep:
@@ -352,7 +351,7 @@ def direct_sum(x: BeilinsonRep, y: BeilinsonRep) -> BeilinsonRep:
         raise ConfigMismatch("direct_sum requires matching (p, n, r)")
     dims = tuple(a + b for a, b in zip(x.dims, y.dims))
     maps = tuple(
-        tuple(block_diagonal((a, b)) for a, b in zip(x_level, y_level))
+        tuple(FpMatrix._reduced(x.p, block_diagonal((a.a, b.a))) for a, b in zip(x_level, y_level))
         for x_level, y_level in zip(x.maps, y.maps)
     )
     return BeilinsonRep(x.p, x.n, x.r, dims, maps)
@@ -387,7 +386,7 @@ def is_costandardly_graded(rep: BeilinsonRep) -> bool:
 
 def image_rep(phi: tuple[FpMatrix, ...], x: BeilinsonRep, y: BeilinsonRep) -> BeilinsonRep:
     """The image of an intertwiner phi: x -> y, as a subrepresentation of y."""
-    dims, arrows = _restrict(_arrows(y), [image_basis(phi_v) for phi_v in phi])
+    dims, arrows = _restrict(y.arrows, [image_basis(phi_v) for phi_v in phi])
     maps = tuple(tuple(a for _, _, a in arrows[v * y.r:(v + 1) * y.r]) for v in range(y.n - 1))
     return BeilinsonRep(y.p, y.n, y.r, dims, maps)
 
@@ -407,24 +406,27 @@ def _restrict(arrows, bases):
 # ---------------------------------------------------------------------------
 # isomorphism: one decision for graded representations and kE_r-modules
 
-def block_diagonal(phi: tuple[FpMatrix, ...]) -> FpMatrix:
-    """A graded map as one matrix, its vertex components on the diagonal.
+def block_diagonal(blocks) -> np.ndarray:
+    """Graded maps as single matrices, their vertex components on the
+    diagonal: blocks[v] has shape lead + (rows_v, cols_v) for one leading
+    shape lead, so this builds one map (lead = ()) or a whole stack.
 
     Between reps of equal dimension vectors the blocks are square, so the
     matrix has full rank exactly when every vertex component does."""
-    rows = [0, *np.cumsum([b.rows for b in phi])]
-    cols = [0, *np.cumsum([b.cols for b in phi])]
-    out = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
-    for v, blk in enumerate(phi):
-        out[rows[v]:rows[v + 1], cols[v]:cols[v + 1]] = blk.a
-    return FpMatrix._reduced(phi[0].p, out)
+    rows = np.cumsum([0, *(b.shape[-2] for b in blocks)])
+    cols = np.cumsum([0, *(b.shape[-1] for b in blocks)])
+    out = np.zeros(blocks[0].shape[:-2] + (rows[-1], cols[-1]), dtype=np.int64)
+    for v, blk in enumerate(blocks):
+        out[..., rows[v]:rows[v + 1], cols[v]:cols[v + 1]] = blk
+    return out
 
 
 def decide_isomorphism(p: int, xdims, xarrows, ydims, yarrows) -> str:
     """'yes' | 'no', both certified, for quiver representations x and y
     given as for ``_intertwiners``; different dimension vectors are 'no'.
 
-    Each round, while x != 0: an invertible Hom(x, y) basis element is
+    Each round, while x != 0: an invertible Hom(x, y) basis element (its
+    vertex ranks, one ``batched_rank`` per vertex stack, sum to dim x) is
     'yes', and dim Hom(x, y) != dim End(x) is 'no'.  The composites g f (g
     in Hom(y, x), f in Hom(x, y)) span the ideal of End(x) of maps through
     y; if all are nilpotent it is nil (nilpotents of the matrix blocks of
@@ -438,23 +440,21 @@ def decide_isomorphism(p: int, xdims, xarrows, ydims, yarrows) -> str:
         return "no"
     while sum(xdims):
         hom = _intertwiners(p, xdims, xarrows, ydims, yarrows)
-        if any(rank(block_diagonal(f)) == sum(xdims) for f in hom):
+        if (sum(batched_rank(f, p) for f in hom) == sum(xdims)).any():
             return "yes"
-        if len(hom) != len(_intertwiners(p, xdims, xarrows, xdims, xarrows)):
+        if len(hom[0]) != len(_intertwiners(p, xdims, xarrows, xdims, xarrows)[0]):
             return "no"
         back = _intertwiners(p, ydims, yarrows, xdims, xarrows)
-        # per vertex, the components g_v of every g as one stack, so the
-        # composites with one f are powered together
-        gs = [np.array([g[v].a for g in back], dtype=np.int64).reshape(len(back), dx, dy)
-              for v, (dx, dy) in enumerate(zip(xdims, ydims))]
-        for f in hom:
-            powers = [power(matmul(gv, fv.a, p), max(xdims), p) for gv, fv in zip(gs, f)]
+        # the composites of one f with every g are powered as one stack per vertex
+        for f in zip(*hom):
+            powers = [power(matmul(gv, fv, p), max(xdims), p) for gv, fv in zip(back, f)]
             live = np.flatnonzero(np.any([c.any(axis=(1, 2)) for c in powers], axis=0))
             if live.size:
                 break
         else:
             return "no"
-        g, psi = back[live[0]], [FpMatrix._reduced(p, c[live[0]].copy()) for c in powers]
+        psi = [FpMatrix._reduced(p, c[live[0]].copy()) for c in powers]
+        g = [FpMatrix._reduced(p, gv[live[0]]) for gv in back]
         xdims, xarrows = _restrict(xarrows, [kernel_basis(c) for c in psi])
         ydims, yarrows = _restrict(yarrows, [kernel_basis(c @ gv) for c, gv in zip(psi, g)])
     return "yes"
@@ -464,4 +464,4 @@ def rep_isomorphic(x: BeilinsonRep, y: BeilinsonRep) -> str:
     """Graded isomorphism verdict, 'yes' | 'no', by ``decide_isomorphism``."""
     if not x.same_config(y):
         raise ConfigMismatch("isomorphism requires matching (p, n, r)")
-    return decide_isomorphism(x.p, x.dims, _arrows(x), y.dims, _arrows(y))
+    return decide_isomorphism(x.p, x.dims, x.arrows, y.dims, y.arrows)

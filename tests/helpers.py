@@ -4,7 +4,9 @@ import itertools
 
 import numpy as np
 
-from beilinson.linalg import FpMatrix, batched_rank, kernel_basis, quotient_projection, rank
+from beilinson.linalg import (
+    FpMatrix, batched_rank, kernel_basis, power, quotient_projection, rank,
+)
 from beilinson.monomials import dim_degree, monomial_index, monomials
 from beilinson.reps import BeilinsonRep, projective, validate
 
@@ -100,6 +102,18 @@ def enumerated_isomorphic(basis):
     # entries stay below h (p-1)^2, far from overflow at these sizes
     stack = (coeffs @ np.stack([phi.a.ravel() for phi in basis]) % p).reshape(-1, n, n)
     return "yes" if (batched_rank(stack, p) == n).any() else "no"
+
+
+def first_fitting_split(basis):
+    """The reference Fitting split: the End basis elements phi one at a
+    time, in order, each powered to phi^dim and ranked alone; the first with
+    a nonzero kernel and image gives (dim ker, dim im), and None when none
+    has."""
+    for phi in basis:
+        image = rank(FpMatrix(phi.p, power(phi.a, phi.rows, phi.p)))
+        if 0 < image < phi.rows:
+            return (phi.rows - image, image)
+    return None
 
 
 def linear_form_power_matrix(p, r, coeffs, power, src_degree):

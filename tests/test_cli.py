@@ -141,6 +141,13 @@ def assert_one_line_refusal(code, capsys):
         assert captured.err.startswith("beilinson: ")
 
 
+def assert_usage_error(message, capsys):
+    """argparse's refusal: nothing on stdout, the message on stderr."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 class TestExitStatus:
     """0 done or true, 1 false, 2 usage, 3 invalid input, 4 internal error."""
 
@@ -355,16 +362,31 @@ class TestEnvOverrides:
         assert json.loads(out)["alpha"] == [0, 1, 0]
 
     @pytest.mark.parametrize("env", [None, "1,0,0"])
-    def test_empty_alpha_exits_3(self, x_file, env, monkeypatch, capsys):
+    def test_empty_alpha_exits_2(self, x_file, env, monkeypatch, capsys):
+        # a value that does not parse is a usage error, like --k-max x
         if env is not None:
             monkeypatch.setenv("BNR_ALPHA", env)
-        assert status(["jordan-type", "--rep", x_file, "--alpha", ""]) == 3
-        assert_one_line_refusal(3, capsys)
+        assert status(["jordan-type", "--rep", x_file, "--alpha", ""]) == 2
+        assert_usage_error("argument --alpha: invalid value ''", capsys)
 
-    def test_empty_lam_exits_3(self, monkeypatch, capsys):
+    def test_empty_lam_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("BNR_LAM", "1,1,1")
-        assert status(["construct", "e", "--p", "5", "--r", "3", "--lam", ""]) == 3
-        assert_one_line_refusal(3, capsys)
+        assert status(["construct", "e", "--p", "5", "--r", "3", "--lam", ""]) == 2
+        assert_usage_error("argument --lam: invalid value ''", capsys)
+
+    def test_non_integer_alpha_exits_2(self, x_file, capsys):
+        assert status(["jordan-type", "--rep", x_file, "--alpha", "1,x"]) == 2
+        assert_usage_error("argument --alpha: invalid value '1,x'", capsys)
+
+    @pytest.mark.parametrize("name, flag", [("BNR_ALPHA", "alpha"), ("BNR_LAM", "lam")])
+    def test_empty_coefficients_from_environment_exit_2(self, x_file, name, flag,
+                                                        monkeypatch, capsys):
+        # BNR_ defaults go through the same parse as the command line
+        monkeypatch.setenv(name, "")
+        assert status(["jordan-type", "--rep", x_file]) == 2
+        assert_usage_error(f"argument --{flag}: invalid value ''", capsys)
+        monkeypatch.setenv(name, "0,1,0")
+        assert status(["jordan-type", "--rep", x_file]) == 0
 
     def test_env_provides_p(self, monkeypatch, capsys):
         monkeypatch.setenv("BNR_P", "5")

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from helpers import random_invertible, random_valid_rep
+from helpers import first_fitting_split, random_invertible, random_valid_rep
 
 from beilinson import emod, reps
 from beilinson.emod import (
@@ -397,7 +397,8 @@ def enumerated_local(basis):
 
 
 def graded_end(rep):
-    return [reps.block_diagonal(phi) for phi in hom_space(rep, rep)]
+    return [FpMatrix(rep.p, reps.block_diagonal([f.a for f in phi]))
+            for phi in hom_space(rep, rep)]
 
 
 def module_end(rep):
@@ -405,12 +406,37 @@ def module_end(rep):
     return hom_modules(m, m)
 
 
+def stack(basis):
+    return np.stack([phi.a for phi in basis])
+
+
+def local_corpus():
+    """Random reps, their direct sums and companion reps, whose small
+    graded and module Ends (p^dim <= 3^6) show all four (commutative,
+    local) outcomes."""
+    rng = np.random.default_rng(5)
+    s0, s1 = simple(2, 2, 2, 0), simple(2, 2, 2, 1)
+    # graded End M_2(F_2) x F_2: a proper commutator ideal that is not nilpotent
+    inputs = [direct_sum(direct_sum(s0, s0), s1), companion_rep(2, (1, 1)),
+              companion_rep(3, (1, 0)), companion_rep(5, (3, 0)), companion_rep(2, (1, 1, 0)),
+              companion_rep(5, (2, 2))]
+    for _ in range(40):
+        p = int(rng.choice([2, 3, 5]))
+        n, r = int(rng.integers(2, p + 1)), int(rng.integers(2, 4))
+        rep = random_valid_rep(p, n, r, 2, rng)
+        if rng.random() < 0.4:
+            rep = direct_sum(rep, random_valid_rep(p, n, r, 1, rng) if rng.random() < 0.7
+                             else rep)
+        inputs.append(rep)
+    return inputs
+
+
 class TestLocal:
     def test_residue_field_larger_than_prime_field(self):
         rep = companion_rep(5, (3, 0))  # t^2 - 2
         _, report = end_algebra(forget(rep))
         assert report == EndReport(6, False, True, "deterministic")
-        assert _local(graded_end(rep)) == (True, True)
+        assert _local(stack(graded_end(rep)), rep.p) == (True, True)
         assert is_indecomposable(rep) == IndecResult("yes")
         assert is_indecomposable(forget(rep)) == IndecResult("yes")
 
@@ -419,31 +445,32 @@ class TestLocal:
         assert end_algebra(zero)[1] == EndReport(0, True, False, "deterministic")
 
     def test_matches_enumeration(self):
-        """Every small End (p^dim <= 3^6) of random forgotten and graded
-        reps, their direct sums and companion reps, against brute force;
-        all four (commutative, local) outcomes occur."""
-        rng = np.random.default_rng(5)
-        s0, s1 = simple(2, 2, 2, 0), simple(2, 2, 2, 1)
-        # graded End M_2(F_2) x F_2: a proper commutator ideal that is not nilpotent
-        inputs = [direct_sum(direct_sum(s0, s0), s1), companion_rep(2, (1, 1)),
-                  companion_rep(3, (1, 0)), companion_rep(5, (3, 0)), companion_rep(2, (1, 1, 0)),
-                  companion_rep(5, (2, 2))]
-        for _ in range(40):
-            p = int(rng.choice([2, 3, 5]))
-            n, r = int(rng.integers(2, p + 1)), int(rng.integers(2, 4))
-            rep = random_valid_rep(p, n, r, 2, rng)
-            if rng.random() < 0.4:
-                rep = direct_sum(rep, random_valid_rep(p, n, r, 1, rng) if rng.random() < 0.7
-                                 else rep)
-            inputs.append(rep)
+        """Every small End (p^dim <= 3^6) of the corpus, graded and after
+        forget, against brute force; all four (commutative, local)
+        outcomes occur."""
         seen = set()
-        for rep in inputs:
+        for rep in local_corpus():
             for basis in (graded_end(rep), module_end(rep)):
                 if rep.p ** len(basis) <= 3**6:
-                    got = _local(basis)
+                    got = _local(stack(basis), rep.p)
                     assert got == enumerated_local(basis)
                     seen.add(got)
         assert seen == set(itertools.product((False, True), repeat=2))
+
+    def test_indecomposable_matches_per_element_splits(self):
+        """is_indecomposable over the corpus, graded and after forget,
+        against _local and the first split of the element-by-element
+        Fitting loop; splits and their absence both occur."""
+        seen = set()
+        for rep in local_corpus():
+            for m, basis in ((rep, graded_end(rep)), (forget(rep), module_end(rep))):
+                if _local(stack(basis), rep.p)[1]:
+                    want = IndecResult("yes")
+                else:
+                    want = IndecResult("decomposable", first_fitting_split(basis))
+                assert is_indecomposable(m) == want
+                seen.add((want.verdict, want.summand_dims is None))
+        assert seen == {("yes", True), ("decomposable", False), ("decomposable", True)}
 
 
 class TestIndecomposability:
