@@ -7,6 +7,8 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 from helpers import subspaces
 
+from beilinson import linalg, reps
+from beilinson.emod import forget, hom_modules
 from beilinson.linalg import (
     DimensionMismatch,
     FpMatrix,
@@ -195,11 +197,34 @@ def sympy_rank(a, p):
     return sympy_matrix(a, p).rank()
 
 
+def sympy_array(m, p):
+    """The sympy DomainMatrix m over GF(p) as an int64 array in [0, p)."""
+    return np.array([[int(x) % p for x in row] for row in m.to_list()],
+                    dtype=np.int64).reshape(m.shape)
+
+
 def sympy_product(a, b, p):
     """a @ b over GF(p) by sympy, as an int64 array with entries in [0, p)."""
-    prod = sympy_matrix(a, p).matmul(sympy_matrix(b, p))
-    return np.array([[int(x) % p for x in row] for row in prod.to_list()],
-                    dtype=np.int64).reshape(a.shape[0], b.shape[1])
+    return sympy_array(sympy_matrix(a, p).matmul(sympy_matrix(b, p)), p)
+
+
+def sympy_sparse_kernel(a, p):
+    """The kernel basis of a, as columns, read off sympy's sparse-format
+    RREF: for each free column f, e_f minus column f of the pivot rows."""
+    field = GF(p)
+    entries = {}
+    for i, j in zip(*a.nonzero()):
+        entries.setdefault(int(i), {})[int(j)] = field(int(a[i, j]))
+    ech, pivots = DomainMatrix(entries, a.shape, field).rref()
+    free = {f: k for k, f in enumerate(sorted(set(range(a.shape[1])) - set(pivots)))}
+    basis = np.zeros((a.shape[1], len(free)), dtype=np.int64)
+    for f, k in free.items():
+        basis[f, k] = 1
+    for t, row in ech.to_dod().items():
+        for j, x in row.items():
+            if j in free:
+                basis[pivots[t], free[j]] = -int(x) % p
+    return basis
 
 
 def low_rank(rng, p, rows, cols, zeroed=0.1):
@@ -377,6 +402,104 @@ class TestKernelOracle:
             b = rng.integers(0, p, size=(inner, cols))
         prod = FpMatrix(p, a) @ FpMatrix(p, b)
         assert np.array_equal(prod.a, sympy_product(a, b, p))
+
+
+@st.composite
+def sparse_systems(draw):
+    """(p, a): up to 22 x 17, rows and columns shuffled: a singleton chain
+    (row k has nonzeros in columns c_{k-1} and c_k only, so c_k is forced in
+    round k + 1), rows with one or two nonzeros, a dense block (rows with
+    three or more nonzeros, left to the column loop), repeated rows, zero
+    rows and zero columns."""
+    p = draw(st.sampled_from(ORACLE_PRIMES + (2**31 - 1,)))
+    cols = draw(st.integers(1, 14))
+    chain, sparse, dense, repeated, zero_rows, zero_cols = (
+        draw(st.integers(0, k)) for k in (min(cols, 5), 8, 4, 3, 2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.zeros((chain + sparse + dense, cols + zero_cols), dtype=np.int64)
+    order = rng.permutation(cols)
+    for k in range(chain):
+        a[k, order[max(k - 1, 0):k + 1]] = rng.integers(1, p, size=min(k, 1) + 1)
+    for k in range(chain, chain + sparse):
+        size = int(rng.integers(1, min(cols, 2) + 1))
+        a[k, rng.choice(cols, size=size, replace=False)] = rng.integers(1, p, size=size)
+    block = rng.choice(cols, size=min(cols, int(rng.integers(3, 7))), replace=False)
+    a[chain + sparse:, block] = rng.integers(1, p, size=(dense, block.size))
+    a = np.vstack([a, a[rng.integers(0, len(a), size=repeated if len(a) else 0)],
+                   np.zeros((zero_rows, a.shape[1]), dtype=np.int64)])
+    return p, a[rng.permutation(len(a))][:, rng.permutation(a.shape[1])]
+
+
+class TestRrefOracle:
+    """The whole RREF, entry for entry, against sympy's DomainMatrix.rref()."""
+
+    @given(sparse_systems())
+    @example((7, np.zeros((0, 5), dtype=np.int64)))
+    @example((7, np.zeros((4, 0), dtype=np.int64)))
+    @example((5, np.zeros((3, 4), dtype=np.int64)))
+    @example((7, np.array([[0, 3, 0, 0], [0, 0, 0, 2], [0, 5, 0, 0], [6, 0, 0, 0]])))
+    @example((2**31 - 1, np.eye(6, dtype=np.int64)))
+    @example((3, np.eye(6, dtype=np.int64) + np.eye(6, k=-1, dtype=np.int64)))  # six rounds
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_rref_matches_sympy(self, case):
+        p, a = case
+        r, pivots = rref(FpMatrix(p, a))
+        ech, want = sympy_matrix(a, p).rref()
+        assert pivots == list(want)
+        assert r.a.shape == a.shape and np.array_equal(r.a, sympy_array(ech, p))
+
+    @pytest.mark.parametrize("args, shape", [((5, 3, 3, 4, 3), (1083, 361)),
+                                             ((7, 3, 4, 4, 3), (4624, 1156))],
+                             ids=["W(5,3,3,4,3)", "W(7,3,4,4,3)"])
+    def test_end_system_kernel_matches_sparse_rref(self, args, shape, monkeypatch):
+        # the Sylvester system of End(forget(W)) as _intertwiners builds it
+        systems = []
+
+        def capture(m):
+            basis = kernel_basis(m)
+            systems.append((m.a, basis.a))
+            return basis
+
+        monkeypatch.setattr(reps, "kernel_basis", capture)
+        w = forget(reps.w_module(*args))
+        hom_modules(w, w)
+        [(a, basis)] = systems
+        assert a.shape == shape
+        assert np.array_equal(basis, sympy_sparse_kernel(a, args[0]))
+
+
+class TestNoWrites:
+    """Elimination copies only what it eliminates: no input is written, and
+    read-only, transposed and strided inputs give the same results."""
+
+    @staticmethod
+    def results(m):
+        ech, pivots = rref(m)
+        pi, complement = quotient_projection(m)
+        x = solve_matrix(m, FpMatrix(m.p, m.a[:, :1]))
+        return [ech.a.tolist(), pivots, kernel_basis(m).a.tolist(), image_basis(m).a.tolist(),
+                x.a.tolist(), pi.a.tolist(), complement]
+
+    @pytest.mark.parametrize("a", [
+        # singleton rows (one repeated), a zero row and a dense remainder
+        np.array([[0, 3, 0, 0, 0], [1, 0, 2, 4, 0], [0, 5, 0, 0, 0], [2, 6, 4, 1, 0],
+                  [0, 0, 0, 0, 0]]),
+        np.array([[1, 2, 3], [4, 5, 6], [0, 1, 1]]),  # nothing forced
+    ])
+    def test_inputs_unchanged_and_views_accepted(self, a):
+        p = 7
+        expected = self.results(FpMatrix(p, a))
+        writable = a.copy()
+        read_only = a.copy()
+        transposed = np.ascontiguousarray(a.T)
+        strided = np.zeros((a.shape[0], 2 * a.shape[1]), dtype=np.int64)
+        strided[:, ::2] = a
+        for arr in (read_only, transposed, strided):
+            arr.setflags(write=False)
+        for view in (writable[:], read_only, transposed.T, strided[:, ::2]):
+            assert self.results(FpMatrix._reduced(p, view)) == expected
+        assert linalg._rref(writable, p)[1] == expected[1]
+        assert np.array_equal(writable, a) and writable.flags.writeable
 
 
 def loop_back_substitution(p, a, b):
