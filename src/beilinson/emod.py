@@ -93,7 +93,7 @@ class ErModule:
     @staticmethod
     def from_json(text: str) -> "ErModule":
         d = json.loads(text)
-        p, r, dim = d["p"], d["r"], json_int(d["dim"], "dim")
+        p, r, dim = d["p"], json_int(d["r"], "r"), json_int(d["dim"], "dim")
         ops = tuple(json_matrix(p, arr, dim, dim, f"ops[{l}]") for l, arr in enumerate(d["ops"]))
         m = ErModule(p, r, dim, ops)
         problems = validate_module(m)
@@ -153,7 +153,7 @@ def forget(rep: BeilinsonRep) -> ErModule:
         a = np.zeros((dim, dim), dtype=np.int64)
         for i in range(rep.n - 1):
             a[offs[i + 1]:offs[i + 2], offs[i]:offs[i + 1]] = rep.maps[i][l].a
-        ops.append(FpMatrix(rep.p, a))
+        ops.append(FpMatrix._reduced(rep.p, a))
     return ErModule(rep.p, rep.r, dim, tuple(ops))
 
 
@@ -254,14 +254,12 @@ def rad_series(m: ErModule) -> list[int]:
 
 
 def soc_series(m: ErModule) -> list[int]:
-    """Dimensions of 0 <= soc^1 M <= soc^2 M <= ... up to M."""
-    dims = [0]
-    basis = FpMatrix.zeros(m.p, m.dim, 0)
-    while basis.cols < m.dim:
-        pi, _ = quotient_projection(basis)
-        basis = kernel_basis(FpMatrix.vstack(*(pi @ op for op in m.ops)))
-        dims.append(basis.cols)
-    return dims
+    """Dimensions of 0 <= soc^1 M <= soc^2 M <= ... up to M, by duality:
+    soc^i M is the annihilator of rad^i(D M) under the pairing of M with
+    its dual D M, whose operators are the transposes, so its dimension is
+    dim M - dim rad^i(D M)."""
+    dual = ErModule(m.p, m.r, m.dim, tuple(op.transpose() for op in m.ops))
+    return [m.dim - d for d in rad_series(dual)]
 
 
 def loewy_length(m: ErModule) -> int:
@@ -296,7 +294,7 @@ def group_algebra_radical_power(p: int, r: int, s: int) -> ErModule:
             if e[l] + 1 <= p - 1:
                 bumped = tuple(x + (1 if t == l else 0) for t, x in enumerate(e))
                 a[index[bumped], j] = 1
-        ops.append(FpMatrix(p, a))
+        ops.append(FpMatrix._reduced(p, a))
     return ErModule(p, r, dim, tuple(ops))
 
 
@@ -377,10 +375,14 @@ def _local(stack: np.ndarray, p: int) -> tuple[bool, bool]:
     """(commutative, local) for the algebra A spanned by the (h, n, n) stack,
     a basis of a subalgebra of n x n matrices over F_p that holds the identity.
 
-    The commutators generate a two-sided ideal C.  If A is local, A/rad A is
-    a field (Wedderburn's little theorem), so C lies in rad A and is
-    nilpotent; a C that is not nilpotent certifies "not local".  Otherwise
-    A is local exactly when the commutative A/C is, and there a -> a^p is
+    The commutators span a space C, and since A holds 1 the two-sided ideal
+    they generate is span(A C A), spanned by the products of span(A C) with
+    the basis.  If A is local, A/rad A is a field (Wedderburn's little
+    theorem), so that ideal lies in rad A and is nilpotent.  An ideal is
+    nilpotent exactly when every element of a spanning set is, by the trace
+    argument of ``reps.decide_isomorphism``, so a basis element with a
+    nonzero n-th power certifies "not local".  Otherwise A is local exactly
+    when the commutative quotient by the ideal is, and there a -> a^p is
     F_p-linear with a fixed space of dimension the number of primitive
     idempotents (Berlekamp): A is local exactly when that dimension is 1."""
     h = len(stack)
@@ -392,19 +394,11 @@ def _local(stack: np.ndarray, p: int) -> tuple[bool, bool]:
         if comm.any():
             ideal = _span_stack(p, np.concatenate([ideal, comm]))
     commutative = not len(ideal)
-    while len(ideal):
-        grown = _span_stack(p, np.concatenate([ideal, _products(p, stack, ideal),
-                                               _products(p, ideal, stack)]))
-        if len(grown) == len(ideal):
-            break
-        ideal = grown
-    chain = ideal
-    while len(chain):
-        shorter = _span_stack(p, _products(p, chain, ideal))
-        if len(shorter) == len(chain):
-            return commutative, False
-        chain = shorter
     n = stack.shape[-1]
+    if not commutative:
+        ideal = _span_stack(p, _products(p, _span_stack(p, _products(p, stack, ideal)), stack))
+        if power(ideal, n, p).any():
+            return False, False
     frob = power(stack, p, p)
     coords = solve_matrix(FpMatrix._reduced(p, stack.reshape(h, n * n).T),
                           FpMatrix._reduced(p, np.concatenate([frob, ideal]).reshape(-1, n * n).T))

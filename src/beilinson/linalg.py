@@ -345,21 +345,23 @@ def batched_rank(stack: np.ndarray, p: int) -> np.ndarray:
     return ranks
 
 
-def _non_pivots(n: int, pivots: list[int]) -> np.ndarray:
-    """The indices in range(n) that are not pivots, ascending."""
-    mask = np.ones(n, dtype=bool)
-    mask[pivots] = False
-    return mask.nonzero()[0]
+def _kernel(a: np.ndarray, p: int):
+    """(basis, free) for the right null space of the reduced array a: the
+    basis columns, one per free (non-pivot) column of a, listed ascending
+    in free, each with a 1 there and 0 in the other free columns."""
+    r, pivots = _rref(a, p)
+    free = np.ones(a.shape[1], dtype=bool)
+    free[pivots] = False
+    free = free.nonzero()[0]
+    basis = np.zeros((a.shape[1], free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[pivots] = -r[:len(pivots), free] % p
+    return basis, free
 
 
 def kernel_basis(m: FpMatrix) -> FpMatrix:
     """Basis of the right null space, as columns; cols = cols(m) - rank(m)."""
-    r, pivots = _rref(m.a, m.p)
-    free = _non_pivots(m.cols, pivots)
-    basis = np.zeros((m.cols, free.size), dtype=np.int64)
-    basis[free, np.arange(free.size)] = 1
-    basis[pivots] = -r[:len(pivots), free] % m.p
-    return FpMatrix._reduced(m.p, basis)
+    return FpMatrix._reduced(m.p, _kernel(m.a, m.p)[0])
 
 
 def image_basis(m: FpMatrix) -> FpMatrix:
@@ -387,13 +389,8 @@ def quotient_projection(basis: FpMatrix):
     Given a (possibly non-reduced) spanning set U of a subspace of F_p^N
     as columns, returns (pi, complement) where pi is a (N - rank U) x N
     matrix whose kernel is exactly span(U) and complement lists the
-    standard-basis indices whose classes form the quotient basis (the
-    non-pivot rows of the column-reduced span)."""
-    p, n = basis.p, basis.rows
-    ech, pivots = _rref(basis.a.T, p)  # rows of ech span the column space
-    complement = _non_pivots(n, pivots)
-    pi = np.zeros((complement.size, n), dtype=np.int64)
-    pi[np.arange(complement.size), complement] = 1
-    pi[:, pivots] = (-ech[:len(pivots), complement] % p).T
-    return FpMatrix._reduced(p, pi), complement.tolist()
-
+    standard-basis indices whose classes form the quotient basis.  pi is a
+    kernel basis of U^T, transposed as a view, and complement is its free
+    columns (the non-pivot rows of the column-reduced span)."""
+    kernel, complement = _kernel(basis.a.T, basis.p)
+    return FpMatrix._reduced(basis.p, kernel.T), complement.tolist()

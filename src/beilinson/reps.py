@@ -38,6 +38,7 @@ from .linalg import (
     matmul,
     power,
     quotient_projection,
+    rank,
     solve_matrix,
 )
 from .monomials import dim_degree, multiplication_matrix
@@ -143,7 +144,7 @@ class BeilinsonRep:
     @staticmethod
     def from_json(text: str) -> "BeilinsonRep":
         d = json.loads(text)
-        p, n, r = d["p"], d["n"], d["r"]
+        p, n, r = d["p"], json_int(d["n"], "n"), json_int(d["r"], "r")
         dims = [json_int(x, "dims") for x in d["dims"]]
         if len(dims) != n or len(d["maps"]) != n - 1:
             raise ValueError(f"need n = {n} dims and n - 1 = {n - 1} levels of maps")
@@ -366,17 +367,14 @@ def support(rep: BeilinsonRep) -> tuple[int, int] | None:
 
 
 def is_standardly_graded(rep: BeilinsonRep) -> bool:
-    """True iff the rep is generated by its lowest nonzero component."""
-    supp = support(rep)
-    if supp is None:
-        return True
-    lo, hi = supp
-    span = FpMatrix.identity(rep.p, rep.dims[lo])
-    for v in range(lo, hi):
-        span = image_basis(FpMatrix.hstack(*(arrow @ span for arrow in rep.maps[v])))
-        if span.cols < rep.dims[v + 1]:
-            return False
-    return True
+    """True iff the rep is generated by its lowest nonzero component lo.
+
+    By induction on v: once vertex v is generated, so is vertex v + 1
+    exactly when the arrows out of v jointly map onto it.  So the rep is
+    standardly graded exactly when rank [a_1 | ... | a_r] = dims[v+1] at
+    every level v in [lo, hi), hi its highest nonzero vertex."""
+    lo, hi = support(rep) or (0, 0)
+    return all(rank(FpMatrix.hstack(*rep.maps[v])) == rep.dims[v + 1] for v in range(lo, hi))
 
 
 def is_costandardly_graded(rep: BeilinsonRep) -> bool:

@@ -4,11 +4,13 @@ import itertools
 
 import numpy as np
 
+from beilinson.emod import _products, _span_stack
 from beilinson.linalg import (
-    FpMatrix, batched_rank, kernel_basis, power, quotient_projection, rank,
+    FpMatrix, batched_rank, image_basis, kernel_basis, matmul, power, quotient_projection,
+    rank, solve_matrix,
 )
 from beilinson.monomials import dim_degree, monomial_index, monomials
-from beilinson.reps import BeilinsonRep, projective, validate
+from beilinson.reps import BeilinsonRep, projective, support, validate
 
 
 def random_valid_rep(p, n, r, max_dim, rng):
@@ -157,3 +159,69 @@ def reference_x_module(p, n, r, alpha, i, j):
         for v, level in enumerate(big.maps)
     )
     return BeilinsonRep(p, n, r, tuple(s.cols for s in sections), maps)
+
+
+def fixpoint_local(stack, p):
+    """The reference for emod._local, by fixpoint loops: the commutator
+    ideal C is grown by products with the basis until it stops growing,
+    and C is nilpotent when the chain C, C^2, ... reaches 0 before it
+    stalls; a C that is not nilpotent means "not local".  Then, as in
+    _local, A/C is local exactly when a -> a^p has a one-dimensional fixed
+    space."""
+    h = len(stack)
+    if h <= 1:
+        return True, h == 1
+    ideal = stack[:0]
+    for i, a in enumerate(stack):
+        comm = (matmul(a, stack[i + 1:], p) - matmul(stack[i + 1:], a, p)) % p
+        if comm.any():
+            ideal = _span_stack(p, np.concatenate([ideal, comm]))
+    commutative = not len(ideal)
+    while len(ideal):
+        grown = _span_stack(p, np.concatenate([ideal, _products(p, stack, ideal),
+                                               _products(p, ideal, stack)]))
+        if len(grown) == len(ideal):
+            break
+        ideal = grown
+    chain = ideal
+    while len(chain):
+        shorter = _span_stack(p, _products(p, chain, ideal))
+        if len(shorter) == len(chain):
+            return commutative, False
+        chain = shorter
+    n = stack.shape[-1]
+    frob = power(stack, p, p)
+    coords = solve_matrix(FpMatrix(p, stack.reshape(h, n * n).T),
+                          FpMatrix(p, np.concatenate([frob, ideal]).reshape(-1, n * n).T))
+    pi, complement = quotient_projection(FpMatrix(p, coords.a[:, h:]))
+    moved = pi @ FpMatrix(p, coords.a[:, complement]) - FpMatrix.identity(p, pi.rows)
+    return commutative, pi.rows - rank(moved) == 1
+
+
+def quotient_soc_series(m):
+    """The reference for emod.soc_series, by quotients: soc^(i+1) M is the
+    preimage of the socle of M / soc^i M, the common kernel of the
+    operators followed by the projection onto that quotient."""
+    dims = [0]
+    basis = FpMatrix.zeros(m.p, m.dim, 0)
+    while basis.cols < m.dim:
+        pi, _ = quotient_projection(basis)
+        basis = kernel_basis(FpMatrix.vstack(*(pi @ op for op in m.ops)))
+        dims.append(basis.cols)
+    return dims
+
+
+def span_standardly_graded(rep):
+    """The reference for reps.is_standardly_graded: the span of the lowest
+    nonzero component is pushed up one level at a time, and must fill each
+    vertex up to the highest nonzero one."""
+    supp = support(rep)
+    if supp is None:
+        return True
+    lo, hi = supp
+    span = FpMatrix.identity(rep.p, rep.dims[lo])
+    for v in range(lo, hi):
+        span = image_basis(FpMatrix.hstack(*(arrow @ span for arrow in rep.maps[v])))
+        if span.cols < rep.dims[v + 1]:
+            return False
+    return True

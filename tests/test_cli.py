@@ -262,6 +262,21 @@ class TestExitStatus:
         else:
             assert BeilinsonRep.from_json(path.read_text()) == rep
 
+    @pytest.mark.parametrize("field, value", [("n", 2.0), ("n", 3.0), ("r", 3.0), ("r", True)])
+    @pytest.mark.parametrize("command", [["check", "eip"], ["tau-orbit"]])
+    def test_non_integer_header_exits_3(self, tmp_path, command, field, value, capsys):
+        # n and r are read as strictly as dims: a float or bool is refused
+        # before any construction, by every subcommand that loads the file
+        doc = json.loads(w_module(5, 2, 3, 3, 2).to_json())
+        doc[field] = value
+        path = tmp_path / "header.json"
+        path.write_text(json.dumps(doc))
+        assert status(command + ["--rep", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"{field} must hold integers" in captured.err
+
     def test_internal_error_exits_4_with_traceback(self, w_file, monkeypatch, capsys):
         def crash(rep):
             raise RuntimeError("boom")

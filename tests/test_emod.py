@@ -5,7 +5,13 @@ import json
 
 import numpy as np
 import pytest
-from helpers import first_fitting_split, random_invertible, random_valid_rep
+from helpers import (
+    first_fitting_split,
+    fixpoint_local,
+    quotient_soc_series,
+    random_invertible,
+    random_valid_rep,
+)
 
 from beilinson import emod, reps
 from beilinson.emod import (
@@ -31,6 +37,7 @@ from beilinson.emod import (
     validate_module,
 )
 from beilinson.emod import _local
+from beilinson.kronecker import e_lambda
 from beilinson.linalg import FpMatrix, batched_rank, combine, matmul, power, rank
 from beilinson.reps import (
     BeilinsonRep,
@@ -241,6 +248,23 @@ class TestRadicalSocle:
         m = forget(m_module(5, 3, 3, 4, 3))
         assert len(rad_series(m)) == len(soc_series(m))
 
+    def test_soc_series_matches_quotient_reference(self):
+        """soc_series, from the radical series of the dual, against the
+        quotient-by-quotient socle series: M and W families, every radical
+        power of kE_r, twists, and sums of uneven Loewy length."""
+        modules = [forget(build(5, n, r, m, d)) for build in (m_module, w_module)
+                   for n, r, m, d in ((2, 2, 3, 2), (3, 3, 4, 3), (3, 2, 3, 2))]
+        for p, r in ((2, 3), (3, 2), (5, 2)):
+            modules += [group_algebra_radical_power(p, r, s) for s in range(r * (p - 1) + 2)]
+        rng = np.random.default_rng(3)
+        for m in modules[:6]:
+            modules.append(twist(m, random_invertible(m.p, m.r, rng)))
+        modules.append(forget(direct_sum(m_module(5, 3, 3, 4, 3), simple(5, 3, 3, 1))))
+        modules.append(module_sum(group_algebra_radical_power(3, 2, 0),
+                                  group_algebra_radical_power(3, 2, 3)))
+        for m in modules:
+            assert soc_series(m) == quotient_soc_series(m)
+
 
 class TestGroupAlgebra:
     def test_radical_power_dimension(self):
@@ -396,6 +420,12 @@ def enumerated_local(basis):
     return commutative, bool(np.isin(ranks, (0, n)).all())
 
 
+def module_sum(m, n):
+    """The direct sum of two kE_r-modules, operators block-diagonal."""
+    ops = tuple(FpMatrix(m.p, reps.block_diagonal((a.a, b.a))) for a, b in zip(m.ops, n.ops))
+    return ErModule(m.p, m.r, m.dim + n.dim, ops)
+
+
 def graded_end(rep):
     return [FpMatrix(rep.p, reps.block_diagonal([f.a for f in phi]))
             for phi in hom_space(rep, rep)]
@@ -456,6 +486,35 @@ class TestLocal:
                     assert got == enumerated_local(basis)
                     seen.add(got)
         assert seen == set(itertools.product((False, True), repeat=2))
+
+    def test_matches_fixpoint_reference(self):
+        """_local against the fixpoint loops it replaces, on every graded
+        and module End of the corpus and on sums whose Ends are not
+        commutative: E(lambda)^2 + S(0), and forget(W)^2 for small W."""
+        e, s0 = e_lambda(3, 2, (1, 2)), simple(3, 2, 2, 0)
+        extra = [direct_sum(direct_sum(e, e), s0)]
+        extra += [direct_sum(w, w) for w in (w_module(3, 2, 2, 2, 2), w_module(3, 3, 2, 3, 3))]
+        seen = set()
+        for rep in local_corpus() + extra:
+            for basis in (graded_end(rep), module_end(rep)):
+                got = _local(stack(basis), rep.p)
+                assert got == fixpoint_local(stack(basis), rep.p)
+                seen.add(got)
+        assert seen == set(itertools.product((False, True), repeat=2))
+
+    def test_nilpotent_commutators_spanning_no_ideal(self):
+        """M_2(F_3) on a basis whose pairwise commutators are each nilpotent
+        and span sl_2, a subspace but no ideal: the ideal they generate is
+        all of M_2(F_3), which is not nilpotent, so A is not local."""
+        p = 3
+        basis = [np.eye(2, dtype=np.int64), np.array([[0, 1], [1, 0]]),
+                 np.array([[1, 0], [1, 2]]), np.array([[1, 0], [2, 2]])]
+        comms = [(a @ b - b @ a) % p for a, b in itertools.combinations(basis[1:], 2)]
+        assert not any((c @ c % p).any() for c in comms)
+        assert rank(FpMatrix(p, np.stack([c.ravel() for c in comms]))) == 3
+        want = enumerated_local([FpMatrix(p, a) for a in basis])
+        assert want == (False, False)
+        assert _local(np.stack(basis), p) == fixpoint_local(np.stack(basis), p) == want
 
     def test_indecomposable_matches_per_element_splits(self):
         """is_indecomposable over the corpus, graded and after forget,
@@ -564,6 +623,11 @@ class TestSerialization:
         doc["dim"] = float(m.dim)
         with pytest.raises(ValueError, match="dim must hold integers"):
             ErModule.from_json(json.dumps(doc))
+        doc = json.loads(m.to_json())
+        for bad in (float(m.r), True):
+            doc["r"] = bad
+            with pytest.raises(ValueError, match="r must hold integers"):
+                ErModule.from_json(json.dumps(doc))
 
     def test_invalid_operators_rejected_on_load(self):
         n = [[0, 1], [0, 0]]

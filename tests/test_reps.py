@@ -11,6 +11,7 @@ from helpers import (
     random_invertible,
     random_valid_rep,
     reference_x_module,
+    span_standardly_graded,
 )
 
 from beilinson import monomials
@@ -198,6 +199,29 @@ class TestDualize:
         s = direct_sum(simple(5, 3, 3, 0), simple(5, 3, 3, 1))
         assert not is_standardly_graded(s)
         assert not is_costandardly_graded(s)
+
+    def test_grading_matches_span_reference(self):
+        """The per-level rank test against the span pushed up level by
+        level, standard and (through the dual) costandard: families, X_alpha,
+        random reps and sums, among them S(0) + S(2), zero in the middle."""
+        p, rng = 5, np.random.default_rng(11)
+        family = [projective(p, 3, 3, i) for i in range(3)] + [simple(p, 3, 3, i) for i in range(3)]
+        family += [m_module(p, 3, 3, 4, 3), w_module(p, 3, 3, 4, 3), m_module(p, 3, 2, 3, 2),
+                   x_module(p, 3, 3, ProjPoint(p, (1, 2, 0)), 0, 1),
+                   x_module(p, 3, 2, ProjPoint(p, (0, 1)), 0, 2)]
+        family += [random_valid_rep(q, n, 2, 2, rng) for q, n in ((2, 2), (3, 3), (5, 4))
+                   for _ in range(4)]
+        family += [direct_sum(simple(p, 3, 3, 0), simple(p, 3, 3, 2)),
+                   direct_sum(projective(p, 3, 3, 0), simple(p, 3, 3, 2)),
+                   direct_sum(m_module(p, 3, 3, 4, 3), projective(p, 3, 3, 1)),
+                   direct_sum(projective(p, 3, 3, 0), projective(p, 3, 3, 0))]
+        seen = set()
+        for rep in family + [dualize(rep) for rep in family]:
+            got = is_standardly_graded(rep)
+            assert got == span_standardly_graded(rep)
+            assert is_costandardly_graded(rep) == span_standardly_graded(dualize(rep))
+            seen.add(got)
+        assert seen == {False, True}
 
 
 class TestHomSpace:
