@@ -377,14 +377,16 @@ def _local(stack: np.ndarray, p: int) -> tuple[bool, bool]:
 
     The commutators span a space C, and since A holds 1 the two-sided ideal
     they generate is span(A C A), spanned by the products of span(A C) with
-    the basis.  If A is local, A/rad A is a field (Wedderburn's little
-    theorem), so that ideal lies in rad A and is nilpotent.  An ideal is
-    nilpotent exactly when every element of a spanning set is, by the trace
-    argument of ``reps.decide_isomorphism``, so a basis element with a
-    nonzero n-th power certifies "not local".  Otherwise A is local exactly
-    when the commutative quotient by the ideal is, and there a -> a^p is
-    F_p-linear with a fixed space of dimension the number of primitive
-    idempotents (Berlekamp): A is local exactly when that dimension is 1."""
+    the basis; when span(A C) is already A, the ideal holds 1 and A is not
+    local, with no second product.  If A is local, A/rad A is a field
+    (Wedderburn's little theorem), so that ideal lies in rad A and is
+    nilpotent.  An ideal is nilpotent exactly when every element of a
+    spanning set is, by the trace argument of ``reps.decide_isomorphism``,
+    so a basis element with a nonzero n-th power certifies "not local".
+    Otherwise A is local exactly when the commutative quotient by the ideal
+    is, and there a -> a^p is F_p-linear with a fixed space of dimension
+    the number of primitive idempotents (Berlekamp): A is local exactly
+    when that dimension is 1."""
     h = len(stack)
     if h <= 1:
         return True, h == 1  # the zero ring, or F_p
@@ -396,7 +398,10 @@ def _local(stack: np.ndarray, p: int) -> tuple[bool, bool]:
     commutative = not len(ideal)
     n = stack.shape[-1]
     if not commutative:
-        ideal = _span_stack(p, _products(p, _span_stack(p, _products(p, stack, ideal)), stack))
+        left = _span_stack(p, _products(p, stack, ideal))
+        if len(left) == h:  # span(A C) is A, so the ideal holds 1
+            return False, False
+        ideal = _span_stack(p, _products(p, left, stack))
         if power(ideal, n, p).any():
             return False, False
     frob = power(stack, p, p)

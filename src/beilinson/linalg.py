@@ -1,8 +1,10 @@
-"""Exact dense linear algebra over a prime field F_p.
+"""Exact linear algebra over a prime field F_p.
 
-All matrices are dense, row-major numpy int64 arrays with entries reduced
-into [0, p).  Every value is immutable after construction and every
-operation is a pure function, so callers may share them freely.
+Matrices are dense, row-major numpy int64 arrays with entries reduced
+into [0, p); the one exception is the coordinate entry to elimination
+(below), which takes a matrix as (row, column, value) coordinates.  Every
+value is immutable after construction and every operation is a pure
+function, so callers may share them freely.
 
 Construction.  ``FpMatrix(p, a)`` is the public path: it checks that p is
 a prime below 2^31 (``check_modulus``), reduces ``a`` mod p into a new
@@ -14,22 +16,28 @@ is for results this package has computed and reduced: ``a`` must be a
 holds it) or a view of an array that is already read-only.  It never
 takes a view of a caller's writable array.
 
-Elimination.  ``_rref`` (behind ``rref``, ``kernel_basis``,
-``image_basis``, ``solve_matrix`` and ``quotient_projection``) takes a
-reduced array, as every ``FpMatrix.a`` is, and never writes it.  It
-first forces pivots on the nonzero pattern alone, with no arithmetic (the
-structured elimination of LaMacchia and Odlyzko, CRYPTO '90): a row with
-one nonzero outside the columns forced so far forces its column, whose
-RREF row is a unit vector, round after round until a round forces
-nothing.  Only the rows left with two or more nonzeros, restricted to the
-unforced columns, are copied and eliminated column by column.  The End
-systems of the W modules have at most two nonzeros per row, and this
-leaves about 15% of their columns to the column loop.
+Elimination.  One routine, ``_force``, forces pivots on the nonzero
+pattern alone, with no arithmetic (the structured elimination of
+LaMacchia and Odlyzko, CRYPTO '90): a row with one nonzero outside the
+columns forced so far forces its column, whose RREF row is a unit vector,
+round after round until a round forces nothing.  Only the remainder, the
+rows left with two or more nonzeros restricted to the unforced columns,
+is made dense and eliminated column by column (``_eliminate``).  It has
+two entries.  The dense entry ``_reduce`` (behind ``rref``,
+``kernel_basis``, ``image_basis``, ``solve_matrix`` and
+``quotient_projection``) takes a reduced array, as every ``FpMatrix.a``
+is, forces its ``nonzero()`` pattern and copies the remainder out of it,
+never writing it.  The coordinate entry ``coordinate_kernel`` takes the
+Hom systems of ``reps`` as coordinates and scatters only the remainder, so
+those systems are never dense.  A kernel basis is read off the eliminated
+remainder alone, since a forced pivot's RREF row is zero in every free
+column.  The End systems of the W modules have at most two nonzeros per
+row, and forcing leaves about 15% of their columns to the column loop.
 
 Exactness bounds.  Every int64 intermediate stays below 2^63 for every
 p < 2^31; larger moduli are refused wherever a matrix, point or module is
 built.  An elimination step reduces after each row update: a scaled row
-a * b and an update a - b * c in ``_rref``, an update a * b - c * d in
+a * b and an update a - b * c in ``_eliminate``, an update a * b - c * d in
 ``batched_rank`` (behind ``rank``), all of reduced entries, so no
 intermediate exceeds (p-1)^2 in absolute value.  Every sum of products is
 one ``matmul`` (behind ``@``, ``power`` and ``combine``), which reduces
@@ -262,38 +270,96 @@ def _eliminate(m: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
-def _rref(a: np.ndarray, p: int):
-    """Reduced row echelon form mod p of a reduced array, which is never
-    written; returns (rref, pivot column list).
-
-    Columns are forced first, on the nonzero pattern alone: a row whose
-    only nonzero outside the forced columns lies in column j puts e_j in
-    the row space, so j is a pivot with RREF row e_j.  Rounds repeat until
-    one forces nothing; ``_eliminate`` then runs on the rows that keep a
-    nonzero outside the forced columns, restricted to the unforced ones."""
-    r, c = a.nonzero()
-    nnz = r.size
-    forced = np.zeros(a.shape[1], dtype=bool)
+def _force(r: np.ndarray, c: np.ndarray, cols: int) -> np.ndarray:
+    """The columns forced on the nonzero pattern (r, c) of a matrix with
+    cols columns, as a mask, with no arithmetic: a row whose only nonzero
+    outside the forced columns lies in column j puts e_j in the row space,
+    so j is a pivot with RREF row e_j.  Rounds repeat until one forces
+    nothing.  An entry leaves the pattern exactly when its column is
+    forced, so the entries outside the mask are the remainder, and each of
+    their rows keeps two or more of them."""
+    forced = np.zeros(cols, dtype=bool)
     while True:
-        count = np.bincount(r)
-        single = count[r] == 1
+        single = np.bincount(r)[r] == 1
         if not np.count_nonzero(single):
-            break
+            return forced
         forced[c[single]] = True
         live = ~forced[c]
         r, c = r[live], c[live]
-    if r.size == nnz:  # nothing forced: the remainder is all of a
-        m = a.copy()
-        return m, _eliminate(m, p)
-    free = np.flatnonzero(~forced)
-    m = a[np.flatnonzero(count)[:, None], free]
-    sub = free[_eliminate(m, p)]
-    forced[sub] = True  # now marks every pivot column
-    pivots = np.flatnonzero(forced)
+
+
+def _reduce(a: np.ndarray, p: int):
+    """The dense entry to elimination: (free, m, sub) for a reduced array,
+    which is never written.  free lists the unforced columns (``_force``
+    on a.nonzero()), m is the RREF of the rows with a nonzero among them,
+    restricted to them, and sub lists m's pivot columns, indices into
+    free.  With nothing forced, m is the RREF of a whole copy of a."""
+    r, c = a.nonzero()
+    forced = _force(r, c, a.shape[1])
+    if not np.count_nonzero(forced):
+        free, m = np.arange(a.shape[1]), a.copy()
+    else:
+        free = np.flatnonzero(~forced)
+        m = a[np.flatnonzero(np.bincount(r[~forced[c]]))[:, None], free]
+    return free, m, _eliminate(m, p)
+
+
+def _rref(a: np.ndarray, p: int):
+    """Reduced row echelon form mod p of a reduced array, which is never
+    written; returns (rref, pivot column list).  The forced pivots' rows
+    are unit vectors and the others are ``_reduce``'s remainder rows."""
+    free, m, sub = _reduce(a, p)
+    if free.size == a.shape[1]:
+        return m, sub
+    sub = free[sub]
+    pivots = np.ones(a.shape[1], dtype=bool)
+    pivots[free] = False
+    pivots[sub] = True
+    pivots = np.flatnonzero(pivots)
     out = np.zeros(a.shape, dtype=np.int64)
     out[np.arange(pivots.size), pivots] = 1
     out[pivots.searchsorted(sub)[:, None], free] = m[:sub.size]
     return out, pivots.tolist()
+
+
+def _null_rows(cols: int, free: np.ndarray, m: np.ndarray, sub, p: int, order: str):
+    """(basis, kernel_free) of the right null space from an eliminated
+    remainder (free, m, sub) of a matrix with cols columns: the basis as
+    rows, one per unforced non-pivot column, listed ascending in
+    kernel_free, each with a 1 there and 0 in the other such columns.  order
+    "C" keeps each basis row contiguous and "F" each column, so that the
+    transpose is a contiguous column basis.  A forced pivot's RREF row is
+    e_j, zero in every free column, so the basis is 0 on forced columns and
+    needs no full-shape RREF."""
+    pivot = np.zeros(free.size, dtype=bool)
+    pivot[sub] = True
+    keep = ~pivot
+    kernel_free = free[keep]
+    basis = np.zeros((kernel_free.size, cols), dtype=np.int64, order=order)
+    basis[np.arange(kernel_free.size), kernel_free] = 1
+    basis[:, free[pivot]] = (-m[:len(sub), keep] % p).T
+    return basis, kernel_free
+
+
+def coordinate_kernel(p: int, shape: tuple[int, int], r: np.ndarray, c: np.ndarray,
+                      values: np.ndarray) -> np.ndarray:
+    """Basis of the right null space, as rows, of the shape-sized matrix
+    with entries values at (r, c): distinct coordinates, values in [1, p).
+
+    The coordinate entry to elimination: the pattern is forced as in
+    ``_reduce``, and only the remainder, the entries outside the forced
+    columns, is scattered into a dense array of its rows and the unforced
+    columns, so the matrix is never dense.  The basis equals the columns
+    of ``kernel_basis`` of the dense matrix."""
+    forced = _force(r, c, shape[1])
+    live = ~forced[c]
+    r, c = r[live], c[live]
+    rows = np.zeros(shape[0], dtype=bool)
+    rows[r] = True
+    free = np.flatnonzero(~forced)
+    m = np.zeros((np.count_nonzero(rows), free.size), dtype=np.int64)
+    m[np.cumsum(rows)[r] - 1, free.searchsorted(c)] = values[live]
+    return _null_rows(shape[1], free, m, _eliminate(m, p), p, "C")[0]
 
 
 def rref(m: FpMatrix):
@@ -349,14 +415,8 @@ def _kernel(a: np.ndarray, p: int):
     """(basis, free) for the right null space of the reduced array a: the
     basis columns, one per free (non-pivot) column of a, listed ascending
     in free, each with a 1 there and 0 in the other free columns."""
-    r, pivots = _rref(a, p)
-    free = np.ones(a.shape[1], dtype=bool)
-    free[pivots] = False
-    free = free.nonzero()[0]
-    basis = np.zeros((a.shape[1], free.size), dtype=np.int64)
-    basis[free, np.arange(free.size)] = 1
-    basis[pivots] = -r[:len(pivots), free] % p
-    return basis, free
+    basis, free = _null_rows(a.shape[1], *_reduce(a, p), p, "F")
+    return basis.T, free
 
 
 def kernel_basis(m: FpMatrix) -> FpMatrix:

@@ -10,10 +10,11 @@ bit-reproducible.
 
 Every Hom space, graded or between kE_r-modules (one-vertex quivers), is
 solved by ``_intertwiners`` from ``dims`` and ``arrows`` as one basis
-stack per vertex.  The certificates read the stacks: isomorphism
-(``decide_isomorphism``: Fitting splitting, Krull-Schmidt cancellation),
-End locality and indecomposability (``emod``); only ``hom_space`` and
-``hom_modules`` cut them into ``FpMatrix`` elements.
+stack per vertex; its Sylvester system is built from the arrows' nonzeros
+as coordinates and is never dense.  The certificates read the stacks:
+isomorphism (``decide_isomorphism``: Fitting splitting, Krull-Schmidt
+cancellation), End locality and indecomposability (``emod``); only
+``hom_space`` and ``hom_modules`` cut them into ``FpMatrix`` elements.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .linalg import (
     batched_rank,
     check_modulus,
     combine,
+    coordinate_kernel,
     image_basis,
     json_int,
     json_matrix,
@@ -314,25 +316,41 @@ def _intertwiners(p: int, xdims, xarrows, ydims, yarrows) -> list[np.ndarray]:
     vertex v, one read-only (dim Hom, ydims[v], xdims[v]) view of the basis.
 
     The unknowns are each phi_v row-major, vertices in order, and each
-    equation adds a block of rows (i, j), row-major.  The whole system is
-    written into one preallocated array by index-array writes; where the
-    two terms of an equation meet (v == w), they are subtracted."""
+    equation adds a block of rows (i, j), row-major.  The system goes to
+    ``coordinate_kernel`` as (row, column, value) coordinates, read off the
+    nonzeros of the arrow matrices with one ``nonzero`` per stack of
+    consecutive arrows that share (v, w), and is never dense.  The two
+    terms of an equation meet only when v == w, on the diagonal entry
+    a[j, j] - b[i, i] of row (i, j): those are summed in closed form, and
+    the ones that cancel are dropped."""
     offs = np.cumsum([0, *(y * x for x, y in zip(xdims, ydims))])
-    system = np.zeros((sum(ydims[w] * xdims[v] for v, w, _ in xarrows), offs[-1]),
-                      dtype=np.int64)
+    coords = []
     top = 0
-    for (v, w, a), (_, _, b) in zip(xarrows, yarrows):
-        i = np.arange(ydims[w])[:, None, None]
-        j = np.arange(xdims[v])
-        # phi_w a: phi_w[i, k] enters row (i, j) with a[k, j]
-        rows = top + i * xdims[v] + j[:, None]
-        system[rows, offs[w] + i * xdims[w] + np.arange(xdims[w])] = a.a.T
-        # -b phi_v: phi_v[t, j] enters row (i, j) with -b[i, t]
-        rows = top + i * xdims[v] + j
-        cols = offs[v] + np.arange(ydims[v])[:, None] * xdims[v] + j
-        system[rows, cols] = (system[rows, cols] - b.a[:, :, None]) % p
-        top += ydims[w] * xdims[v]
-    vecs = np.ascontiguousarray(kernel_basis(FpMatrix._reduced(p, system)).a.T)
+    for (v, w), group in itertools.groupby(zip(xarrows, yarrows), lambda pair: pair[0][:2]):
+        group = list(group)
+        a = np.array([f.a for (_, _, f), _ in group])
+        b = np.array([g.a for _, (_, _, g) in group])
+        xv, xw, yv, yw = xdims[v], xdims[w], ydims[v], ydims[w]
+        if v == w:
+            j, i = np.arange(xv), np.arange(yv)
+            diag = (a[:, j, j][:, None, :] - b[:, i, i][:, :, None]) % p
+            a[:, j, j] = 0
+            b[:, i, i] = 0
+            flat = diag.ravel().nonzero()[0]
+            coords.append((top + flat, offs[v] + flat % (yv * xv), diag.ravel()[flat]))
+        # phi_w a: phi_w[i, k] enters row (i, j) with a[k, j], for every i
+        l, k, j = a.nonzero()
+        i = np.arange(yw)
+        coords.append(((top + l * yw * xv + j)[:, None] + i * xv, (offs[w] + k)[:, None] + i * xw,
+                       a[l, k, j].repeat(yw)))
+        # -b phi_v: phi_v[t, j] enters row (i, j) with -b[i, t], for every j
+        l, i, t = b.nonzero()
+        j = np.arange(xv)
+        coords.append(((top + (l * yw + i) * xv)[:, None] + j, (offs[v] + t * xv)[:, None] + j,
+                       (p - b[l, i, t]).repeat(xv)))
+        top += len(group) * yw * xv
+    r, c, values = (np.concatenate([part[n].ravel() for part in coords]) for n in range(3))
+    vecs = coordinate_kernel(p, (top, offs[-1]), r, c, values)
     vecs.setflags(write=False)
     return [vecs[:, offs[v]:offs[v + 1]].reshape(len(vecs), ydims[v], xdims[v])
             for v in range(len(xdims))]

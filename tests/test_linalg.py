@@ -208,16 +208,17 @@ def sympy_product(a, b, p):
     return sympy_array(sympy_matrix(a, p).matmul(sympy_matrix(b, p)), p)
 
 
-def sympy_sparse_kernel(a, p):
-    """The kernel basis of a, as columns, read off sympy's sparse-format
-    RREF: for each free column f, e_f minus column f of the pivot rows."""
+def sympy_sparse_kernel(shape, r, c, values, p):
+    """The kernel basis of the matrix with entries values at (r, c), as
+    columns, read off sympy's sparse-format RREF: for each free column f,
+    e_f minus column f of the pivot rows."""
     field = GF(p)
     entries = {}
-    for i, j in zip(*a.nonzero()):
-        entries.setdefault(int(i), {})[int(j)] = field(int(a[i, j]))
-    ech, pivots = DomainMatrix(entries, a.shape, field).rref()
-    free = {f: k for k, f in enumerate(sorted(set(range(a.shape[1])) - set(pivots)))}
-    basis = np.zeros((a.shape[1], len(free)), dtype=np.int64)
+    for i, j, x in zip(r.tolist(), c.tolist(), values.tolist()):
+        entries.setdefault(i, {})[j] = field(x)
+    ech, pivots = DomainMatrix(entries, shape, field).rref()
+    free = {f: k for k, f in enumerate(sorted(set(range(shape[1])) - set(pivots)))}
+    basis = np.zeros((shape[1], len(free)), dtype=np.int64)
     for f, k in free.items():
         basis[f, k] = 1
     for t, row in ech.to_dod().items():
@@ -452,20 +453,33 @@ class TestRrefOracle:
                                              ((7, 3, 4, 4, 3), (4624, 1156))],
                              ids=["W(5,3,3,4,3)", "W(7,3,4,4,3)"])
     def test_end_system_kernel_matches_sparse_rref(self, args, shape, monkeypatch):
-        # the Sylvester system of End(forget(W)) as _intertwiners builds it
-        systems = []
-
-        def capture(m):
-            basis = kernel_basis(m)
-            systems.append((m.a, basis.a))
-            return basis
-
-        monkeypatch.setattr(reps, "kernel_basis", capture)
         w = forget(reps.w_module(*args))
-        hom_modules(w, w)
-        [(a, basis)] = systems
-        assert a.shape == shape
-        assert np.array_equal(basis, sympy_sparse_kernel(a, args[0]))
+        assert_kernel_matches_sparse_rref(monkeypatch, lambda: hom_modules(w, w), shape)
+
+    def test_x_alpha_system_kernel_matches_sparse_rref(self, monkeypatch):
+        # a Hom(X_alpha, M) system of the hom route: no row is a singleton,
+        # so nothing is forced and the remainder is the whole system
+        x = reps.x_module(7, 3, 4, reps.ProjPoint(7, (1, 2, 3, 4)), 0)
+        w = reps.w_module(7, 3, 4, 5, 3)
+        assert_kernel_matches_sparse_rref(monkeypatch, lambda: reps.hom_space(x, w), (200, 155))
+
+
+def assert_kernel_matches_sparse_rref(monkeypatch, solve, shape):
+    """Runs solve, which must build one Hom system, capturing the
+    coordinates _intertwiners sends to coordinate_kernel, and checks the
+    system's shape and its kernel basis against sympy's sparse RREF."""
+    systems = []
+
+    def capture(p, shape, r, c, values):
+        basis = linalg.coordinate_kernel(p, shape, r, c, values)
+        systems.append((p, shape, r, c, values, basis))
+        return basis
+
+    monkeypatch.setattr(reps, "coordinate_kernel", capture)
+    solve()
+    [(p, got_shape, r, c, values, basis)] = systems
+    assert got_shape == shape
+    assert np.array_equal(basis.T, sympy_sparse_kernel(shape, r, c, values, p))
 
 
 class TestNoWrites:

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from helpers import (
     span_standardly_graded,
 )
 
-from beilinson import monomials
+from beilinson import monomials, reps
 from beilinson.emod import ErModule, forget, hom_modules, invert
-from beilinson.linalg import FpMatrix, kernel_basis, rank
+from beilinson.linalg import FpMatrix, coordinate_kernel, kernel_basis, rank
 from beilinson.reps import (
     BeilinsonRep,
     ConfigMismatch,
@@ -571,6 +572,48 @@ class TestHomBuilder:
             equations = [(0, 0, a, b) for a, b in zip(m.ops, n.ops)]
             assert_same_basis([(phi,) for phi in hom_modules(m, n)],
                               kron_hom(m.p, (m.dim,), (n.dim,), equations), (m.dim,), (n.dim,))
+
+    def test_cancelling_collision(self, monkeypatch):
+        # y is x with its basis cycled, so each diagonal entry b[i, i] is some
+        # a[j, j], and row (i, j) meets a[j, j] - b[i, i] = 0 on column (i, j)
+        rng = np.random.default_rng(5)
+        m = forget(w_module(3, 3, 2, 4, 3))
+        g = random_invertible(m.p, m.dim, rng)
+        x = ErModule(m.p, m.r, m.dim, tuple(g @ op @ invert(g) for op in m.ops))
+        cycle = FpMatrix(m.p, np.roll(np.eye(m.dim, dtype=np.int64), 1, axis=0))
+        y = ErModule(m.p, m.r, m.dim, tuple(cycle @ op @ invert(cycle) for op in x.ops))
+        a, b = (np.stack([op.a.diagonal() for op in mod.ops]) for mod in (x, y))
+        meet = (a[:, None, :] == b[:, :, None]) & (a[:, None, :] != 0)
+        l, i, j = np.nonzero(meet & ~np.eye(m.dim, dtype=bool))
+        assert l.size
+        systems = []
+
+        def capture(p, shape, r, c, values):
+            systems.append((r, c, values))
+            return coordinate_kernel(p, shape, r, c, values)
+
+        monkeypatch.setattr(reps, "coordinate_kernel", capture)
+        basis = hom_modules(x, y)
+        [(r, c, values)] = systems
+        # the summed coordinates that cancel never reach the pattern
+        assert values.all()
+        cancelled = set(zip(((l * m.dim + i) * m.dim + j).tolist(), (i * m.dim + j).tolist()))
+        assert cancelled.isdisjoint(zip(r.tolist(), c.tolist()))
+        equations = [(0, 0, f, h) for f, h in zip(x.ops, y.ops)]
+        assert_same_basis([(phi,) for phi in basis],
+                          kron_hom(m.p, (m.dim,), (m.dim,), equations), (m.dim,), (m.dim,))
+
+    def test_end_system_is_never_dense(self):
+        # the dense Sylvester system of this End is 4,624 x 1,156 int64
+        # (42.8 MB); its coordinates and remainder take a small share of that
+        w = forget(w_module(7, 3, 4, 4, 3))
+        tracemalloc.start()
+        try:
+            hom_modules(w, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_wrappers_slice_read_only_stacks(self):
         # the solver's basis is one read-only stack per vertex, and the
