@@ -115,7 +115,8 @@ def _build_rep(args) -> reps.BeilinsonRep:
 
 def _load_rep(path: str) -> reps.BeilinsonRep:
     """The stored representation, or exit status 3 with one line on stderr
-    when the file cannot be read or is not a valid representation."""
+    when the file cannot be read or is not a valid representation (JSON
+    nested too deep for the parser raises RecursionError)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -123,7 +124,7 @@ def _load_rep(path: str) -> reps.BeilinsonRep:
         _invalid(f"cannot read {path}: {exc}")
     try:
         return reps.BeilinsonRep.from_json(text)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, RecursionError, TypeError, ValueError) as exc:
         _invalid(f"invalid representation in {path}: {exc}")
 
 

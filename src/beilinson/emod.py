@@ -3,10 +3,12 @@
 Covers the forgetful functor from graded representations, Jordan types,
 radical/socle series, the radical powers of the group algebra itself,
 twists by invertible coordinate changes, endomorphism algebras with
-certified commutativity and locality, certified indecomposability, and
-certified isomorphism.  As one-vertex quivers (``dims`` and loop
-``arrows``), modules share the Hom solver, its per-vertex basis stacks and
-the isomorphism decision with graded representations (``reps``)."""
+certified commutativity and locality (one stacked product for the
+commutator ideal, one rank for the idempotent count), certified
+indecomposability, and certified isomorphism.  As one-vertex quivers
+(``dims`` and loop ``arrows``), modules share the Hom solver, its
+per-vertex basis stacks and the isomorphism decision with graded
+representations (``reps``)."""
 
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ from .linalg import (
     kernel_basis,
     matmul,
     power,
-    quotient_projection,
     rank,
     solve_matrix,
 )
@@ -375,18 +376,18 @@ def _local(stack: np.ndarray, p: int) -> tuple[bool, bool]:
     """(commutative, local) for the algebra A spanned by the (h, n, n) stack,
     a basis of a subalgebra of n x n matrices over F_p that holds the identity.
 
-    The commutators span a space C, and since A holds 1 the two-sided ideal
-    they generate is span(A C A), spanned by the products of span(A C) with
-    the basis; when span(A C) is already A, the ideal holds 1 and A is not
-    local, with no second product.  If A is local, A/rad A is a field
+    The commutators span a space C.  Since [a, b] c = [a, b c] - b [a, c]
+    puts C A inside C + A C, and A holds 1, the two-sided ideal C generates
+    is span(A C): one stacked product.  If A is local, A/rad A is a field
     (Wedderburn's little theorem), so that ideal lies in rad A and is
     nilpotent.  An ideal is nilpotent exactly when every element of a
     spanning set is, by the trace argument of ``reps.decide_isomorphism``,
-    so a basis element with a nonzero n-th power certifies "not local".
-    Otherwise A is local exactly when the commutative quotient by the ideal
-    is, and there a -> a^p is F_p-linear with a fixed space of dimension
-    the number of primitive idempotents (Berlekamp): A is local exactly
-    when that dimension is 1."""
+    so a basis element with a nonzero n-th power certifies "not local"
+    (an ideal that holds 1 is one such case).  Otherwise A is local exactly
+    when the commutative quotient A/I by the ideal I is, and there
+    a -> a^p is F_p-linear with a fixed space of dimension the number of
+    primitive idempotents (Berlekamp).  That dimension is
+    h - rank{a_i^p - a_i, I}, so A is local exactly when it is 1."""
     h = len(stack)
     if h <= 1:
         return True, h == 1  # the zero ring, or F_p
@@ -398,18 +399,11 @@ def _local(stack: np.ndarray, p: int) -> tuple[bool, bool]:
     commutative = not len(ideal)
     n = stack.shape[-1]
     if not commutative:
-        left = _span_stack(p, _products(p, stack, ideal))
-        if len(left) == h:  # span(A C) is A, so the ideal holds 1
-            return False, False
-        ideal = _span_stack(p, _products(p, left, stack))
+        ideal = _span_stack(p, _products(p, stack, ideal))
         if power(ideal, n, p).any():
             return False, False
-    frob = power(stack, p, p)
-    coords = solve_matrix(FpMatrix._reduced(p, stack.reshape(h, n * n).T),
-                          FpMatrix._reduced(p, np.concatenate([frob, ideal]).reshape(-1, n * n).T))
-    pi, complement = quotient_projection(FpMatrix._reduced(p, coords.a[:, h:]))
-    moved = pi @ FpMatrix._reduced(p, coords.a[:, complement]) - FpMatrix.identity(p, pi.rows)
-    return commutative, pi.rows - rank(moved) == 1
+    moved = np.concatenate([(power(stack, p, p) - stack) % p, ideal])
+    return commutative, h - rank(FpMatrix._reduced(p, moved.reshape(-1, n * n))) == 1
 
 
 def end_algebra(m: ErModule) -> tuple[list[FpMatrix], EndReport]:

@@ -45,6 +45,8 @@ def monomial_index(r: int, degree: int) -> dict[tuple[int, ...], int]:
 
 def dim_degree(r: int, degree: int) -> int:
     """Number of degree-d monomials in r variables: C(r+d-1, d)."""
+    if r < 1:
+        raise ValueError(f"need r >= 1 variables, got r={r}")
     if degree < 0:
         return 0
     return comb(r + degree - 1, degree)

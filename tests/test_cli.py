@@ -277,6 +277,23 @@ class TestExitStatus:
         assert captured.err.count("\n") == 1
         assert f"{field} must hold integers" in captured.err
 
+    @pytest.mark.parametrize("command", [["check", "eip", "--rep", "{}"], ["iso", "{}", "{}"]])
+    def test_deeply_nested_json_exits_3(self, tmp_path, command, capsys):
+        # json.loads raises RecursionError, not ValueError, past its nesting limit
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert status([arg.format(path) for arg in command]) == 3
+        assert_one_line_refusal(3, capsys)
+
+    @pytest.mark.parametrize("family", ["projective", "injective"])
+    @pytest.mark.parametrize("r", ["0", "-2"])
+    def test_projective_family_without_variables_exits_3(self, family, r, capsys):
+        assert status(["construct", family, "--p", "5", "--n", "2", "--r", r]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"beilinson: invalid parameters for the {family} family: "
+                                f"need r >= 1 variables, got r={r}\n")
+
     def test_internal_error_exits_4_with_traceback(self, w_file, monkeypatch, capsys):
         def crash(rep):
             raise RuntimeError("boom")

@@ -36,7 +36,7 @@ from beilinson.emod import (
     twist,
     validate_module,
 )
-from beilinson.emod import _local
+from beilinson.emod import _local, _products, _span_stack
 from beilinson.kronecker import e_lambda
 from beilinson.linalg import FpMatrix, batched_rank, combine, matmul, power, rank
 from beilinson.reps import (
@@ -501,6 +501,31 @@ class TestLocal:
                 assert got == fixpoint_local(stack(basis), rep.p)
                 seen.add(got)
         assert seen == set(itertools.product((False, True), repeat=2))
+
+    def test_commutator_ideal_is_one_sided_product(self):
+        """The identity behind _local's one product: [a, b] c = [a, b c] -
+        b [a, c], so with 1 in A both span(A C) and span(C A) are the ideal
+        span(A C A), C the commutator span, on every non-commutative End
+        of the inputs of test_matches_fixpoint_reference."""
+        e, s0 = e_lambda(3, 2, (1, 2)), simple(3, 2, 2, 0)
+        extra = [direct_sum(direct_sum(e, e), s0)]
+        extra += [direct_sum(w, w) for w in (w_module(3, 2, 2, 2, 2), w_module(3, 3, 2, 3, 3))]
+        checked = 0
+        for rep in local_corpus() + extra:
+            for basis in (graded_end(rep), module_end(rep)):
+                a, p = stack(basis), rep.p
+                prods = _products(p, a, a).reshape(len(a), len(a), *a.shape[1:])
+                comms = _span_stack(p, ((prods - prods.transpose(1, 0, 2, 3)) % p)
+                                    .reshape(-1, *a.shape[1:]))
+                if not len(comms):
+                    continue
+                left = _span_stack(p, _products(p, a, comms))
+                ideal = _span_stack(p, _products(p, left, a))
+                for one_sided in (left, _span_stack(p, _products(p, comms, a))):
+                    both = _span_stack(p, np.concatenate([one_sided, ideal]))
+                    assert len(one_sided) == len(ideal) == len(both)
+                checked += 1
+        assert checked == 68
 
     def test_nilpotent_commutators_spanning_no_ideal(self):
         """M_2(F_3) on a basis whose pairwise commutators are each nilpotent
