@@ -16,6 +16,7 @@ from .reps import (
     alpha_operator,
     direct_sum,
     dualize,
+    first_point,
     hom_space,
     injective,
     is_costandardly_graded,

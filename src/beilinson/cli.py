@@ -224,7 +224,7 @@ def cmd_jordan_type(args) -> int:
     else:
         # without --alpha, the first point of P^{r-1} in enumeration order
         point = (_alpha_from_args(args, rep.p, rep.r) if args.alpha is not None
-                 else reps.ProjPoint(rep.p, (0,) * (rep.r - 1) + (1,)))
+                 else reps.first_point(rep.p, rep.r))
         jt = emod.jordan_type(module, point)
         _emit({"alpha": list(point.coords), "jordan_type": str(jt),
                "blocks": list(jt.counts)}, args)

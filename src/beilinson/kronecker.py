@@ -42,9 +42,12 @@ def tau(m: BeilinsonRep) -> BeilinsonRep:
     q, complement = quotient_projection(FpMatrix._reduced(p, h))
     c = len(complement)
     # opposite arrows send relation j to the class of slot (j, l); dualizing
-    # transposes them back into the standard orientation
-    slots = q.a.reshape(c, s, r)
-    maps = tuple(FpMatrix._reduced(p, slots[:, :, l].T.copy()) for l in range(r))  # s x c
+    # transposes them back into the standard orientation.  q.a.T is
+    # C-contiguous (quotient_projection returns a transposed view), so the
+    # slots (j, l, class) are a read-only view of it, and each arrow is one
+    # view slots[:, l]: no copy of pi is made
+    slots = q.a.T.reshape(s, r, c)
+    maps = tuple(FpMatrix._reduced(p, slots[:, l]) for l in range(r))  # s x c
     return BeilinsonRep(p, 2, r, (c, s), (maps,))
 
 
@@ -139,10 +142,10 @@ class TauOrbitReport:
         for s in self.shifts:
             deco = "&#8711;" if s.eip else ("&#9651;" if s.ekp else "&#9675;")
             label = f"{deco} tau^{s.exponent} {s.dims}"
-            lines.append(f'  m{s.exponent} [label="{label}"];')
+            lines.append(f'  "m{s.exponent}" [label="{label}"];')
         exps = sorted(s.exponent for s in self.shifts)
         for a, b in zip(exps, exps[1:]):
-            lines.append(f"  m{b} -> m{a} [style=dashed];")
+            lines.append(f'  "m{b}" -> "m{a}" [style=dashed];')
         lines.append("}")
         return "\n".join(lines)
 

@@ -1,7 +1,9 @@
 """Equal-images / equal-kernels / constant-rank decisions, by two routes.
 
 The definition route inspects the step matrices of the point operators
-directly, at all points at once, with one batched rank per level.  The
+directly, at all points at once, with one batched rank per level; a level
+whose required rank exceeds both of its dimensions fails everywhere, so
+then only the first point is ranked, and it carries the witness.  The
 homological route computes Hom- and Ext-dimensions against the materialized
 projective-line family of arrow-cokernel modules via the intertwiner
 solver, sharing nothing with the definition route beyond the exact linear
@@ -23,6 +25,7 @@ from .linalg import batched_rank, matmul
 from .reps import (
     BeilinsonRep,
     ProjPoint,
+    first_point,
     hom_space,
     point_steps,
     proj_points,
@@ -66,10 +69,19 @@ def _first_failure(prop: str, p: int, failures, ranks=None) -> PropertyReport:
 
 def _step_failures(m: BeilinsonRep, needed):
     """(point, level) pairs, in enumeration order, where the step rank of
-    the point operator falls below needed[level]."""
-    points = proj_points(m.p, m.r)
+    the point operator falls below needed[level].
+
+    A step dims[i] -> dims[i+1] has rank at most min(dims[i], dims[i+1]),
+    so a level that needs more fails at every point.  The first failure in
+    enumeration order then lies at the first point, at the lowest level
+    failing there: only that point is ranked, and its failures, which
+    begin with the witness a full sweep would give, are all that is
+    yielded."""
+    needed, dims = np.asarray(needed), np.asarray(m.dims)
+    screened = (needed > np.minimum(dims[:-1], dims[1:])).any()
+    points = (first_point(m.p, m.r),) if screened else proj_points(m.p, m.r)
     ranks = np.stack([batched_rank(s, m.p) for s in point_steps(m, points)], axis=1)
-    for b, i in np.argwhere(ranks < np.asarray(needed)):
+    for b, i in np.argwhere(ranks < needed):
         yield points[b], int(i)
 
 

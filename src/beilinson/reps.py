@@ -84,6 +84,12 @@ def proj_points(p: int, r: int) -> tuple[ProjPoint, ...]:
     )
 
 
+def first_point(p: int, r: int) -> ProjPoint:
+    """``proj_points(p, r)[0]``, the point (0, ..., 0, 1), without
+    enumerating P^{r-1}(F_p)."""
+    return ProjPoint(p, (0,) * (r - 1) + (1,))
+
+
 @dataclass(frozen=True)
 class BeilinsonRep:
     """A B(n,r)-representation: per-vertex dims and per-level arrow matrices.

@@ -1,6 +1,8 @@
 """Auslander-Reiten translate and width invariant on the r-Kronecker quiver."""
 
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,8 +118,24 @@ class TestTauMatchesLoop:
                 direct_sum(projective(5, 2, 3, 0), simple(5, 2, 3, 1)),
                 x_module(3, 2, 3, ProjPoint(3, (1, 2, 0)), 0, 1)]
         reps.append(tau(reps[0]))
+        # the (134, 36) shift of W(7,2,4,3,2), whose translate has dims (1866, 500)
+        reps.append(tau(w_module(7, 2, 4, 3, 2)))
         for rep in reps:
             assert [a.a.tolist() for a in tau(rep).maps[0]] == loop_tau_maps(rep)
+
+    def test_arrows_are_views_of_the_quotient(self):
+        # the arrows are slices of pi, so the translate of the (134, 36)
+        # shift peaks near pi's own 28.5 MiB; copying pi into the arrows
+        # takes it above 60 MiB
+        rep = tau(w_module(7, 2, 4, 3, 2))
+        tracemalloc.start()
+        try:
+            t = tau(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.dims == (1866, 500)
+        assert peak < 45 * 2**20
 
 
 def two_loop_width(m, k_max):
@@ -310,6 +328,23 @@ class TestWidth:
         assert report.base == "brick"
         dot = report.to_dot()
         assert dot.startswith("digraph") and "tau^0" in dot
+
+    def test_dot_ids_are_valid(self):
+        # DOT IDs: an identifier, a numeral or a double-quoted string; the
+        # inverse shifts of X(5,3)(1,0,0) have negative exponents
+        dot_id = r'[A-Za-z_][A-Za-z_0-9]*|-?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)|"(?:[^"\\]|\\.)*"'
+        node = re.compile(rf"\s*({dot_id}) \[label=.*\];")
+        edge = re.compile(rf"\s*({dot_id}) -> ({dot_id}) \[style=dashed\];")
+        report = width(x_module(5, 2, 3, ProjPoint(5, (1, 0, 0)), 0, 1), k_max=2)
+        assert min(s.exponent for s in report.shifts) < 0
+        lines = report.to_dot().splitlines()[2:-1]
+        nodes = [node.fullmatch(line) for line in lines if "->" not in line]
+        edges = [edge.fullmatch(line) for line in lines if "->" in line]
+        assert all(nodes) and all(edges)
+        declared = {m.group(1) for m in nodes}
+        assert len(declared) == len(report.shifts)
+        assert {m.group(k) for m in edges for k in (1, 2)} <= declared
+        assert len(edges) == len(report.shifts) - 1
 
     def test_r2_contrast_translate_lands_in_ekp(self):
         # Over the 2-Kronecker the translate of the length-two slice module

@@ -285,3 +285,82 @@ class TestBatchedSweepMatchesPointLoop:
             for alpha in points
         ]
         assert stack.tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# the dimension screen: a level needing more rank than min(dims[i], dims[i+1])
+# fails everywhere, so only the first point is ranked
+
+def direction_rep(p, dims, blocks, direction):
+    """maps[i][l] = direction[l] * blocks[i]: the relations hold for any
+    blocks, and the step at alpha is (alpha . direction) * blocks[i], zero
+    on the hyperplane alpha . direction = 0."""
+    maps = tuple(tuple(FpMatrix(p, c * np.asarray(b, dtype=np.int64)) for c in direction)
+                 for b in blocks)
+    rep = BeilinsonRep(p, len(dims), len(direction), tuple(dims), maps)
+    assert validate(rep) == []
+    return rep
+
+
+# (prop, dims, screened level): the screened level needs more rank than
+# either of its dimensions, and every level below it could pass
+SCREENED = [
+    ("EKP", (2, 2, 1), 1),
+    ("EIP", (2, 2, 3), 1),
+    ("EKP", (2, 3, 3, 1), 2),
+    ("EIP", (3, 2, 2, 3), 2),
+]
+
+
+def needed_ranks(prop, dims):
+    return dims[:-1] if prop == "EKP" else dims[1:]
+
+
+def full_rank_block(rows, cols):
+    return [[int(i == j) for j in range(cols)] for i in range(rows)]
+
+
+class TestDimensionScreen:
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("prop, dims, screened", SCREENED)
+    def test_lower_level_fails_at_first_point(self, p, prop, dims, screened):
+        # level 0 is rank-deficient everywhere, so the witness is
+        # (first point, 0), below the screened level
+        blocks = [full_rank_block(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
+        blocks[0] = [[0] * dims[0] for _ in range(dims[1])]
+        rep = direction_rep(p, dims, blocks, (1, 1, 1))
+        check = is_ekp_def if prop == "EKP" else is_eip_def
+        report = check(rep)
+        assert report == loop_step_report(prop, rep, needed_ranks(prop, dims))
+        assert report.witness == (proj_points(p, 3)[0], 0)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("prop, dims, screened", SCREENED)
+    def test_lower_level_fails_at_later_point(self, p, prop, dims, screened):
+        # every level below the screened one has full rank at the first
+        # point and rank 0 on the plane alpha_0 + alpha_1 + alpha_2 = 0,
+        # which misses the first point, so the witness is (first point,
+        # screened level)
+        blocks = [full_rank_block(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
+        rep = direction_rep(p, dims, blocks, (1, 1, 1))
+        check = is_ekp_def if prop == "EKP" else is_eip_def
+        report = check(rep)
+        assert report == loop_step_report(prop, rep, needed_ranks(prop, dims))
+        assert report.witness == (proj_points(p, 3)[0], screened)
+        later = ProjPoint(p, (0, 1, p - 1))
+        assert loop_rank(alpha_operator(rep, later)[0]) < needed_ranks(prop, dims)[0]
+
+    def test_answers_without_enumerating(self, monkeypatch):
+        # P^2(F_p) has about 4.6e18 points at p = 2^31 - 1
+        def refuse(p, r):
+            raise AssertionError("proj_points enumerated")
+
+        monkeypatch.setattr(properties, "proj_points", refuse)
+        p = 2**31 - 1
+        rng = np.random.default_rng(5)
+        for dims, check in (((2, 1), is_ekp_def), ((1, 2), is_eip_def)):
+            level = tuple(FpMatrix(p, rng.integers(0, p, size=(dims[1], dims[0])))
+                          for _ in range(3))
+            report = check(BeilinsonRep(p, 2, 3, dims, (level,)))
+            assert not report.verdict
+            assert report.witness == (ProjPoint(p, (0, 0, 1)), 0)

@@ -28,6 +28,7 @@ from beilinson.reps import (
     decide_isomorphism,
     direct_sum,
     dualize,
+    first_point,
     hom_space,
     image_rep,
     injective,
@@ -629,3 +630,10 @@ class TestHomBuilder:
             (stack,) = _intertwiners(m.p, m.dims, m.arrows, n.dims, n.arrows)
             assert not stack.flags.writeable
             assert [phi.a.tolist() for phi in hom_modules(m, n)] == stack.tolist()
+
+
+class TestFirstPoint:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_is_first_enumerated(self, p, r):
+        assert first_point(p, r) == proj_points(p, r)[0]
