@@ -141,16 +141,6 @@ def _module(rep: reps.BeilinsonRep) -> emod.ErModule:
         _invalid(str(exc))
 
 
-def _orbit(walk, args, **kwargs):
-    """The input rep and walk(rep, k_max=args.k_max, **kwargs), or exit
-    status 3 when walk refuses it (n != 2, k_max < 0, the zero rep)."""
-    rep = _input_rep(args)
-    try:
-        return rep, walk(rep, k_max=args.k_max, **kwargs)
-    except ValueError as exc:
-        _invalid(str(exc))
-
-
 def _emit(payload, args) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -232,19 +222,26 @@ def cmd_jordan_type(args) -> int:
 
 
 def cmd_tau_orbit(args) -> int:
-    rep, info = _orbit(kronecker.classify, args)
+    rep = _input_rep(args)
+    try:
+        info = kronecker.classify(rep)
+    except ValueError as exc:  # n != 2, the zero rep
+        _invalid(str(exc))
     _emit({"dims": list(rep.dims), "kind": info.kind, "exponent": info.exponent,
-           "bound": info.bound, "tits_form": info.tits_value,
-           "k_max": args.k_max}, args)
+           "tits_form": info.tits_value}, args)
     return 0
 
 
 def cmd_width(args) -> int:
-    _, report = _orbit(kronecker.width, args, base_label=args.family or "module")
+    rep = _input_rep(args)
+    try:
+        report = kronecker.width(rep, k_max=args.k_max, base_label=args.family or "module")
+    except ValueError as exc:  # n != 2, k_max < 0, the zero rep
+        _invalid(str(exc))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(report.to_dot())
-        print(f"wrote {args.dot}")
+        print(f"wrote {args.dot}", file=sys.stderr)
     _emit(json.loads(report.to_json()), args)
     return 0
 
@@ -253,7 +250,7 @@ def cmd_end_ring(args) -> int:
     rep = _input_rep(args)
     _, info = emod.end_algebra(_module(rep))
     _emit({"dimension": info.dimension, "commutative": info.commutative,
-           "local": info.local, "regime": info.regime, "seed": args.seed}, args)
+           "local": info.local, "regime": info.regime}, args)
     return 0
 
 
@@ -268,7 +265,7 @@ def cmd_iso(args) -> int:
     if not left.same_config(right):
         _invalid(f"{args.left} and {args.right} are over different {config}")
     verdict = isomorphic(left, right)
-    _emit({"verdict": verdict, "seed": args.seed}, args)
+    _emit({"verdict": verdict}, args)
     return 0 if verdict == "yes" else 1
 
 
@@ -304,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     orbit = sub.add_parser("tau-orbit", help="classify within the translate orbit")
     module_input(orbit)
-    _add_int(orbit, "k-max", default=8)
     orbit.set_defaults(func=cmd_tau_orbit)
 
     width_cmd = sub.add_parser("width", help="width invariant of the translate orbit")
@@ -315,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     end_ring = sub.add_parser("end-ring", help="endomorphism ring structure report")
     module_input(end_ring)
-    _add_int(end_ring, "seed", default=0, help="accepted and echoed; has no effect")
     end_ring.set_defaults(func=cmd_end_ring)
 
     iso = sub.add_parser("iso", help="compare two stored representations")
@@ -323,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     iso.add_argument("right")
     iso.add_argument("--as-modules", action="store_true",
                      help="compare the underlying group algebra modules")
-    _add_int(iso, "seed", default=0, help="accepted and echoed; has no effect")
     _format_flag(iso)
     iso.set_defaults(func=cmd_iso)
 

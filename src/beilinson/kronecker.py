@@ -12,7 +12,7 @@ recording each shift as its dual D tau^k D m = tau^-k m.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,35 +80,45 @@ def tits_form(r: int, dims: tuple[int, int]) -> int:
 
 @dataclass(frozen=True)
 class Classification:
+    """Orbit kind, the translate power reaching the (co)projective, and the
+    Tits form.  bound is always None, since every kind is certified; it is
+    kept because perfbench's classify render reads it."""
+
     kind: str  # "preprojective" | "preinjective" | "regular" | "decomposable"
-    exponent: int | None  # translate power reaching the (co)projective
-    bound: int | None  # k_max used when the verdict is regular-within-bound
+    exponent: int | None
+    bound: int | None
     tits_value: int
 
 
-def classify(m: BeilinsonRep, k_max: int = 8) -> Classification:
+def classify(m: BeilinsonRep) -> Classification:
     """Orbit classification of an indecomposable Kronecker representation.
 
-    Direction detection runs on dimension vectors alone: for an
-    indecomposable the translate obeys the Coxeter recursion, and the orbit
-    hits a projective (resp. injective) exactly when the recursion leaves
-    the positive quadrant.  This keeps the walk cheap even though the
-    dimension vectors of regular modules grow geometrically.  D reverses
-    dimension vectors, so the inverse recursion is the same recursion on
-    the reversed vector.
+    The Tits form q certifies the kind.  The positive real roots (q = 1)
+    are exactly the preprojective and preinjective dimension vectors (Kac
+    1980; Ringel 1978), and over F_p an indecomposable of real-root
+    dimension d is absolutely indecomposable: else it would split over the
+    closure into k >= 2 conjugates of dimension d/k, with q(d/k) = 1/k^2
+    not an integer.  A regular indecomposable has q(d) = k^2 q(d/k) <= 0.
+    So q <= 0 is regular with no walk.  For q = 1 the Coxeter recursion
+    runs on the dimension vector (the translate) and on its reverse (the
+    inverse translate, through D) together, until one side has a negative
+    coordinate: the (co)projective's image.  Total dimension rises strictly
+    away from the (co)projective, so that takes at most total_dim + 1
+    steps.  bound is always None.
     """
     _require_kronecker(m)
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
     q = tits_form(m.r, m.dims)
     if is_indecomposable(m).verdict == "decomposable":
         return Classification("decomposable", None, None, q)
-    for kind, cur in (("preprojective", m.dims), ("preinjective", m.dims[::-1])):
-        for k in range(k_max + 1):
-            cur = coxeter_dims(m.r, cur)
-            if min(cur) <= 0:
+    if q <= 0:
+        return Classification("regular", None, None, q)
+    fwd, back = m.dims, m.dims[::-1]
+    for k in range(m.total_dim + 1):
+        fwd, back = coxeter_dims(m.r, fwd), coxeter_dims(m.r, back)
+        for kind, cur in (("preprojective", fwd), ("preinjective", back)):
+            if min(cur) < 0:
                 return Classification(kind, k, None, q)
-    return Classification("regular", None, k_max, q)
+    raise AssertionError(f"dims {m.dims}, q = {q}: no side reached a (co)projective")
 
 
 @dataclass(frozen=True)
@@ -132,7 +142,6 @@ class TauOrbitReport:
     k_max: int
     shifts: tuple[ShiftRecord, ...]
     width: int | None
-    assumptions: tuple[str, ...] = field(default_factory=tuple)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))

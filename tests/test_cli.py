@@ -160,18 +160,28 @@ class TestExitStatus:
         (["jordan-type", "--p", "5", "--alpha", "0,0"] + M_FLAGS, 3),
         (["jordan-type", "--p", "5", "--alpha", "1,0"] + M_FLAGS, 3),
         (["tau-orbit", "--p", "5", "--family", "projective", "--n", "3", "--r", "3"], 3),
-        (["tau-orbit"] + P0_FLAGS + ["--k-max", "-1"], 3),
         (["width"] + P0_FLAGS + ["--k-max", "-1"], 3),
     ])
     def test_status(self, argv, code, capsys):
         assert status(argv) == code
         assert_one_line_refusal(code, capsys)
 
-    @pytest.mark.parametrize("command", ["tau-orbit", "width"])
+    @pytest.mark.parametrize("command", ["width"])
     def test_negative_k_max_from_environment_exits_3(self, command, monkeypatch, capsys):
         monkeypatch.setenv("BNR_K_MAX", "-1")
         assert status([command] + P0_FLAGS) == 3
         assert_one_line_refusal(3, capsys)
+        # tau-orbit has no bound to read
+        assert status(["tau-orbit"] + P0_FLAGS) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["tau-orbit"] + P0_FLAGS + ["--k-max", "3"],
+        ["end-ring", "--seed", "1"] + M_FLAGS + ["--p", "5"],
+        ["iso", "{0}", "{0}", "--seed", "1"],
+    ], ids=["tau-orbit-k-max", "end-ring-seed", "iso-seed"])
+    def test_removed_options_are_usage_errors(self, argv, w_file, capsys):
+        assert status([arg.format(w_file) for arg in argv]) == 2
+        assert_usage_error("unrecognized arguments", capsys)
 
     @pytest.mark.parametrize("command", ["tau-orbit", "width"])
     def test_off_two_vertices_exits_3(self, command, capsys):
@@ -345,16 +355,18 @@ class TestTauOrbitAndWidth:
         ])
         assert code == 0
         doc = json.loads(out)
-        assert doc["kind"] == "regular"
+        assert doc == {"dims": [6, 3], "kind": "regular", "exponent": None, "tits_form": -9}
 
     def test_width_with_dot(self, x_file, tmp_path, capsys):
+        # stdout is the JSON document alone; the note on the DOT file goes to stderr
         dot = tmp_path / "orbit.dot"
-        code, out = run(capsys, [
-            "width", "--rep", x_file, "--dot", str(dot), "--format", "json",
-        ])
+        code = main(["width", "--rep", x_file, "--dot", str(dot), "--format", "json"])
+        captured = capsys.readouterr()
         assert code == 0
-        doc = json.loads(out[out.index("{"):])
-        assert doc["width"] == 2
+        doc = json.loads(captured.out)
+        assert doc["width"] == 2 and doc["k_max"] == 8
+        assert "assumptions" not in doc
+        assert captured.err == f"wrote {dot}\n"
         assert dot.read_text().startswith("digraph")
 
 

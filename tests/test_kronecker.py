@@ -176,12 +176,16 @@ def two_loop_width(m, k_max):
             m1 = -k
     w = m0 - m1 - 1 if (m0 is not None and m1 is not None) else None
     shifts.sort(key=lambda s: s.exponent)
-    return TauOrbitReport(f"rep dims {m.dims}", m.p, m.r, k_max, tuple(shifts), w, ())
+    return TauOrbitReport(f"rep dims {m.dims}", m.p, m.r, k_max, tuple(shifts), w)
 
 
 def two_recursion_classify(m, k_max):
-    """classify with the inverse Coxeter recursion written out: the
-    reference for its one recursion on reversed dims."""
+    """The orbit kind by walking the Coxeter recursion and its inverse,
+    written out, up to k_max steps each, with no use of the Tits form: the
+    reference for classify's certificate and its one recursion on reversed
+    dims.  The walk stops at a negative coordinate, the image of a
+    (co)projective; the simple dimension vectors (0, 1) and (1, 0) stay
+    inside, as tau^-1 P(1) = (3, 8) -> (0, 1) at r = 3 shows."""
     r, q = m.r, tits_form(m.r, m.dims)
     if is_indecomposable(m).verdict == "decomposable":
         return Classification("decomposable", None, None, q)
@@ -191,9 +195,9 @@ def two_recursion_classify(m, k_max):
         cur = m.dims
         for k in range(k_max + 1):
             cur = step(*cur)
-            if cur[0] <= 0 or cur[1] <= 0:
+            if cur[0] < 0 or cur[1] < 0:
                 return Classification(kind, k, None, q)
-    return Classification("regular", None, k_max, q)
+    return Classification("regular", None, None, q)
 
 
 def hand_json(report):
@@ -205,7 +209,6 @@ def hand_json(report):
                     "ekp": s.ekp, "hit_projective": s.hit_projective,
                     "hit_injective": s.hit_injective} for s in report.shifts],
         "width": report.width,
-        "assumptions": list(report.assumptions),
     })
 
 
@@ -226,22 +229,59 @@ def orbit_corpus():
     return corpus
 
 
-def outcome(run):
-    try:
-        return run()
-    except ValueError as exc:
-        return repr(exc)
+def kronecker_corpus():
+    """orbit_corpus() and 40 seeded random reps of dims up to (4, 4) over
+    (p, r) = (2, 2), (3, 2), (5, 3), (2, 4): regular, preprojective,
+    preinjective and decomposable ones."""
+    rng = np.random.default_rng(24)
+    return orbit_corpus() + [random_valid_rep(p, 2, r, 4, rng)
+                             for p, r in ((2, 2), (3, 2), (5, 3), (2, 4)) for _ in range(10)]
 
 
 class TestOrbitMatchesReference:
     @pytest.mark.parametrize("k_max", [0, 1, 2, 8])
     def test_same_reports_and_classes(self, k_max):
+        # the shifts' equal-images and equal-kernels classes
         for rep in orbit_corpus():
             report, ref = width(rep, k_max), two_loop_width(rep, k_max)
             assert report.to_json() == hand_json(ref)
             assert report.to_dot() == ref.to_dot()
-            assert (outcome(lambda: classify(rep, k_max))
-                    == outcome(lambda: two_recursion_classify(rep, k_max)))
+
+
+class TestClassifyCertificate:
+    """classify decides regularity by the Tits form and walks only real
+    roots; the reference walks the recursions up to K steps whatever q is.
+    K = 12 lies above every exponent of the corpus."""
+
+    K = 12
+
+    def test_regular_exactly_when_tits_form_nonpositive(self):
+        kinds = set()
+        for rep in kronecker_corpus():
+            ref = two_recursion_classify(rep, self.K)
+            got = classify(rep)
+            assert (got.kind, got.exponent, got.tits_value) == (
+                ref.kind, ref.exponent, ref.tits_value), rep.dims
+            assert got.bound is None
+            if ref.kind != "decomposable":
+                assert (ref.kind == "regular") == (ref.tits_value <= 0), rep.dims
+            kinds.add(ref.kind)
+        assert kinds == {"preprojective", "preinjective", "regular", "decomposable"}
+
+    @pytest.mark.parametrize("r, i, k_top", [(3, 1, 3), (3, 0, 2), (2, 1, 6), (2, 0, 6)])
+    def test_exponent_counts_translates(self, r, i, k_top):
+        # tau^-k P(i) and tau^k I(1 - i) have exponent k.  The orbits of the
+        # simple projective P(1) and the simple injective I(0) pass through
+        # (0, 1) and (1, 0), one step before the negative coordinate.  At
+        # r = 3 the orbits of P(0) and I(1) stop at k = 2: tau^-3 P(0) has
+        # dims (377, 987), and its End alone costs more than this whole test
+        pre, post = projective(2, 2, r, i), injective(2, 2, r, 1 - i)
+        for k in range(k_top + 1):
+            for kind, rep in (("preprojective", pre), ("preinjective", post)):
+                c = classify(rep)
+                assert (c.kind, c.exponent) == (kind, k), rep.dims
+            if k < k_top:
+                pre, post = tau_inv(pre), tau(post)
 
 
 class TestELambda:
@@ -278,18 +318,19 @@ class TestClassify:
 
     def test_regular_module(self):
         c = classify(w_module(5, 2, 3, 3, 2))
-        assert c.kind == "regular" and c.bound == 8
+        assert c.kind == "regular" and c.bound is None
 
     def test_decomposable_flagged(self):
         s = direct_sum(simple(5, 2, 3, 0), simple(5, 2, 3, 0))
         assert classify(s).kind == "decomposable"
 
     def test_negative_k_max_rejected(self):
-        # P(0) is preprojective at k_max = 0; a negative bound has no verdict
-        assert classify(projective(5, 2, 3, 0), k_max=0).kind == "preprojective"
-        for walk in (classify, width):
-            with pytest.raises(ValueError, match="k_max"):
-                walk(projective(5, 2, 3, 0), k_max=-1)
+        # width bounds a real search, and a negative bound has no verdict;
+        # classify takes no bound at all
+        with pytest.raises(ValueError, match="k_max"):
+            width(projective(5, 2, 3, 0), k_max=-1)
+        with pytest.raises(TypeError, match="k_max"):
+            classify(projective(5, 2, 3, 0), k_max=8)
 
     def test_r2_kronecker_regular(self):
         # For the 2-Kronecker the dimension vector (1,1) modules are the
@@ -318,8 +359,8 @@ class TestWidth:
             for k_max in (0, 8):
                 with pytest.raises(ValueError, match="zero representation"):
                     width(zero, k_max)
-                with pytest.raises(ValueError, match="zero module"):
-                    classify(zero, k_max)
+            with pytest.raises(ValueError, match="zero module"):
+                classify(zero)
 
     def test_report_shape(self):
         report = width(e_lambda(5, 3, (1, 1, 1)), base_label="brick")
