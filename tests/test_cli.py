@@ -160,6 +160,7 @@ class TestExitStatus:
         (["jordan-type", "--p", "5", "--alpha", "0,0"] + M_FLAGS, 3),
         (["jordan-type", "--p", "5", "--alpha", "1,0"] + M_FLAGS, 3),
         (["tau-orbit", "--p", "5", "--family", "projective", "--n", "3", "--r", "3"], 3),
+        (["tau-orbit"] + P0_FLAGS + ["--i", "5"], 3),
         (["width"] + P0_FLAGS + ["--k-max", "-1"], 3),
     ])
     def test_status(self, argv, code, capsys):
