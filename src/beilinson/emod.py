@@ -170,8 +170,10 @@ def jordan_type(m: ErModule, alpha: ProjPoint) -> JordanType:
     rank sequence of its powers: a_i = r_{i-1} - 2 r_i + r_{i+1}.
 
     Points are computed in chunks (``_jordan_chunk``) whose Jordan types
-    are memoized on m by point, so a sweep over P^{r-1} ranks each power
-    once per chunk and a single query computes one chunk."""
+    are memoized on m by point.  A chunk is all of P^{r-1} whenever the
+    stack budget allows (P^3(F_7) up to dim 18), so a sweep is one stacked
+    computation; a single query at a large p still computes one small
+    chunk and never enumerates the space."""
     if alpha.p != m.p or alpha.r != m.r:
         raise ConfigMismatch("alpha over wrong (p, r)")
     if alpha.coords not in m._jordan:
@@ -180,16 +182,29 @@ def jordan_type(m: ErModule, alpha: ProjPoint) -> JordanType:
 
 
 def _jordan_chunk(m: ErModule, coords: tuple[int, ...]) -> dict[tuple[int, ...], JordanType]:
-    """Jordan types at the chunk of points that holds coords: the p^t
-    points that share all but their last t coordinates, t as large as
-    p^t dim^2 <= STACK_ENTRIES and the coordinates after the leading 1
-    allow.  One batched rank per power of the stacked point operators."""
-    p, dim = m.p, m.dim
+    """Jordan types at the chunk of points that holds coords: every point
+    that agrees with coords on its first r - t coordinates, t as large as
+    (chunk size) dim^2 <= STACK_ENTRIES allows, up to t = r.  A prefix that
+    holds the leading 1 leaves p^t tails free; an all-zero prefix leaves
+    the (p^t - 1)/(p - 1) points of P^{t-1}, padded with zeros, so t = r is
+    the whole space in the order of ``proj_points``.  One batched rank per
+    power of the stacked point operators, and one JordanType per distinct
+    rank row, shared by its points."""
+    p, r, dim = m.p, m.r, m.dim
     budget = STACK_ENTRIES // max(dim, 1) ** 2
+    lead = coords.index(1)
+
+    def size(t: int) -> int:
+        return p ** t if t < r - lead else (p ** t - 1) // (p - 1)
+
     t = 0
-    while t < m.r - 1 - coords.index(1) and p ** (t + 1) <= budget:
+    while t < r and size(t + 1) <= budget:
         t += 1
-    points = [coords[:m.r - t] + tail for tail in product(range(p), repeat=t)]
+    if t < r - lead:  # the prefix holds the leading 1: p^t free tails
+        points = [coords[:r - t] + tail for tail in product(range(p), repeat=t)]
+    else:  # an all-zero prefix: the points of P^{t-1} after it, in enumeration order
+        points = [(0,) * j + (1,) + tail for j in reversed(range(r - t, r))
+                  for tail in product(range(p), repeat=r - j - 1)]
     nil = combine(np.array(points, dtype=np.int64), [op.a for op in m.ops], p)
     ranks = [np.full(len(points), dim)]
     power = nil
@@ -199,13 +214,15 @@ def _jordan_chunk(m: ErModule, coords: tuple[int, ...]) -> dict[tuple[int, ...],
             break
         power = matmul(power, nil, p)
     ranks.append(np.zeros(len(points), dtype=np.int64))
-    r = np.stack(ranks, axis=1)
-    counts = r[:, :-2] - 2 * r[:, 1:-1] + r[:, 2:]
+    seq = np.stack(ranks, axis=1)
+    counts = seq[:, :-2] - 2 * seq[:, 1:-1] + seq[:, 2:]
     bad = np.flatnonzero(counts @ np.arange(1, counts.shape[1] + 1) != dim)
     if bad.size:
         raise ValueError(f"the operator at point {points[bad[0]]} is not "
                          f"nilpotent of order <= p: its Jordan blocks do not add up to {dim}")
-    return {point: JordanType(tuple(c)) for point, c in zip(points, counts.tolist())}
+    rows = [tuple(c) for c in counts.tolist()]
+    types = {row: JordanType(row) for row in set(rows)}
+    return {point: types[row] for point, row in zip(points, rows)}
 
 
 def jt_formula(n: int, d: int, r: int) -> JordanType:

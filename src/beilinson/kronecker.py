@@ -177,11 +177,14 @@ def width(m: BeilinsonRep, k_max: int = 8, base_label: str = "") -> TauOrbitRepo
 
     def record(exponent: int, rep: BeilinsonRep) -> ShiftRecord:
         dead = rep.total_dim == 0
+        eip = (not dead) and is_eip_def(rep).verdict
+        # a square shift asks EKP for the same rank of the same step stack
+        ekp = eip if rep.dims[0] == rep.dims[1] else is_ekp_def(rep).verdict
         rec = ShiftRecord(
             exponent,
             (rep.dims[0], rep.dims[1]),
-            eip=(not dead) and is_eip_def(rep).verdict,
-            ekp=(not dead) and is_ekp_def(rep).verdict,
+            eip,
+            ekp,
             hit_projective=dead and exponent > 0,
             hit_injective=dead and exponent < 0,
         )

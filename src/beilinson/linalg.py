@@ -40,9 +40,18 @@ built.  An elimination step reduces after each row update: a scaled row
 a * b and an update a - b * c in ``_eliminate``, an update a * b - c * d in
 ``batched_rank`` (behind ``rank``), all of reduced entries, so no
 intermediate exceeds (p-1)^2 in absolute value.  Every sum of products is
-one ``matmul`` (behind ``@``, ``power`` and ``combine``), which reduces
-after every chunk of k = (2^63 - 1 - p) // (p-1)^2 inner columns: k = 2
-at p = 2^31 - 1, and one chunk for any small p.
+one ``matmul`` (behind ``@``, ``power`` and ``combine``), on float64 BLAS,
+which is exact while every partial sum is an integer of at most 2^53.
+With inner dimension k, entries of a in [0, p) and of b in [0, 2^s), a
+sum is at most k (p-1)(2^s - 1), so ``_limbs`` splits b into base-2^s
+limbs, as few as that bound allows: b itself while k (p-1)^2 <= 2^53
+(k <= 8 at p = 2^25 - 39, every k up to 2^21 at p = 65521), and at
+p = 2^31 - 1 two limbs up to k = 64, three up to k = 2049.  The inner
+dimension is cut into chunks only past 2^53 / (p-1) columns (2^22 at
+p = 2^31 - 1).  Each limb product is cast to int64, where it is exact,
+and reduced there (a float64 ``%`` is about five times slower).  Limbs
+are recombined by Horner's rule, reducing after each: with two or more
+limbs s <= 16, so part * 2^s + product < 2^47 + 2^53.
 """
 
 from __future__ import annotations
@@ -53,6 +62,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+
+
+# float64 holds every integer of absolute value up to 2^53 exactly
+_FLOAT_EXACT = 2**53
 
 
 class DimensionMismatch(ValueError):
@@ -83,19 +96,36 @@ def check_modulus(p: int) -> None:
         raise ValueError(f"modulus {p} is not prime")
 
 
+@lru_cache
+def _limbs(p: int, k: int) -> tuple[int, int, int]:
+    """(step, limbs, s) for exact float64 products mod p with inner
+    dimension k: inner chunks of step columns, step = k unless k (p-1)
+    passes 2^53, and b split into limbs of s bits, with limbs as few as
+    step (p-1)(2^s - 1) <= 2^53 allows and s balanced across them."""
+    step = max(1, min(k, _FLOAT_EXACT // (p - 1)))
+    bits = (p - 1).bit_length()
+    limbs = -(-bits // min(bits, (_FLOAT_EXACT // (step * (p - 1)) + 1).bit_length() - 1))
+    return step, limbs, -(-bits // limbs)
+
+
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for reduced int64 arrays, stacked or not, as a new array.
 
-    The inner dimension is summed in chunks of k columns with
-    (p-1)^2 * k + p - 1 < 2^63, reducing after each chunk."""
-    k = max(1, (2**63 - 1 - p) // (p - 1) ** 2)
-    n = a.shape[-1]
-    if n <= k:
-        return (a @ b) % p
-    out = (a[..., :k] @ b[..., :k, :]) % p
-    for i in range(k, n, k):
-        out += a[..., i:i + k] @ b[..., i:i + k, :]
-        out %= p
+    Every product runs on float64 BLAS and is exact (module docstring):
+    each limb of b (``_limbs``) times a is cast back to int64, and the
+    limbs are recombined mod p there by Horner's rule."""
+    k = a.shape[-1]
+    step, limbs, s = _limbs(p, k)
+    chunks = [(a, b)] if k <= step else [
+        (a[..., i:i + step], b[..., i:i + step, :]) for i in range(0, k, step)]
+    out = None
+    for ca, cb in chunks:
+        fa, part = ca.astype(np.float64), None
+        for j in reversed(range(limbs)):
+            limb = cb if limbs == 1 else (cb >> (s * j)) & ((1 << s) - 1)
+            prod = (fa @ limb.astype(np.float64)).astype(np.int64)
+            part = prod % p if part is None else ((part << s) + prod) % p
+        out = part if out is None else (out + part) % p
     return out
 
 

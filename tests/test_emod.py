@@ -156,8 +156,30 @@ class TestChunkedJordanTypes:
             if chunk == "one point":
                 assert sizes == {1}
             if chunk == "p^2 points" and (m.p, m.r) == (7, 4):
-                assert sizes == {49, 7, 1}
+                # a prefix holding the leading 1 leaves 49 tails; the zero
+                # prefix (0, 0) leaves the 8 points of P^1(F_7)
+                assert sizes == {49, 8}
             monkeypatch.undo()
+
+    def test_sweep_is_one_chunk(self, monkeypatch):
+        # P^3(F_7) at dim <= 18 fits the stack budget: 400 * 18^2 <= 2^17
+        rng = np.random.default_rng(5)
+        mods = [forget(random_valid_rep(7, n, 4, 3, rng)) for n in (2, 3)]
+        mods.append(forget(m_module(7, 3, 4, 3, 2)))
+        calls, chunk_of = [], emod._jordan_chunk
+        monkeypatch.setattr(emod, "_jordan_chunk", lambda m, c: calls.append(c) or chunk_of(m, c))
+        for m in mods:
+            assert m.dim <= 18
+            calls.clear()
+            jts = [jordan_type(m, a) for a in proj_points(7, 4)]
+            assert len(calls) == 1
+            assert list(m._jordan) == [a.coords for a in proj_points(7, 4)]
+            assert jts == [jordan_type_by_point(m, a) for a in proj_points(7, 4)]
+
+    def test_equal_types_are_one_object(self):
+        for m in chunk_modules():
+            jts = [jordan_type(m, a) for a in proj_points(m.p, m.r)]
+            assert len({id(jt) for jt in jts}) == len(set(jts))
 
     def test_shuffled_queries_on_one_module(self):
         rng = np.random.default_rng(3)

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import random_valid_rep
 
+from beilinson import properties
 from beilinson.emod import is_indecomposable
 from beilinson.kronecker import (
     Classification,
@@ -361,6 +362,17 @@ class TestWidth:
                     width(zero, k_max)
             with pytest.raises(ValueError, match="zero module"):
                 classify(zero)
+
+    def test_square_shift_ranked_once(self, monkeypatch):
+        # for n = 2, EIP and EKP of a square shift ask for the same rank of
+        # the same (points, d, d) step stack, so it is ranked once
+        shapes, rank = [], properties.batched_rank
+        monkeypatch.setattr(properties, "batched_rank",
+                            lambda stack, p: shapes.append(stack.shape) or rank(stack, p))
+        rep = e_lambda(7, 4, (1, 5, 2, 4))
+        report = width(rep, 0)
+        assert shapes == [(400, 1, 1)]
+        assert report.to_json() == hand_json(two_loop_width(rep, 0))
 
     def test_report_shape(self):
         report = width(e_lambda(5, 3, (1, 1, 1)), base_label="brick")

@@ -125,6 +125,67 @@ class TestFpMatrix:
         assert matmul(a, b, p).tolist() == expected
 
 
+def integer_product(a, b, p):
+    """a @ b mod p in Python integers (object arrays): the oracle for the
+    float64 products."""
+    return (np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)) % p
+
+
+class TestMatmulFloatExactness:
+    """matmul runs on float64 BLAS: one limb while every partial sum stays
+    below 2^53, base-2^s limbs of b past it, inner chunks past 2^53 / (p-1)."""
+
+    P25 = 2**25 - 39  # 8 (p-1)^2 <= 2^53 < 9 (p-1)^2
+
+    @pytest.mark.parametrize("inner,limbs", [(7, 1), (8, 1), (9, 2)])
+    def test_boundary_near_two_to_the_25(self, inner, limbs):
+        p = self.P25
+        assert linalg._limbs(p, inner)[:2] == (inner, limbs)
+        top = np.full((3, inner), p - 1, dtype=np.int64)
+        assert matmul(top, top.T.copy(), p).tolist() == [[inner % p] * 3] * 3
+        # odd entries near the top: a sum past 2^53 in one limb would round
+        rng = np.random.default_rng(inner)
+        a = p - 1 - rng.integers(0, 9, size=(4, 3, inner))
+        b = p - 1 - rng.integers(0, 9, size=(4, inner, 5))
+        assert matmul(a, b, p).tolist() == integer_product(a, b, p).tolist()
+
+    @pytest.mark.parametrize("p,inner,limbs", [
+        (7, 2100, 1), (65521, 2100, 1), (P25, 64, 2), (2**31 - 1, 1, 2),
+        (2**31 - 1, 64, 2), (2**31 - 1, 100, 3), (2**31 - 1, 2100, 4)])
+    def test_random_stacks_at_each_limb_count(self, p, inner, limbs):
+        assert linalg._limbs(p, inner)[:2] == (inner, limbs)
+        rng = np.random.default_rng(inner + limbs)
+        stacks = rng.integers(0, p, size=(2, 3, inner)), rng.integers(0, p, size=(2, inner, 2))
+        near_top = (p - 1 - rng.integers(0, 3, size=(3, inner)),
+                    p - 1 - rng.integers(0, 3, size=(inner, 2)))
+        for a, b in (stacks, near_top):
+            assert matmul(a, b, p).tolist() == integer_product(a, b, p).tolist()
+
+    def test_every_limb_count_and_inner_chunks(self, monkeypatch):
+        # with the float bound lowered to 2^40, small products take every
+        # limb count that 31-bit entries allow, and inner chunks; the float
+        # products stay exact, so the recombination must be too
+        monkeypatch.setattr(linalg, "_FLOAT_EXACT", 2**40)
+        linalg._limbs.cache_clear()
+        try:
+            rng = np.random.default_rng(40)
+            seen, chunked = set(), False
+            for p in ORACLE_PRIMES + (self.P25, 2**31 - 1):
+                for inner in (0, 1, 2, 3, 5, 9, 17, 33, 65, 129, 257, 513, 1100):
+                    step, limbs, _ = linalg._limbs(p, inner)
+                    if p == 2**31 - 1:
+                        seen.add(limbs)
+                    chunked |= step < inner
+                    a = rng.integers(0, p, size=(2, 2, inner))
+                    b = p - 1 - rng.integers(0, 2, size=(2, inner, 3))
+                    assert matmul(a, b, p).tolist() == integer_product(a, b, p).tolist()
+            # 4, 5, 6, 7, 8, 11, 16 and 31 limbs; 1 to 4 at the true bound above
+            assert seen == {-(-31 // s) for s in range(1, 10)} and chunked
+        finally:
+            monkeypatch.undo()
+            linalg._limbs.cache_clear()
+
+
 class TestCombine:
     def test_matches_python_integers(self):
         # near the top of the int64 range, stacked coefficients, one zero term
