@@ -12,7 +12,6 @@ representations (``reps``)."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import product
 from math import comb
@@ -25,8 +24,6 @@ from .linalg import (
     check_modulus,
     combine,
     image_basis,
-    json_int,
-    json_matrix,
     kernel_basis,
     matmul,
     power,
@@ -39,7 +36,6 @@ from .reps import (
     ConfigMismatch,
     ProjPoint,
     _intertwiners,
-    _noncommuting,
     block_diagonal,
     decide_isomorphism,
     proj_points,
@@ -81,36 +77,6 @@ class ErModule:
     def same_config(self, other: "ErModule") -> bool:
         return (self.p, self.r) == (other.p, other.r)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "r": self.r,
-                "dim": self.dim,
-                "ops": [op.tolist() for op in self.ops],
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "ErModule":
-        d = json.loads(text)
-        p, r, dim = d["p"], json_int(d["r"], "r"), json_int(d["dim"], "dim")
-        ops = tuple(json_matrix(p, arr, dim, dim, f"ops[{l}]") for l, arr in enumerate(d["ops"]))
-        m = ErModule(p, r, dim, ops)
-        problems = validate_module(m)
-        if problems:
-            raise ValueError(problems[0])
-        return m
-
-
-def validate_module(m: ErModule) -> list[str]:
-    """Invariant violations: non-commuting pairs or non-vanishing p-th powers."""
-    problems = [f"operators {i + 1} and {j + 1} do not commute"
-                for i, j in _noncommuting(m.ops, m.ops, m.p)]
-    powers = power(np.stack([op.a for op in m.ops]), m.p, m.p)
-    return problems + [f"operator {i + 1} is not nilpotent of order <= p"
-                       for i in np.flatnonzero(powers.any(axis=(1, 2))).tolist()]
-
 
 @dataclass(frozen=True)
 class JordanType:
@@ -127,9 +93,6 @@ class JordanType:
     @property
     def total(self) -> int:
         return sum((i + 1) * a for i, a in enumerate(self.counts))
-
-    def blocks(self, size: int) -> int:
-        return self.counts[size - 1] if 1 <= size <= len(self.counts) else 0
 
     def __str__(self) -> str:
         parts = [
@@ -240,14 +203,6 @@ def jt_formula(n: int, d: int, r: int) -> JordanType:
     return JordanType(tuple(counts))
 
 
-def has_constant_jordan_type(m: ErModule) -> tuple[bool, JordanType | None]:
-    """Exhaustive check over the rational projective points."""
-    jts = {jordan_type(m, a) for a in proj_points(m.p, m.r)}
-    if len(jts) == 1:
-        return True, next(iter(jts))
-    return False, None
-
-
 # ---------------------------------------------------------------------------
 # radical and socle
 
@@ -294,6 +249,8 @@ def group_algebra_radical_power(p: int, r: int, s: int) -> ErModule:
     variable acts by exponent bump, vanishing past exponent p-1.  s runs
     from 0 (the regular module, dimension p^r) to r(p-1)+1 (zero)."""
     check_modulus(p)
+    if r < 2:
+        raise ValueError("require r >= 2")
     top = r * (p - 1) + 1
     if not 0 <= s <= top:
         raise ValueError(f"require 0 <= s <= {top}, got s={s}")

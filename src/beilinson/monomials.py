@@ -22,6 +22,8 @@ from .linalg import FpMatrix
 @lru_cache(maxsize=None)
 def monomials(r: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All exponent tuples of the given total degree, graded-lex ordered."""
+    if r < 1:
+        raise ValueError(f"need r >= 1 variables, got r={r}")
     if degree < 0:
         return ()
     if r == 1:

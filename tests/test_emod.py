@@ -1,7 +1,6 @@
 """Modules over the group algebra of an elementary abelian p-group."""
 
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from beilinson.emod import (
     end_algebra,
     forget,
     group_algebra_radical_power,
-    has_constant_jordan_type,
     hom_modules,
     is_indecomposable,
     is_isomorphic,
@@ -34,11 +32,11 @@ from beilinson.emod import (
     soc_series,
     socle,
     twist,
-    validate_module,
 )
 from beilinson.emod import _local, _products, _span_stack
 from beilinson.kronecker import e_lambda
 from beilinson.linalg import FpMatrix, batched_rank, combine, matmul, power, rank
+from beilinson.properties import constant_jordan_type
 from beilinson.reps import (
     BeilinsonRep,
     ProjPoint,
@@ -55,6 +53,15 @@ from beilinson.reps import (
 
 def trivial_module(p, r):
     return ErModule(p, r, 1, tuple(FpMatrix.zeros(p, 1, 1) for _ in range(r)))
+
+
+def assert_relations(m):
+    """The kE_r relations: the operators commute pairwise, and each p-th
+    power vanishes."""
+    ops = np.stack([op.a for op in m.ops])
+    prods = matmul(ops[:, None], ops[None], m.p)
+    assert (prods == prods.transpose(1, 0, 2, 3)).all()
+    assert not power(ops, m.p, m.p).any()
 
 
 class TestJordanType:
@@ -224,6 +231,16 @@ class TestChunkedJordanTypes:
         with pytest.raises(ValueError, match=r"point \(1, 0\)"):
             jordan_type(m, ProjPoint(2, (1, 0)))
 
+    def test_jordan_block_past_p_rejected(self):
+        for p in (2, 3):
+            block = FpMatrix(p, np.eye(p + 1, k=-1, dtype=np.int64))
+            m = ErModule(p, 2, p + 1, (block, FpMatrix.zeros(p, p + 1, p + 1)))
+            with pytest.raises(ValueError, match="not nilpotent of order <= p"):
+                jordan_type(m, ProjPoint(p, (1, 0)))
+            short = FpMatrix(p, np.eye(p, k=-1, dtype=np.int64))
+            m = ErModule(p, 2, p, (FpMatrix.zeros(p, p, p), short))
+            assert jordan_type(m, ProjPoint(p, (0, 1))) == JordanType((0,) * (p - 1) + (1,))
+
     def test_memo_leaves_equality_hash_and_repr(self):
         m = forget(m_module(5, 2, 3, 3, 2))
         before = (hash(m), repr(m))
@@ -233,10 +250,16 @@ class TestChunkedJordanTypes:
         assert m == ErModule(m.p, m.r, m.dim, m.ops)
 
 
+class TestErModule:
+    def test_modulus_past_2_to_31_rejected(self):
+        with pytest.raises(ValueError, match="2\\^31"):
+            trivial_module(2**31 + 11, 2)
+        assert trivial_module(2**31 - 1, 2).p == 2**31 - 1
+
+
 class TestForget:
     def test_operators_pairwise_commute_and_nilpotent(self):
-        m = forget(m_module(5, 3, 3, 3, 2))
-        assert validate_module(m) == []
+        assert_relations(forget(m_module(5, 3, 3, 3, 2)))
 
     def test_requires_small_loewy_length(self):
         with pytest.raises(ValueError):
@@ -300,6 +323,11 @@ class TestGroupAlgebra:
             )
             assert group_algebra_radical_power(p, r, s).dim == count
 
+    @pytest.mark.parametrize("r", [-1, 0, 1])
+    def test_fewer_than_two_variables_refused(self, r):
+        with pytest.raises(ValueError, match="require r >= 2"):
+            group_algebra_radical_power(5, r, 0)
+
     def test_top_power_vanishes(self):
         assert group_algebra_radical_power(3, 2, 2 * 2 + 1).dim == 0
 
@@ -319,7 +347,7 @@ class TestTwist:
     def test_twist_preserves_commutativity(self):
         m = forget(m_module(5, 2, 3, 3, 2))
         g = FpMatrix(5, [[1, 2, 0], [0, 1, 0], [3, 0, 1]])
-        assert validate_module(twist(m, g)) == []
+        assert_relations(twist(m, g))
 
     def test_twist_permutes_jordan_types(self):
         m = forget(m_module(3, 2, 2, 3, 2))
@@ -615,72 +643,18 @@ class TestIndecomposability:
 
 
 class TestConstantJordanType:
-    def test_m_module_cjt(self):
-        ok, jt = has_constant_jordan_type(forget(m_module(3, 2, 2, 3, 2)))
-        assert ok and jt is not None
-
-    def test_non_cjt_example(self):
-        # One operator zero, the other a single Jordan block: the point
-        # (1,0) behaves differently from (0,1).
-        n = FpMatrix(3, [[0, 0], [1, 0]])
-        z = FpMatrix.zeros(3, 2, 2)
-        m = ErModule(3, 2, 2, (n, z))
-        ok, _ = has_constant_jordan_type(m)
-        assert not ok
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        m = forget(m_module(5, 3, 3, 3, 2))
-        assert ErModule.from_json(m.to_json()) == m
-
-    def test_jordan_block_past_p_rejected(self):
-        for p in (2, 3):
-            block = FpMatrix(p, np.eye(p + 1, k=-1, dtype=np.int64))
-            zero = FpMatrix.zeros(p, p + 1, p + 1)
-            assert validate_module(ErModule(p, 2, p + 1, (block, zero))) == [
-                "operator 1 is not nilpotent of order <= p"
-            ]
-            short = FpMatrix(p, np.eye(p, k=-1, dtype=np.int64))
-            assert validate_module(ErModule(p, 2, p, (FpMatrix.zeros(p, p, p), short))) == []
-
-    def test_large_prime_module_loads(self):
-        m = forget(w_module(1009, 2, 3, 3, 2))
-        assert ErModule.from_json(m.to_json()) == m
-
-    def test_modulus_past_2_to_31_rejected_on_load(self):
-        doc = json.loads(forget(m_module(5, 2, 3, 3, 2)).to_json())
-        doc["p"] = 2**31 + 11
-        with pytest.raises(ValueError, match="2\\^31"):
-            ErModule.from_json(json.dumps(doc))
-        doc["p"] = 2**31 - 1
-        assert ErModule.from_json(json.dumps(doc)).p == 2**31 - 1
-
-    def test_hostile_entries(self):
-        m = forget(m_module(5, 2, 3, 3, 2))
-        doc = json.loads(m.to_json())
-        entry = doc["ops"][1].index(1)
-        doc["ops"][1][entry] = 5 * 10**30 + 1  # 1 mod 5, past int64
-        assert ErModule.from_json(json.dumps(doc)) == m
-        for bad in (1.5, True, "1"):
-            doc["ops"][1][entry] = bad
-            with pytest.raises(ValueError, match=r"ops\[1\] must hold integers"):
-                ErModule.from_json(json.dumps(doc))
-        doc = json.loads(m.to_json())
-        doc["dim"] = float(m.dim)
-        with pytest.raises(ValueError, match="dim must hold integers"):
-            ErModule.from_json(json.dumps(doc))
-        doc = json.loads(m.to_json())
-        for bad in (float(m.r), True):
-            doc["r"] = bad
-            with pytest.raises(ValueError, match="r must hold integers"):
-                ErModule.from_json(json.dumps(doc))
-
-    def test_invalid_operators_rejected_on_load(self):
-        n = [[0, 1], [0, 0]]
-        doc = {"p": 3, "r": 2, "dim": 2, "ops": [sum(n, []), [0, 0, 1, 0]]}
-        with pytest.raises(ValueError, match="operators 1 and 2 do not commute"):
-            ErModule.from_json(json.dumps(doc))
-        doc["ops"] = [[1, 0, 0, 0], [0, 0, 0, 0]]
-        with pytest.raises(ValueError, match="operator 1 is not nilpotent"):
-            ErModule.from_json(json.dumps(doc))
+    @pytest.mark.parametrize("rep", [
+        m_module(3, 2, 2, 3, 2),
+        w_module(5, 3, 3, 4, 3),
+        projective(5, 3, 3, 0),
+        # x_1 a single Jordan block and x_2 zero after forget: (1, 0) and
+        # (0, 1) have different Jordan types
+        BeilinsonRep(3, 2, 2, (1, 1), ((FpMatrix(3, [[1]]), FpMatrix(3, [[0]])),)),
+    ], ids=["M(3,2,2,3,2)", "W(5,3,3,4,3)", "P(0)", "kronecker-non-cjt"])
+    def test_verdict_matches_jordan_types(self, rep):
+        """rank(x_alpha^j) on forget(rep) is the sum over levels of the
+        j-fold step composite ranks, so the rep-side verdict is "one Jordan
+        type at every point" of the forgotten module."""
+        m = forget(rep)
+        types = {jordan_type(m, alpha) for alpha in proj_points(m.p, m.r)}
+        assert constant_jordan_type(rep).verdict == (len(types) == 1)

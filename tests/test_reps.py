@@ -167,19 +167,19 @@ class TestFamilies:
 
     def test_x_module_matches_polynomial_reference(self):
         # p in {2, 3, 5, 7}, r in {2, 3, 4}, n <= 5, every i and j, at the
-        # first and last points of P^{r-1}(F_p) and up to six seeded others
+        # first and last points of P^{r-1}(F_p) and up to two seeded others
         rng = np.random.default_rng(15)
         compared = 0
         for p, r in itertools.product((2, 3, 5, 7), (2, 3, 4)):
             points = proj_points(p, r)
-            picks = {0, len(points) - 1, *rng.integers(0, len(points), size=6).tolist()}
+            picks = {0, len(points) - 1, *rng.integers(0, len(points), size=2).tolist()}
             for n, k in itertools.product(range(2, 6), sorted(picks)):
                 for i in range(n - 1):
                     for j in range(1, n - i):
                         expected = reference_x_module(p, n, r, points[k], i, j)
                         assert x_module(p, n, r, points[k], i, j).to_json() == expected.to_json()
                         compared += 1
-        assert compared > 1000
+        assert compared == 840
 
 
 class TestDualize:
