@@ -23,16 +23,19 @@ columns forced so far forces its column, whose RREF row is a unit vector,
 round after round until a round forces nothing.  Only the remainder, the
 rows left with two or more nonzeros restricted to the unforced columns,
 is made dense and eliminated column by column (``_eliminate``).  It has
-two entries.  The dense entry ``_reduce`` (behind ``rref``,
-``kernel_basis``, ``image_basis``, ``solve_matrix`` and
-``quotient_projection``) takes a reduced array, as every ``FpMatrix.a``
-is, forces its ``nonzero()`` pattern and copies the remainder out of it,
-never writing it.  The coordinate entry ``coordinate_kernel`` takes the
-Hom systems of ``reps`` as coordinates and scatters only the remainder, so
-those systems are never dense.  A kernel basis is read off the eliminated
-remainder alone, since a forced pivot's RREF row is zero in every free
-column.  The End systems of the W modules have at most two nonzeros per
-row, and forcing leaves about 15% of their columns to the column loop.
+two entries.  The one dense entry ``_rref`` (behind ``kernel_basis``,
+``image_basis``, ``solve_matrix`` and ``quotient_projection``) takes a
+reduced array, as every ``FpMatrix.a`` is, forces its ``nonzero()``
+pattern and copies the remainder out of it, never writing it.  It returns
+the RREF in structured form: the forced pivots, whose unit rows stay
+implicit, and the remainder's RREF on the free columns, which every
+consumer reads directly, so no full-shape RREF is ever built.  The
+coordinate entry ``coordinate_kernel`` takes the Hom systems of ``reps``
+as coordinates and scatters only the remainder, so those systems are
+never dense.  A kernel basis is read off the eliminated remainder alone,
+since a forced pivot's RREF row is zero in every free column.  The End
+systems of the W modules have at most two nonzeros per row, and forcing
+leaves about 15% of their columns to the column loop.
 
 Exactness bounds.  Every int64 intermediate stays below 2^63 for every
 p < 2^31; larger moduli are refused wherever a matrix, point or module is
@@ -255,26 +258,6 @@ def power(a: np.ndarray, e: int, p: int) -> np.ndarray:
         a = matmul(a, a, p)
 
 
-def json_int(value, name: str) -> int:
-    """value, read from JSON, if it is an integer; a float, bool or string
-    raises a ValueError that names the field."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must hold integers, got {value!r}")
-    return value
-
-
-def json_matrix(p: int, entries, rows: int, cols: int, name: str) -> FpMatrix:
-    """The rows x cols matrix stored row-major in the JSON list entries.
-
-    Integers of any size are reduced mod p exactly, as Python integers
-    (``json_int`` refuses anything else), so no entry overflows int64."""
-    check_modulus(p)
-    if not isinstance(entries, list) or len(entries) != rows * cols:
-        raise ValueError(f"{name} must list {rows * cols} entries")
-    flat = [json_int(x, name) % p for x in entries]
-    return FpMatrix._reduced(p, np.array(flat, dtype=np.int64).reshape(rows, cols))
-
-
 def _eliminate(m: np.ndarray, p: int) -> list[int]:
     """Gauss-Jordan elimination of the reduced array m in place, column by
     column; returns the pivot columns, whose rows end up on top."""
@@ -318,12 +301,16 @@ def _force(r: np.ndarray, c: np.ndarray, cols: int) -> np.ndarray:
         r, c = r[live], c[live]
 
 
-def _reduce(a: np.ndarray, p: int):
-    """The dense entry to elimination: (free, m, sub) for a reduced array,
-    which is never written.  free lists the unforced columns (``_force``
-    on a.nonzero()), m is the RREF of the rows with a nonzero among them,
-    restricted to them, and sub lists m's pivot columns, indices into
-    free.  With nothing forced, m is the RREF of a whole copy of a."""
+def _rref(a: np.ndarray, p: int):
+    """The dense entry to elimination: the RREF mod p of a reduced array,
+    which is never written, in structured form (free, m, sub).  free lists
+    the unforced columns (``_force`` on a.nonzero()); every other column is
+    a forced pivot, whose RREF row is a unit vector and is left implicit.
+    m is the RREF of the remainder, the rows with a nonzero among the free
+    columns, restricted to them, and sub lists its pivot columns, indices
+    into free, so m[:len(sub)] are the other RREF rows on the free columns
+    (they are 0 on the forced ones).  With nothing forced, m is the RREF of
+    a whole copy of a."""
     r, c = a.nonzero()
     forced = _force(r, c, a.shape[1])
     if not np.count_nonzero(forced):
@@ -332,24 +319,6 @@ def _reduce(a: np.ndarray, p: int):
         free = np.flatnonzero(~forced)
         m = a[np.flatnonzero(np.bincount(r[~forced[c]]))[:, None], free]
     return free, m, _eliminate(m, p)
-
-
-def _rref(a: np.ndarray, p: int):
-    """Reduced row echelon form mod p of a reduced array, which is never
-    written; returns (rref, pivot column list).  The forced pivots' rows
-    are unit vectors and the others are ``_reduce``'s remainder rows."""
-    free, m, sub = _reduce(a, p)
-    if free.size == a.shape[1]:
-        return m, sub
-    sub = free[sub]
-    pivots = np.ones(a.shape[1], dtype=bool)
-    pivots[free] = False
-    pivots[sub] = True
-    pivots = np.flatnonzero(pivots)
-    out = np.zeros(a.shape, dtype=np.int64)
-    out[np.arange(pivots.size), pivots] = 1
-    out[pivots.searchsorted(sub)[:, None], free] = m[:sub.size]
-    return out, pivots.tolist()
 
 
 def _null_rows(cols: int, free: np.ndarray, m: np.ndarray, sub, p: int, order: str):
@@ -377,7 +346,7 @@ def coordinate_kernel(p: int, shape: tuple[int, int], r: np.ndarray, c: np.ndarr
     with entries values at (r, c): distinct coordinates, values in [1, p).
 
     The coordinate entry to elimination: the pattern is forced as in
-    ``_reduce``, and only the remainder, the entries outside the forced
+    ``_rref``, and only the remainder, the entries outside the forced
     columns, is scattered into a dense array of its rows and the unforced
     columns, so the matrix is never dense.  The basis equals the columns
     of ``kernel_basis`` of the dense matrix."""
@@ -390,12 +359,6 @@ def coordinate_kernel(p: int, shape: tuple[int, int], r: np.ndarray, c: np.ndarr
     m = np.zeros((np.count_nonzero(rows), free.size), dtype=np.int64)
     m[np.cumsum(rows)[r] - 1, free.searchsorted(c)] = values[live]
     return _null_rows(shape[1], free, m, _eliminate(m, p), p, "C")[0]
-
-
-def rref(m: FpMatrix):
-    """Reduced row echelon form; returns (FpMatrix, pivot columns)."""
-    r, pivots = _rref(m.a, m.p)
-    return FpMatrix._reduced(m.p, r), pivots
 
 
 def rank(m: FpMatrix) -> int:
@@ -445,7 +408,7 @@ def _kernel(a: np.ndarray, p: int):
     """(basis, free) for the right null space of the reduced array a: the
     basis columns, one per free (non-pivot) column of a, listed ascending
     in free, each with a 1 there and 0 in the other free columns."""
-    basis, free = _null_rows(a.shape[1], *_reduce(a, p), p, "F")
+    basis, free = _null_rows(a.shape[1], *_rref(a, p), p, "F")
     return basis.T, free
 
 
@@ -455,21 +418,31 @@ def kernel_basis(m: FpMatrix) -> FpMatrix:
 
 
 def image_basis(m: FpMatrix) -> FpMatrix:
-    """Column basis of the column space (original pivot columns)."""
-    _, pivots = _rref(m.a, m.p)
+    """Column basis of the column space (original pivot columns): the
+    forced columns of ``_rref`` and the remainder's pivots free[sub]."""
+    free, _, sub = _rref(m.a, m.p)
+    pivots = np.ones(m.cols, dtype=bool)
+    pivots[free] = False
+    pivots[free[sub]] = True
     return FpMatrix._reduced(m.p, m.a[:, pivots])
 
 
 def solve_matrix(a: FpMatrix, b: FpMatrix) -> FpMatrix | None:
-    """Any solution X of a X = b with matrix right-hand side, or None."""
+    """Any solution X of a X = b with matrix right-hand side, or None.
+
+    One ``_rref`` of [a | b]: the system is consistent exactly when no
+    column of b is a pivot, so every column of b must be free (a forced
+    column's RREF row is a unit vector in b) and no remainder pivot may lie
+    in b.  X is 0 on the forced unknowns and the free non-pivots, and row
+    free[sub][t] of X is row t of the remainder read at b's columns."""
     if a.p != b.p or a.rows != b.rows:
         raise DimensionMismatch("solve_matrix shape mismatch")
-    aug = np.hstack([a.a, b.a])
-    r, pivots = _rref(aug, a.p)
-    if pivots and pivots[-1] >= a.cols:
+    free, m, sub = _rref(np.hstack([a.a, b.a]), a.p)
+    k = int(free.searchsorted(a.cols))  # free[k:] are the free columns of b
+    if free.size - k != b.cols or (sub and sub[-1] >= k):
         return None
     x = np.zeros((a.cols, b.cols), dtype=np.int64)
-    x[pivots] = r[:len(pivots), a.cols:]
+    x[free[sub]] = m[:len(sub), k:]
     return FpMatrix._reduced(a.p, x)
 
 

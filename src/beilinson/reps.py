@@ -34,8 +34,6 @@ from .linalg import (
     combine,
     coordinate_kernel,
     image_basis,
-    json_int,
-    json_matrix,
     kernel_basis,
     matmul,
     power,
@@ -88,6 +86,26 @@ def first_point(p: int, r: int) -> ProjPoint:
     """``proj_points(p, r)[0]``, the point (0, ..., 0, 1), without
     enumerating P^{r-1}(F_p)."""
     return ProjPoint(p, (0,) * (r - 1) + (1,))
+
+
+def _json_int(value, name: str) -> int:
+    """value, read from JSON, if it is an integer; a float, bool or string
+    raises a ValueError that names the field."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must hold integers, got {value!r}")
+    return value
+
+
+def _json_matrix(p: int, entries, rows: int, cols: int, name: str) -> FpMatrix:
+    """The rows x cols matrix stored row-major in the JSON list entries.
+
+    Integers of any size are reduced mod p exactly, as Python integers
+    (``_json_int`` refuses anything else), so no entry overflows int64."""
+    check_modulus(p)
+    if not isinstance(entries, list) or len(entries) != rows * cols:
+        raise ValueError(f"{name} must list {rows * cols} entries")
+    flat = [_json_int(x, name) % p for x in entries]
+    return FpMatrix._reduced(p, np.array(flat, dtype=np.int64).reshape(rows, cols))
 
 
 @dataclass(frozen=True)
@@ -152,12 +170,12 @@ class BeilinsonRep:
     @staticmethod
     def from_json(text: str) -> "BeilinsonRep":
         d = json.loads(text)
-        p, n, r = d["p"], json_int(d["n"], "n"), json_int(d["r"], "r")
-        dims = [json_int(x, "dims") for x in d["dims"]]
+        p, n, r = d["p"], _json_int(d["n"], "n"), _json_int(d["r"], "r")
+        dims = [_json_int(x, "dims") for x in d["dims"]]
         if len(dims) != n or len(d["maps"]) != n - 1:
             raise ValueError(f"need n = {n} dims and n - 1 = {n - 1} levels of maps")
         maps = tuple(
-            tuple(json_matrix(p, arr, dims[i + 1], dims[i], f"maps[{i}][{l}]")
+            tuple(_json_matrix(p, arr, dims[i + 1], dims[i], f"maps[{i}][{l}]")
                   for l, arr in enumerate(level))
             for i, level in enumerate(d["maps"])
         )

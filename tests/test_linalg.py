@@ -20,7 +20,6 @@ from beilinson.linalg import (
     matmul,
     quotient_projection,
     rank,
-    rref,
     solve_matrix,
 )
 
@@ -258,6 +257,13 @@ def sympy_rank(a, p):
     return sympy_matrix(a, p).rank()
 
 
+def sympy_rref(a, p):
+    """(RREF as an int64 array in [0, p), pivot column list) over GF(p) by
+    sympy's DomainMatrix.rref()."""
+    ech, pivots = sympy_matrix(a, p).rref()
+    return sympy_array(ech, p), list(pivots)
+
+
 def sympy_array(m, p):
     """The sympy DomainMatrix m over GF(p) as an int64 array in [0, p)."""
     return np.array([[int(x) % p for x in row] for row in m.to_list()],
@@ -369,7 +375,8 @@ class TestRankOracle:
         p, stack = case
         for a in stack:
             expected = sympy_rank(a, p)
-            assert len(rref(FpMatrix(p, a))[1]) == expected
+            free, _, sub = linalg._rref(a, p)
+            assert a.shape[1] - free.size + len(sub) == expected
             assert rank(FpMatrix(p, a)) == expected
 
     @given(low_rank_stacks())
@@ -411,6 +418,15 @@ class TestRankOracle:
 class TestKernelOracle:
     """The back-substituting kernels against sympy over GF(p)."""
 
+    # the three structured cases of solve_matrix: a column of b forced by a
+    # singleton row (inconsistent), a remainder pivot in b (inconsistent),
+    # and a consistent system whose first unknown is forced
+    SOLVE_EXAMPLES = (
+        (7, np.array([[0]]), np.array([[1]])),
+        (5, np.array([[1], [1]]), np.array([[1], [2]])),
+        (7, np.array([[3, 0, 0], [0, 1, 2], [0, 2, 1]]), np.array([[0, 0], [1, 4], [2, 3]])),
+    )
+
     @given(low_rank_systems())
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_kernel_basis(self, case):
@@ -421,6 +437,9 @@ class TestKernelOracle:
         assert sympy_rank(k.a, p) == k.cols
 
     @given(low_rank_systems())
+    @example(SOLVE_EXAMPLES[0])
+    @example(SOLVE_EXAMPLES[1])
+    @example(SOLVE_EXAMPLES[2])
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_solve_matrix(self, case):
         p, a, b = case
@@ -493,7 +512,11 @@ def sparse_systems(draw):
 
 
 class TestRrefOracle:
-    """The whole RREF, entry for entry, against sympy's DomainMatrix.rref()."""
+    """The structured RREF of _rref, entry for entry, against sympy's
+    DomainMatrix.rref(): forced and remainder pivots together are sympy's
+    pivots, sympy's row of a forced pivot is its unit vector, and its row
+    of the k-th remainder pivot is m[k] on the free columns and 0 on the
+    forced ones."""
 
     @given(sparse_systems())
     @example((7, np.zeros((0, 5), dtype=np.int64)))
@@ -505,10 +528,20 @@ class TestRrefOracle:
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_rref_matches_sympy(self, case):
         p, a = case
-        r, pivots = rref(FpMatrix(p, a))
-        ech, want = sympy_matrix(a, p).rref()
-        assert pivots == list(want)
-        assert r.a.shape == a.shape and np.array_equal(r.a, sympy_array(ech, p))
+        free, m, sub = linalg._rref(a, p)
+        ech, want = sympy_rref(a, p)
+        remainder = free[sub].tolist()
+        forced = np.ones(a.shape[1], dtype=bool)
+        forced[free] = False
+        assert sorted(np.flatnonzero(forced).tolist() + remainder) == want
+        assert m.shape[1] == free.size
+        for t, j in enumerate(want):
+            if j in remainder:
+                k = remainder.index(j)
+                assert np.array_equal(ech[t, free], m[k]) and not ech[t, forced].any()
+            else:
+                assert forced[j] and ech[t].tolist() == [int(c == j) for c in range(a.shape[1])]
+        assert not m[len(sub):].any() and not ech[len(want):].any()
 
     @pytest.mark.parametrize("args, shape", [((5, 3, 3, 4, 3), (1083, 361)),
                                              ((7, 3, 4, 4, 3), (4624, 1156))],
@@ -549,11 +582,11 @@ class TestNoWrites:
 
     @staticmethod
     def results(m):
-        ech, pivots = rref(m)
+        free, rem, sub = linalg._rref(m.a, m.p)
         pi, complement = quotient_projection(m)
         x = solve_matrix(m, FpMatrix(m.p, m.a[:, :1]))
-        return [ech.a.tolist(), pivots, kernel_basis(m).a.tolist(), image_basis(m).a.tolist(),
-                x.a.tolist(), pi.a.tolist(), complement]
+        return [free.tolist(), rem.tolist(), sub, kernel_basis(m).a.tolist(),
+                image_basis(m).a.tolist(), x.a.tolist(), pi.a.tolist(), complement]
 
     @pytest.mark.parametrize("a", [
         # singleton rows (one repeated), a zero row and a dense remainder
@@ -573,34 +606,35 @@ class TestNoWrites:
             arr.setflags(write=False)
         for view in (writable[:], read_only, transposed.T, strided[:, ::2]):
             assert self.results(FpMatrix._reduced(p, view)) == expected
-        assert linalg._rref(writable, p)[1] == expected[1]
+        free, rem, sub = linalg._rref(writable, p)
+        assert [free.tolist(), rem.tolist(), sub] == expected[:3]
         assert np.array_equal(writable, a) and writable.flags.writeable
 
 
 def loop_back_substitution(p, a, b):
     """kernel_basis, quotient_projection and solve_matrix of a (and b)
-    from their RREFs by per-entry loops: the reference for the indexed
-    assignments in linalg."""
-    r, pivots = rref(FpMatrix(p, a))
+    from sympy's full RREFs by per-entry loops: the reference for the
+    indexed assignments in linalg."""
+    r, pivots = sympy_rref(a, p)
     free = [c for c in range(a.shape[1]) if c not in pivots]
     kernel = np.zeros((a.shape[1], len(free)), dtype=np.int64)
     for idx, f in enumerate(free):
         kernel[f, idx] = 1
         for t, pc in enumerate(pivots):
-            kernel[pc, idx] = (-r.a[t, f]) % p
-    ech, pivots = rref(FpMatrix(p, a.T))
+            kernel[pc, idx] = (-r[t, f]) % p
+    ech, pivots = sympy_rref(a.T, p)
     complement = [i for i in range(a.shape[0]) if i not in pivots]
     pi = np.zeros((len(complement), a.shape[0]), dtype=np.int64)
     for idx, c in enumerate(complement):
         pi[idx, c] = 1
         for t, pv in enumerate(pivots):
-            pi[idx, pv] = (-ech.a[t, c]) % p
-    aug, pivots = rref(FpMatrix(p, np.hstack([a, b])))
+            pi[idx, pv] = (-ech[t, c]) % p
+    aug, pivots = sympy_rref(np.hstack([a, b]), p)
     x = None
     if all(pc < a.shape[1] for pc in pivots):
         x = np.zeros((a.shape[1], b.shape[1]), dtype=np.int64)
         for t, pc in enumerate(pivots):
-            x[pc] = aug.a[t, a.shape[1]:]
+            x[pc] = aug[t, a.shape[1]:]
     return kernel, (pi, complement), x
 
 
@@ -637,12 +671,15 @@ class TestTrustedResults:
         x = solve_matrix(m, rhs)
         results = [
             m @ m.transpose(), m + m, m - m, m.transpose(),
-            m.hstack(rhs), m.transpose().vstack(rhs.transpose()), rref(m)[0], kernel_basis(m),
+            m.hstack(rhs), m.transpose().vstack(rhs.transpose()), kernel_basis(m),
             image_basis(m), quotient_projection(m)[0],
             *([] if x is None else [x]),
         ]
         for res in results:
             self.check(res, p)
+        free, rem, _ = linalg._rref(m.a, p)
+        assert rem.ndim == 2 and rem.dtype == np.int64 and rem.shape[1] == free.size
+        assert ((rem >= 0) & (rem < p)).all()
 
     def test_hom_bases_span_and_translate(self):
         from beilinson.emod import forget, hom_modules, twist
@@ -738,17 +775,3 @@ class TestSubspaces:
         for s in subspaces(3, 3):
             assert rank(s) == s.cols
 
-
-class TestRref:
-    def test_idempotent(self):
-        m = FpMatrix(5, [[2, 4, 1], [1, 3, 0], [3, 2, 1]])
-        r1, piv1 = rref(m)
-        r2, piv2 = rref(r1)
-        assert r1 == r2 and piv1 == piv2
-
-    def test_pivot_columns_are_unit_vectors(self):
-        m = FpMatrix(7, [[1, 2, 3], [4, 5, 6]])
-        r, pivots = rref(m)
-        for row_idx, col in enumerate(pivots):
-            column = [int(r.a[i, col]) for i in range(r.rows)]
-            assert column == [1 if i == row_idx else 0 for i in range(r.rows)]
