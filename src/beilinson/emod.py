@@ -1,6 +1,7 @@
 """kE_r-modules: r pairwise-commuting nilpotent operators with x_i^p = 0.
 
-Covers the forgetful functor from graded representations, Jordan types,
+Covers the forgetful functor from graded representations, Jordan types
+(from step-composite ranks on modules that record a grading),
 radical/socle series, the radical powers of the group algebra itself,
 twists by invertible coordinate changes, endomorphism algebras with
 certified commutativity and locality (one stacked product for the
@@ -13,7 +14,7 @@ representations (``reps``)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from math import comb
 
 import numpy as np
@@ -37,14 +38,22 @@ from .reps import (
     ProjPoint,
     _intertwiners,
     block_diagonal,
+    composite_ranks,
     decide_isomorphism,
+    proj_coords,
     proj_points,
 )
 
 
 @dataclass(frozen=True)
 class ErModule:
-    """A module over k[x_1..x_r]/(x_1^p..x_r^p): commuting nilpotent ops."""
+    """A module over k[x_1..x_r]/(x_1^p..x_r^p): commuting nilpotent ops.
+
+    ``forget``, ``twist`` and ``group_algebra_radical_power`` also record a
+    grading in ``_levels``: the dimensions of the degrees, in order, of a
+    basis split into consecutive blocks that every operator raises by one
+    degree.  ``jordan_type`` reads it; equality, hashing and ``repr`` do
+    not, and a module built directly records none."""
 
     p: int
     r: int
@@ -53,6 +62,7 @@ class ErModule:
     # Jordan types by point (normalized coordinates), filled a chunk at a
     # time by jordan_type
     _jordan: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _levels: tuple[int, ...] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         check_modulus(self.p)
@@ -76,6 +86,12 @@ class ErModule:
 
     def same_config(self, other: "ErModule") -> bool:
         return (self.p, self.r) == (other.p, other.r)
+
+
+def _graded(m: ErModule, levels: tuple[int, ...] | None) -> ErModule:
+    """m with the grading levels (``ErModule._levels``) recorded."""
+    object.__setattr__(m, "_levels", levels)
+    return m
 
 
 @dataclass(frozen=True)
@@ -107,7 +123,9 @@ class JordanType:
 # the forgetful functor
 
 def forget(rep: BeilinsonRep) -> ErModule:
-    """Sum the graded components; each variable acts block-subdiagonally."""
+    """Sum the graded components; each variable acts block-subdiagonally.
+
+    The result records the grading by vertex, rep.dims (``ErModule``)."""
     if rep.p < rep.n:
         raise ValueError(f"forget requires p >= n, got p={rep.p} < n={rep.n}")
     dim = rep.total_dim
@@ -118,7 +136,7 @@ def forget(rep: BeilinsonRep) -> ErModule:
         for i in range(rep.n - 1):
             a[offs[i + 1]:offs[i + 2], offs[i]:offs[i + 1]] = rep.maps[i][l].a
         ops.append(FpMatrix._reduced(rep.p, a))
-    return ErModule(rep.p, rep.r, dim, tuple(ops))
+    return _graded(ErModule(rep.p, rep.r, dim, tuple(ops)), rep.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +149,11 @@ STACK_ENTRIES = 1 << 17
 def jordan_type(m: ErModule, alpha: ProjPoint) -> JordanType:
     """Block sizes of the nilpotent operator attached to alpha, from the
     rank sequence of its powers: a_i = r_{i-1} - 2 r_i + r_{i+1}.
+
+    On a module with a recorded grading (``ErModule``) the point operator
+    is block-subdiagonal, so the rank of its j-th power is the summed rank
+    of the j-fold composites of its blocks (``reps.composite_ranks``), and
+    no dim x dim power is formed.
 
     Points are computed in chunks (``_jordan_chunk``) whose Jordan types
     are memoized on m by point.  A chunk is all of P^{r-1} whenever the
@@ -150,9 +173,10 @@ def _jordan_chunk(m: ErModule, coords: tuple[int, ...]) -> dict[tuple[int, ...],
     (chunk size) dim^2 <= STACK_ENTRIES allows, up to t = r.  A prefix that
     holds the leading 1 leaves p^t tails free; an all-zero prefix leaves
     the (p^t - 1)/(p - 1) points of P^{t-1}, padded with zeros, so t = r is
-    the whole space in the order of ``proj_points``.  One batched rank per
-    power of the stacked point operators, and one JordanType per distinct
-    rank row, shared by its points."""
+    the whole space in the order of ``proj_points`` (its coordinates are
+    ``proj_coords``).  One batched rank per power of the stacked point
+    operators (``_power_ranks``), and one JordanType per distinct rank row,
+    shared by its points."""
     p, r, dim = m.p, m.r, m.dim
     budget = STACK_ENTRIES // max(dim, 1) ** 2
     lead = coords.index(1)
@@ -168,14 +192,12 @@ def _jordan_chunk(m: ErModule, coords: tuple[int, ...]) -> dict[tuple[int, ...],
     else:  # an all-zero prefix: the points of P^{t-1} after it, in enumeration order
         points = [(0,) * j + (1,) + tail for j in reversed(range(r - t, r))
                   for tail in product(range(p), repeat=r - j - 1)]
-    nil = combine(np.array(points, dtype=np.int64), [op.a for op in m.ops], p)
+    at = proj_coords(p, r) if t == r else np.array(points, dtype=np.int64)
     ranks = [np.full(len(points), dim)]
-    power = nil
-    for _ in range(p):
-        ranks.append(batched_rank(power, p))
-        if not ranks[-1].any():
+    for rk in islice(_power_ranks(m, at), p):
+        ranks.append(rk)
+        if not rk.any():
             break
-        power = matmul(power, nil, p)
     ranks.append(np.zeros(len(points), dtype=np.int64))
     seq = np.stack(ranks, axis=1)
     counts = seq[:, :-2] - 2 * seq[:, 1:-1] + seq[:, 2:]
@@ -186,6 +208,27 @@ def _jordan_chunk(m: ErModule, coords: tuple[int, ...]) -> dict[tuple[int, ...],
     rows = [tuple(c) for c in counts.tolist()]
     types = {row: JordanType(row) for row in set(rows)}
     return {point: types[row] for point, row in zip(points, rows)}
+
+
+def _power_ranks(m: ErModule, coords: np.ndarray):
+    """For j = 1, 2, ... in turn, the ranks of the j-th powers of the point
+    operators at the coordinate rows coords.  With a recorded grading these
+    are the summed ranks of the composites of the operators' level blocks
+    (``reps.composite_ranks``), then 0, since the power that passes every
+    level is 0; otherwise each power is one stacked product of the
+    dim x dim operators."""
+    p = m.p
+    if m._levels is not None:
+        offs = np.cumsum([0, *m._levels])
+        yield from composite_ranks(
+            [combine(coords, [op.a[offs[i + 1]:offs[i + 2], offs[i]:offs[i + 1]] for op in m.ops], p)
+             for i in range(len(m._levels) - 1)], p)
+        yield np.zeros(len(coords), dtype=np.int64)
+        return
+    nil = power = combine(coords, [op.a for op in m.ops], p)
+    while True:
+        yield batched_rank(power, p)
+        power = matmul(power, nil, p)
 
 
 def jt_formula(n: int, d: int, r: int) -> JordanType:
@@ -245,21 +288,20 @@ def loewy_length(m: ErModule) -> int:
 def group_algebra_radical_power(p: int, r: int, s: int) -> ErModule:
     """The s-th radical power of kE_r on its truncated monomial basis.
 
-    Basis: exponent tuples in [0, p-1]^r of total degree >= s; each
-    variable acts by exponent bump, vanishing past exponent p-1.  s runs
-    from 0 (the regular module, dimension p^r) to r(p-1)+1 (zero)."""
+    Basis: exponent tuples in [0, p-1]^r of total degree >= s, by degree;
+    each variable acts by exponent bump, vanishing past exponent p-1.  s
+    runs from 0 (the regular module, dimension p^r) to r(p-1)+1 (zero).
+    The result records its grading by total degree, the monomial counts of
+    degrees s .. r(p-1) (``ErModule``)."""
     check_modulus(p)
     if r < 2:
         raise ValueError("require r >= 2")
     top = r * (p - 1) + 1
     if not 0 <= s <= top:
         raise ValueError(f"require 0 <= s <= {top}, got s={s}")
-    basis = [
-        e
-        for deg in range(s, top)
-        for e in monomials(r, deg)
-        if all(x <= p - 1 for x in e)
-    ]
+    by_degree = [[e for e in monomials(r, deg) if all(x <= p - 1 for x in e)]
+                 for deg in range(s, top)]
+    basis = [e for level in by_degree for e in level]
     index = {e: i for i, e in enumerate(basis)}
     dim = len(basis)
     ops = []
@@ -270,19 +312,23 @@ def group_algebra_radical_power(p: int, r: int, s: int) -> ErModule:
                 bumped = tuple(x + (1 if t == l else 0) for t, x in enumerate(e))
                 a[index[bumped], j] = 1
         ops.append(FpMatrix._reduced(p, a))
-    return ErModule(p, r, dim, tuple(ops))
+    return _graded(ErModule(p, r, dim, tuple(ops)), tuple(len(level) for level in by_degree))
 
 
 # ---------------------------------------------------------------------------
 # twists
 
 def twist(m: ErModule, g: FpMatrix) -> ErModule:
-    """The coordinate-change twist: new x_l = sum_t (g^{-1})_{tl} x_t."""
+    """The coordinate-change twist: new x_l = sum_t (g^{-1})_{tl} x_t.
+
+    A linear change of variables keeps degrees, so the twist records the
+    grading of m, if m records one (``ErModule``)."""
     if g.p != m.p or (g.rows, g.cols) != (m.r, m.r):
         raise ValueError("twist needs an r x r matrix over the same field")
     ops = combine(invert(g).a.T, [op.a for op in m.ops], m.p)
     ops.setflags(write=False)
-    return ErModule(m.p, m.r, m.dim, tuple(FpMatrix._reduced(m.p, op) for op in ops))
+    return _graded(ErModule(m.p, m.r, m.dim, tuple(FpMatrix._reduced(m.p, op) for op in ops)),
+                   m._levels)
 
 
 def invert(g: FpMatrix) -> FpMatrix:

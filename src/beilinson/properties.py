@@ -21,13 +21,15 @@ from itertools import islice
 
 import numpy as np
 
-from .linalg import batched_rank, matmul
+from .linalg import batched_rank
 from .reps import (
     BeilinsonRep,
     ProjPoint,
+    composite_ranks,
     first_point,
     hom_space,
     point_steps,
+    proj_coords,
     proj_points,
     x_module,
 )
@@ -80,7 +82,8 @@ def _step_failures(m: BeilinsonRep, needed):
     needed, dims = np.asarray(needed), np.asarray(m.dims)
     screened = (needed > np.minimum(dims[:-1], dims[1:])).any()
     points = (first_point(m.p, m.r),) if screened else proj_points(m.p, m.r)
-    ranks = np.stack([batched_rank(s, m.p) for s in point_steps(m, points)], axis=1)
+    coords = points[0].coords if screened else proj_coords(m.p, m.r)
+    ranks = np.stack([batched_rank(s, m.p) for s in point_steps(m, coords)], axis=1)
     for b, i in np.argwhere(ranks < needed):
         yield points[b], int(i)
 
@@ -136,14 +139,10 @@ def is_ekp_hom(m: BeilinsonRep) -> PropertyReport:
 # ---------------------------------------------------------------------------
 # constant rank / constant Jordan type
 
-def _composites(m: BeilinsonRep, points):
-    """For j = 1 .. n-1 in turn, the j-fold step composites at the points,
-    one stack per starting level.  Each j-fold composite is one stacked
-    product of a (j-1)-fold one, formed when the next j is asked for."""
-    composites = steps = point_steps(m, points)
-    for j in range(1, m.n):
-        yield composites
-        composites = [matmul(s, c, m.p) for s, c in zip(steps[j:], composites)]
+def _rank_table(m: BeilinsonRep):
+    """For j = 1 .. n-1 in turn, the total rank of the j-fold step
+    composites at every point of P^{r-1}(F_p) (``reps.composite_ranks``)."""
+    return composite_ranks(point_steps(m, proj_coords(m.p, m.r)), m.p)
 
 
 def _rank_changes(points, totals, j: int):
@@ -158,8 +157,7 @@ def constant_rank(m: BeilinsonRep, j: int) -> PropertyReport:
     if not 1 <= j <= m.n - 1:
         raise ValueError(f"require 1 <= j <= n-1, got j={j}")
     points = proj_points(m.p, m.r)
-    composites = next(islice(_composites(m, points), j - 1, None))
-    totals = sum(batched_rank(c, m.p) for c in composites)
+    totals = next(islice(_rank_table(m), j - 1, None))
     profile = tuple(zip((a.coords for a in points), totals.tolist()))
     return _first_failure(f"CR{j}", m.p, _rank_changes(points, totals, j), profile)
 
@@ -167,8 +165,8 @@ def constant_rank(m: BeilinsonRep, j: int) -> PropertyReport:
 def constant_jordan_type(m: BeilinsonRep) -> PropertyReport:
     """Conjunction of constant j-rank over j = 1 .. n-1, from one sweep."""
     points = proj_points(m.p, m.r)
-    failures = (hit for j, composites in enumerate(_composites(m, points), 1)
-                for hit in _rank_changes(points, sum(batched_rank(c, m.p) for c in composites), j))
+    failures = (hit for j, totals in enumerate(_rank_table(m), 1)
+                for hit in _rank_changes(points, totals, j))
     return _first_failure("CJT", m.p, failures)
 
 

@@ -82,6 +82,16 @@ def proj_points(p: int, r: int) -> tuple[ProjPoint, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def proj_coords(p: int, r: int) -> np.ndarray:
+    """The coordinates of ``proj_points(p, r)``, one int64 row per point in
+    the same order, as one read-only array that every sweep over
+    P^{r-1}(F_p) shares."""
+    coords = np.array([a.coords for a in proj_points(p, r)], dtype=np.int64).reshape(-1, r)
+    coords.setflags(write=False)
+    return coords
+
+
 def first_point(p: int, r: int) -> ProjPoint:
     """``proj_points(p, r)[0]``, the point (0, ..., 0, 1), without
     enumerating P^{r-1}(F_p)."""
@@ -317,11 +327,26 @@ def x_module(p: int, n: int, r: int, alpha: ProjPoint, i: int, j: int = 1) -> Be
 # ---------------------------------------------------------------------------
 # operators and hom spaces
 
-def point_steps(rep: BeilinsonRep, points) -> list[np.ndarray]:
-    """Point-operator steps sum_l alpha_l * maps[i][l] at the given points
-    alpha, one (len(points), dims[i+1], dims[i]) stack per level i."""
-    coords = np.array([a.coords for a in points], dtype=np.int64).reshape(-1, rep.r)
+def point_steps(rep: BeilinsonRep, coords) -> list[np.ndarray]:
+    """Point-operator steps sum_l alpha_l * maps[i][l] at the points whose
+    coordinate rows alpha are the rows of coords (such as ``proj_coords``),
+    one (len(coords), dims[i+1], dims[i]) stack per level i."""
+    coords = np.asarray(coords, dtype=np.int64).reshape(-1, rep.r)
     return [combine(coords, [arrow.a for arrow in level], rep.p) for level in rep.maps]
+
+
+def composite_ranks(steps, p: int):
+    """For j = 1, 2, ... in turn, the ranks at every point of the j-fold
+    step composites, summed over their starting levels, given steps[i],
+    one (points, dims[i+1], dims[i]) stack per level i (``point_steps``).
+    On a graded operator with these steps as its blocks, that sum is the
+    rank of its j-th power.  Each j-fold composite is one stacked product
+    of a (j-1)-fold one, formed when the next j is asked for; the table
+    ends after j = len(steps), the longest composite."""
+    composites = steps
+    for j in range(1, len(steps) + 1):
+        yield sum(batched_rank(c, p) for c in composites)
+        composites = [matmul(s, c, p) for s, c in zip(steps[j:], composites)]
 
 
 def alpha_operator(rep: BeilinsonRep, alpha: ProjPoint) -> list[FpMatrix]:
@@ -330,7 +355,7 @@ def alpha_operator(rep: BeilinsonRep, alpha: ProjPoint) -> list[FpMatrix]:
     one-point case of ``point_steps``."""
     if alpha.p != rep.p or alpha.r != rep.r:
         raise ConfigMismatch("alpha over wrong (p, r)")
-    return [FpMatrix._reduced(rep.p, stack[0].copy()) for stack in point_steps(rep, (alpha,))]
+    return [FpMatrix._reduced(rep.p, stack[0].copy()) for stack in point_steps(rep, alpha.coords)]
 
 
 def _intertwiners(p: int, xdims, xarrows, ydims, yarrows) -> list[np.ndarray]:

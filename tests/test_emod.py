@@ -136,30 +136,63 @@ def chunk_modules():
     return mods
 
 
+def graded_chunk_modules():
+    """Modules that record a grading: forgotten random reps (P^3(F_7) among
+    them), with a zero level, of dim 0 and summed, twists, and radical
+    powers at p in {2, 3, 5} down to the zero one."""
+    rng = np.random.default_rng(13)
+    mods = [forget(random_valid_rep(7, 3, 4, 3, rng))]
+    mods += [forget(random_valid_rep(5, n, 3, 4, rng)) for n in (2, 3, 3)]
+    zero_level = BeilinsonRep(5, 3, 3, (2, 0, 3), tuple(
+        tuple(FpMatrix.zeros(5, b, a) for _ in range(3)) for a, b in ((2, 0), (0, 3))))
+    mods += [forget(zero_level), forget(direct_sum(zero_level, m_module(5, 3, 3, 3, 2))),
+             forget(BeilinsonRep(5, 2, 3, (0, 0), ((FpMatrix.zeros(5, 0, 0),) * 3,))),
+             forget(direct_sum(w_module(5, 2, 3, 2, 2), m_module(5, 2, 3, 2, 2)))]
+    mods += [twist(forget(random_valid_rep(5, 3, 3, 3, rng)), random_invertible(5, 3, rng)),
+             twist(group_algebra_radical_power(3, 3, 2), random_invertible(3, 3, rng))]
+    mods += [group_algebra_radical_power(p, r, s) for p, r, s in
+             ((2, 2, 0), (2, 3, 1), (2, 3, 4), (3, 2, 1), (3, 2, 4), (3, 3, 0),
+              (5, 2, 0), (5, 2, 3), (5, 2, 9))]
+    assert all(m._levels is not None and sum(m._levels) == m.dim for m in mods)
+    return mods
+
+
 class TestChunkedJordanTypes:
     """jordan_type computes whole chunks of points and memoizes them; every
     point must match the per-point reference, whatever the chunk size."""
 
     @pytest.mark.parametrize("chunk", ["default", "one point", "p^2 points"])
     def test_matches_per_point_loop(self, chunk, monkeypatch):
-        sizes, chunk_of = set(), emod._jordan_chunk
+        # caller-built copies record no grading and take the dense powers;
+        # modules that record one take the ranks of their level blocks'
+        # composites (reps.composite_ranks) under the same chunk rule
+        sizes, chunk_of, graded = set(), emod._jordan_chunk, []
 
         def recorded(m, coords):
             jts = chunk_of(m, coords)
             sizes.add(len(jts))
             return jts
 
-        for m in chunk_modules():
+        def counted(steps, p):
+            graded.append(len(steps))
+            return reps.composite_ranks(steps, p)
+
+        cases = [(ErModule(m.p, m.r, m.dim, m.ops), False) for m in chunk_modules()]
+        cases += [(m, True) for m in graded_chunk_modules()]
+        for m, is_graded in cases:
             points = proj_points(m.p, m.r)
             expected = [jordan_type_by_point(m, a) for a in points]
-            fresh = ErModule(m.p, m.r, m.dim, m.ops)
+            m._jordan.clear()
             if chunk == "one point":
                 monkeypatch.setattr(emod, "STACK_ENTRIES", 1)
             elif chunk == "p^2 points":
                 monkeypatch.setattr(emod, "STACK_ENTRIES", m.p ** 2 * max(m.dim, 1) ** 2)
             monkeypatch.setattr(emod, "_jordan_chunk", recorded)
+            monkeypatch.setattr(emod, "composite_ranks", counted)
             sizes.clear()
-            assert [jordan_type(fresh, a) for a in points] == expected
+            graded.clear()
+            assert [jordan_type(m, a) for a in points] == expected
+            assert bool(graded) == is_graded
             if chunk == "one point":
                 assert sizes == {1}
             if chunk == "p^2 points" and (m.p, m.r) == (7, 4):
@@ -167,6 +200,18 @@ class TestChunkedJordanTypes:
                 # prefix (0, 0) leaves the 8 points of P^1(F_7)
                 assert sizes == {49, 8}
             monkeypatch.undo()
+
+    def test_grading_leaves_equality_hash_and_repr(self):
+        w = forget(w_module(5, 3, 3, 3, 2))
+        rad = group_algebra_radical_power(3, 2, 1)
+        g = random_invertible(5, 3, np.random.default_rng(2))
+        assert w._levels == w_module(5, 3, 3, 3, 2).dims
+        assert twist(w, g)._levels == w._levels
+        assert rad._levels == (2, 3, 2, 1)  # monomials of degrees 1 .. 4 in [0, 2]^2
+        for m in (w, twist(w, g), rad):
+            built = ErModule(m.p, m.r, m.dim, m.ops)
+            assert built._levels is None
+            assert m == built and hash(m) == hash(built) and repr(m) == repr(built)
 
     def test_sweep_is_one_chunk(self, monkeypatch):
         # P^3(F_7) at dim <= 18 fits the stack budget: 400 * 18^2 <= 2^17

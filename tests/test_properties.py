@@ -30,6 +30,7 @@ from beilinson.reps import (
     injective,
     m_module,
     point_steps,
+    proj_coords,
     proj_points,
     projective,
     simple,
@@ -259,6 +260,7 @@ class TestBatchedSweepMatchesPointLoop:
         assert validate(rep) == []
         points = tuple(ProjPoint(p, c) for c in ((0, 1), (1, 0), (1, (p - 1) // 2), (1, p - 1)))
         monkeypatch.setattr(properties, "proj_points", lambda p_, r_: points)
+        monkeypatch.setattr(properties, "proj_coords", lambda p_, r_: [a.coords for a in points])
         expected = []
         for alpha in points:
             s0, s1 = ([[sum(c * int(x.a[i, j]) for c, x in zip(alpha.coords, level)) % p
@@ -278,7 +280,7 @@ class TestBatchedSweepMatchesPointLoop:
         rep = BeilinsonRep(p, 2, 4, (3, 2), (level,))
         points = [ProjPoint(p, (1, p - 1, p - 1, p - 1)), ProjPoint(p, (0, 1, p - 1, p - 2)),
                   ProjPoint(p, (1, 0, 0, 0))]
-        (stack,) = point_steps(rep, points)
+        (stack,) = point_steps(rep, [a.coords for a in points])
         expected = [
             [[sum(c * int(a.a[i, k]) for c, a in zip(alpha.coords, level)) % p
               for k in range(3)] for i in range(2)]

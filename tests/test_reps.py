@@ -35,6 +35,7 @@ from beilinson.reps import (
     is_costandardly_graded,
     is_standardly_graded,
     m_module,
+    proj_coords,
     proj_points,
     projective,
     rep_isomorphic,
@@ -114,6 +115,17 @@ class TestProjPoints:
     def test_points_distinct(self):
         pts = proj_points(5, 3)
         assert len(set(pts)) == len(pts)
+
+    @pytest.mark.parametrize("p,r", [(2, 2), (3, 3), (7, 4)])
+    def test_coords_are_the_points_read_only(self, p, r):
+        # one cached array per P^{r-1}(F_p), shared by every sweep, so no
+        # caller may write to it
+        coords = proj_coords(p, r)
+        assert coords.dtype == np.int64 and coords.shape == ((p ** r - 1) // (p - 1), r)
+        assert coords.tolist() == [list(a.coords) for a in proj_points(p, r)]
+        assert proj_coords(p, r) is coords
+        with pytest.raises(ValueError):
+            coords[0, 0] = 0
 
 
 class TestFamilies:
