@@ -2,47 +2,25 @@
 
 Subcommands construct representations, check module-theoretic properties,
 compute Jordan types, walk Auslander-Reiten orbits, and compare modules.
-Every numeric flag can also be supplied through an environment variable
-with the ``BNR_`` prefix (e.g. ``BNR_P=5`` stands in for ``--p 5``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import traceback
 
 from . import emod, kronecker, properties, reps
 from .linalg import check_modulus
 
-ENV_PREFIX = "BNR_"
 FAMILIES = ("projective", "injective", "simple", "m", "w", "x", "e")
 FORMATS = ("text", "json")
 
 
-def _env_default(name: str, unset=None):
-    return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"), unset)
-
-
 def _add_int(parser: argparse.ArgumentParser, name: str, required: bool = False,
              default=None, help: str = ""):
-    env = _env_default(name)
-    if env is not None:
-        # argparse converts a string default with type, as if given on the line
-        default, required = env, False
-    parser.add_argument(f"--{name}", type=int, required=required and default is None,
-                        default=default, help=help)
-
-
-def _format_choice(value: str) -> str:
-    """value if it names an output format.  argparse also applies a type
-    to a string default such as BNR_FORMAT, which its choices check skips."""
-    if value not in FORMATS:
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {value!r} (choose from {', '.join(map(repr, FORMATS))})")
-    return value
+    parser.add_argument(f"--{name}", type=int, required=required, default=default, help=help)
 
 
 def _parse_coeffs(text: str) -> tuple[int, ...]:
@@ -163,15 +141,14 @@ def _common_rep_flags(parser: argparse.ArgumentParser,
     _add_int(parser, "d", help="length parameter for the m/w families")
     _add_int(parser, "i", default=0, help="vertex index")
     _add_int(parser, "j", default=1, help="power of the linear form")
-    parser.add_argument("--alpha", type=_parse_coeffs, default=_env_default("alpha"),
+    parser.add_argument("--alpha", type=_parse_coeffs,
                         help="comma-separated point coordinates, e.g. 1,0,0")
-    parser.add_argument("--lam", type=_parse_coeffs, default=_env_default("lam"),
+    parser.add_argument("--lam", type=_parse_coeffs,
                         help="comma-separated scalars for the e family")
 
 
 def _format_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", type=_format_choice, choices=FORMATS,
-                        default=_env_default("format", "text"))
+    parser.add_argument("--format", choices=FORMATS, default="text")
 
 
 def cmd_construct(args) -> int:

@@ -142,7 +142,7 @@ def forget(rep: BeilinsonRep) -> ErModule:
 # ---------------------------------------------------------------------------
 # Jordan types
 
-# entries of one (points, dim, dim) int64 stack in a Jordan-type chunk: 1 MiB
+# entries of one int64 stack over a Jordan-type chunk's points: 1 MiB
 STACK_ENTRIES = 1 << 17
 
 
@@ -157,9 +157,9 @@ def jordan_type(m: ErModule, alpha: ProjPoint) -> JordanType:
 
     Points are computed in chunks (``_jordan_chunk``) whose Jordan types
     are memoized on m by point.  A chunk is all of P^{r-1} whenever the
-    stack budget allows (P^3(F_7) up to dim 18), so a sweep is one stacked
-    computation; a single query at a large p still computes one small
-    chunk and never enumerates the space."""
+    stack budget allows (P^3(F_7) up to dim 18 without a grading), so a
+    sweep is one stacked computation; a single query at a large p still
+    computes one small chunk and never enumerates the space."""
     if alpha.p != m.p or alpha.r != m.r:
         raise ConfigMismatch("alpha over wrong (p, r)")
     if alpha.coords not in m._jordan:
@@ -170,15 +170,19 @@ def jordan_type(m: ErModule, alpha: ProjPoint) -> JordanType:
 def _jordan_chunk(m: ErModule, coords: tuple[int, ...]) -> dict[tuple[int, ...], JordanType]:
     """Jordan types at the chunk of points that holds coords: every point
     that agrees with coords on its first r - t coordinates, t as large as
-    (chunk size) dim^2 <= STACK_ENTRIES allows, up to t = r.  A prefix that
-    holds the leading 1 leaves p^t tails free; an all-zero prefix leaves
-    the (p^t - 1)/(p - 1) points of P^{t-1}, padded with zeros, so t = r is
-    the whole space in the order of ``proj_points`` (its coordinates are
-    ``proj_coords``).  One batched rank per power of the stacked point
-    operators (``_power_ranks``), and one JordanType per distinct rank row,
-    shared by its points."""
+    (chunk size) e <= STACK_ENTRIES allows, up to t = r.  e counts the
+    stacked entries per point: dim^2 for the dense powers, and sum d_i^2
+    over the degree dimensions d_i of a recorded grading, which bounds the
+    sum_i d_{i+j} d_i entries of every j-fold composite (Cauchy-Schwarz).
+    A prefix that holds the leading 1 leaves p^t tails free; an all-zero
+    prefix leaves the (p^t - 1)/(p - 1) points of P^{t-1}, padded with
+    zeros, so t = r is the whole space in the order of ``proj_points`` (its
+    coordinates are ``proj_coords``).  One batched rank per power of the
+    stacked point operators (``_power_ranks``), and one JordanType per
+    distinct rank row, shared by its points."""
     p, r, dim = m.p, m.r, m.dim
-    budget = STACK_ENTRIES // max(dim, 1) ** 2
+    levels = m._levels if m._levels is not None else (dim,)
+    budget = STACK_ENTRIES // max(sum(d * d for d in levels), 1)
     lead = coords.index(1)
 
     def size(t: int) -> int:

@@ -255,12 +255,7 @@ def simple(p: int, n: int, r: int, i: int) -> BeilinsonRep:
     """The simple S(i), one-dimensional at vertex i."""
     if not 0 <= i <= n - 1:
         raise ValueError(f"vertex index {i} out of range for n={n}")
-    dims = tuple(1 if v == i else 0 for v in range(n))
-    maps = tuple(
-        tuple(FpMatrix.zeros(p, dims[v + 1], dims[v]) for _ in range(r))
-        for v in range(n - 1)
-    )
-    return BeilinsonRep(p, n, r, dims, maps)
+    return _graded_monomial_rep(p, n, r, lambda v: 0 if v == i else -1)
 
 
 def m_module(p: int, n: int, r: int, m: int, d: int) -> BeilinsonRep:

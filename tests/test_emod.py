@@ -186,7 +186,10 @@ class TestChunkedJordanTypes:
             if chunk == "one point":
                 monkeypatch.setattr(emod, "STACK_ENTRIES", 1)
             elif chunk == "p^2 points":
-                monkeypatch.setattr(emod, "STACK_ENTRIES", m.p ** 2 * max(m.dim, 1) ** 2)
+                # per point, a graded chunk stacks sum d_i^2 entries, a dense one dim^2
+                levels = m._levels if is_graded else (m.dim,)
+                per_point = max(sum(d * d for d in levels), 1)
+                monkeypatch.setattr(emod, "STACK_ENTRIES", m.p ** 2 * per_point)
             monkeypatch.setattr(emod, "_jordan_chunk", recorded)
             monkeypatch.setattr(emod, "composite_ranks", counted)
             sizes.clear()
@@ -227,6 +230,17 @@ class TestChunkedJordanTypes:
             assert len(calls) == 1
             assert list(m._jordan) == [a.coords for a in proj_points(7, 4)]
             assert jts == [jordan_type_by_point(m, a) for a in proj_points(7, 4)]
+
+    def test_graded_budget_counts_level_blocks(self, monkeypatch):
+        # forget(W(7,3,4,5,3)) has dim 65 on levels (35, 20, 10): a budget
+        # of 2^17 // 1,725 = 75 points, not 2^17 // 4,225 = 31, so seven
+        # chunks of 49 points and the 57 points after a zero in one chunk
+        m = forget(w_module(7, 3, 4, 5, 3))
+        calls, chunk_of = [], emod._jordan_chunk
+        monkeypatch.setattr(emod, "_jordan_chunk", lambda m, c: calls.append(c) or chunk_of(m, c))
+        jts = [jordan_type(m, a) for a in proj_points(7, 4)]
+        assert len(calls) == 8
+        assert set(jts) == {JordanType((15, 10, 10))}
 
     def test_equal_types_are_one_object(self):
         for m in chunk_modules():
