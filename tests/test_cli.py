@@ -385,8 +385,12 @@ class TestEnvOverrides:
             monkeypatch.setenv(name, value)
         assert [(status(argv), capsys.readouterr()) for argv in argvs] == clean
 
-    def test_empty_alpha_exits_2(self, x_file, capsys):
-        # a value that does not parse is a usage error, like --k-max x
+    @pytest.mark.parametrize("env", [None, "1,0,0"])
+    def test_empty_alpha_exits_2(self, x_file, env, monkeypatch, capsys):
+        # a value that does not parse is a usage error, like --k-max x;
+        # a stray BNR_ALPHA neither supplies nor masks it
+        if env is not None:
+            monkeypatch.setenv("BNR_ALPHA", env)
         assert status(["jordan-type", "--rep", x_file, "--alpha", ""]) == 2
         assert_usage_error("argument --alpha: invalid value ''", capsys)
 
