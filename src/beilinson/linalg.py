@@ -55,6 +55,21 @@ p = 2^31 - 1).  Each limb product is cast to int64, where it is exact,
 and reduced there (a float64 ``%`` is about five times slower).  Limbs
 are recombined by Horner's rule, reducing after each: with two or more
 limbs s <= 16, so part * 2^s + product < 2^47 + 2^53.
+
+Sketches.  ``sketch_matrix(p, rows, cols)`` is a fixed Toeplitz matrix
+over F_p, Q[i, j] = t[i - j + cols - 1], read from the Lehmer sequence
+t = 16807^t mod 2^61 - 1 reduced mod p: no random generator, the same Q
+in every process, cached read-only like ``reps.proj_coords``.  The
+sequence is geometric mod its own modulus, where a Toeplitz matrix of it
+has rank 1; 2^61 - 1 lies above every allowed p (16807^t mod 2^31 - 1
+gives a rank-1 Q at p = 2^31 - 1, which certifies nothing).  Its
+entries lie in [0, p), so a product Q S is one ``matmul`` under the bounds
+above.  rank(Q S) <= rank(S), so a sketch Q S of rank min(S's sides)
+certifies that S has full rank; a sketch of lower rank proves nothing,
+and S itself must be ranked.  A poor Q costs time, never an answer.  Such
+a fixed Toeplitz preconditioner is the one of Kaltofen and Saunders ("On
+Wiedemann's method of solving sparse linear systems", AAECC-9, 1991), used
+here only as a certificate with an exact fallback.
 """
 
 from __future__ import annotations
@@ -130,6 +145,18 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
             part = prod % p if part is None else ((part << s) + prod) % p
         out = part if out is None else (out + part) % p
     return out
+
+
+@lru_cache(maxsize=None)
+def sketch_matrix(p: int, rows: int, cols: int) -> np.ndarray:
+    """The fixed rows x cols Toeplitz sketch over F_p (module docstring):
+    Q[i, j] = 16807^(i - j + cols - 1) mod (2^61 - 1), reduced mod p, as a
+    read-only int64 array."""
+    t = np.array([pow(16807, e, 2**61 - 1) % p for e in range(rows + cols - 1)],
+                 dtype=np.int64)
+    q = t[np.arange(rows)[:, None] - np.arange(cols)[None, :] + cols - 1]
+    q.setflags(write=False)
+    return q
 
 
 def combine(coeffs, mats, p: int) -> np.ndarray:

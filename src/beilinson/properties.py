@@ -3,7 +3,13 @@
 The definition route inspects the step matrices of the point operators
 directly, at all points at once, with one batched rank per level; a level
 whose required rank exceeds both of its dimensions fails everywhere, so
-then only the first point is ranked, and it carries the witness.  The
+then only the first point is ranked, and it carries the witness.
+Otherwise each level asks for full rank, and a wide level is first ranked
+as a sketch, a fixed compression of its steps along their long side
+(``linalg.sketch_matrix``): a sketch of full rank certifies that its
+step has full rank, and only the points it does not certify are ranked
+exactly on their full steps, so every rank, verdict and witness is
+exact.  The
 homological route computes Hom- and Ext-dimensions against the materialized
 projective-line family of arrow-cokernel modules via the intertwiner
 solver, sharing nothing with the definition route beyond the exact linear
@@ -21,7 +27,7 @@ from itertools import islice
 
 import numpy as np
 
-from .linalg import batched_rank
+from .linalg import batched_rank, combine, matmul, sketch_matrix
 from .reps import (
     BeilinsonRep,
     ProjPoint,
@@ -69,6 +75,38 @@ def _first_failure(prop: str, p: int, failures, ranks=None) -> PropertyReport:
 # ---------------------------------------------------------------------------
 # definition route
 
+# a sweep over more than one point whose steps have short side k of at
+# least _SKETCH_MIN_RANK and long side past 2 (k + _SKETCH_EXTRA) is first
+# ranked as a sketch of k + _SKETCH_EXTRA lines; on one point, or at k <= 3,
+# the sketch costs more than it saves
+_SKETCH_EXTRA = 2
+_SKETCH_MIN_RANK = 4
+
+
+def _level_ranks(coords, arrows, p: int) -> np.ndarray:
+    """Ranks of the steps sum_l coords[b, l] * arrows[l] at every point b.
+
+    Where the size rule above holds, the arrows are first compressed along
+    their long side L by the fixed (k + 2) x L ``sketch_matrix`` Q, to
+    Q A_l or A_l Q^T, once per level; the combined sketch at a point is Q
+    times its step, or its step times Q^T, and has rank at most the
+    step's, so a sketch of rank k certifies rank k.  Only the points whose
+    sketch ranks below k are ranked on their full steps, so every rank is
+    exact whatever Q is."""
+    rows, cols = arrows[0].shape
+    k, long = sorted((rows, cols))
+    lines = k + _SKETCH_EXTRA
+    if len(coords) == 1 or k < _SKETCH_MIN_RANK or long <= 2 * lines:
+        return batched_rank(combine(coords, arrows, p), p)
+    q = sketch_matrix(p, lines, long)
+    sketches = [matmul(q, a, p) if rows > cols else matmul(a, q.T, p) for a in arrows]
+    ranks = batched_rank(combine(coords, sketches, p), p)
+    low = np.flatnonzero(ranks < k)
+    if low.size:
+        ranks[low] = batched_rank(combine(coords[low], arrows, p), p)
+    return ranks
+
+
 def _step_failures(m: BeilinsonRep, needed):
     """(point, level) pairs, in enumeration order, where the step rank of
     the point operator falls below needed[level].
@@ -78,12 +116,16 @@ def _step_failures(m: BeilinsonRep, needed):
     enumeration order then lies at the first point, at the lowest level
     failing there: only that point is ranked, and its failures, which
     begin with the witness a full sweep would give, are all that is
-    yielded."""
+    yielded.  Otherwise every level asks for that full rank at every
+    point, and a wide level ranks a sketched stack first and re-ranks
+    exactly only the points it does not certify (``_level_ranks``), so
+    the rank table is the exact one."""
     needed, dims = np.asarray(needed), np.asarray(m.dims)
     screened = (needed > np.minimum(dims[:-1], dims[1:])).any()
     points = (first_point(m.p, m.r),) if screened else proj_points(m.p, m.r)
-    coords = points[0].coords if screened else proj_coords(m.p, m.r)
-    ranks = np.stack([batched_rank(s, m.p) for s in point_steps(m, coords)], axis=1)
+    coords = np.reshape(points[0].coords if screened else proj_coords(m.p, m.r), (-1, m.r))
+    ranks = np.stack([_level_ranks(coords, [a.a for a in level], m.p) for level in m.maps],
+                     axis=1)
     for b, i in np.argwhere(ranks < needed):
         yield points[b], int(i)
 

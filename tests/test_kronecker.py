@@ -374,6 +374,21 @@ class TestWidth:
         assert shapes == [(400, 1, 1)]
         assert report.to_json() == hand_json(two_loop_width(rep, 0))
 
+    def test_wide_shift_ranked_as_sketch(self, monkeypatch):
+        # the (41, 11) and (11, 41) shifts of X(7,4)(1,2,0,5) sweep 13-line
+        # sketches of their steps; only the points a sketch does not
+        # certify, and the one point of a screened sweep, are ranked on
+        # full 11 x 41 steps
+        shapes, rank = [], properties.batched_rank
+        monkeypatch.setattr(properties, "batched_rank",
+                            lambda stack, p: shapes.append(stack.shape) or rank(stack, p))
+        rep = x_module(7, 2, 4, ProjPoint(7, (1, 2, 0, 5)), 0, 1)
+        report = width(rep)
+        assert (400, 11, 13) in shapes and (400, 13, 11) in shapes
+        full = [shape for shape in shapes if 41 in shape]
+        assert full and all(shape[0] <= 4 for shape in full)
+        assert report.to_json() == hand_json(two_loop_width(rep, 8))
+
     def test_report_shape(self):
         report = width(e_lambda(5, 3, (1, 1, 1)), base_label="brick")
         exps = [s.exponent for s in report.shifts]

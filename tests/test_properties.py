@@ -3,11 +3,13 @@
 from helpers import random_valid_rep
 
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from beilinson import properties
+from beilinson.kronecker import e_lambda, tau
 from beilinson.linalg import FpMatrix, image_basis, kernel_basis, rank
 from beilinson.properties import (
     PropertyReport,
@@ -212,6 +214,16 @@ def loop_constant_jordan_type(rep):
     return PropertyReport("CJT", True, rep.p)
 
 
+def sketched_inputs():
+    """Reps whose full-rank sweep ranks a sketch of a wide level first."""
+    e = tau(tau(e_lambda(5, 3, (1, 1, 1))))
+    yield "tau^2 E(5,3)(1,1,1)", e  # dims (34, 13)
+    yield "D tau^2 E(5,3)(1,1,1)", dualize(e)
+    yield "tau^3 X(5,3)(1,2,3)", tau(tau(tau(x_module(5, 2, 3, ProjPoint(5, (1, 2, 3)), 0, 1))))
+    # dims (41, 11): the sketch leaves 2 of the 15 points to the full steps
+    yield "tau^2 X(2,4)(0,1,0,1)", tau(tau(x_module(2, 2, 4, ProjPoint(2, (0, 1, 0, 1)), 0, 1)))
+
+
 def sweep_inputs():
     rng = np.random.default_rng(7)
     for p, n, r, max_dim in ((2, 3, 2, 3), (3, 3, 3, 3), (5, 2, 3, 4), (7, 4, 2, 3), (3, 2, 4, 5)):
@@ -223,6 +235,7 @@ def sweep_inputs():
     for alpha in proj_points(5, 3)[::5]:
         yield f"X{alpha.coords}", x_module(5, 3, 3, alpha, 0, 1)
         yield f"X{alpha.coords} j=2", x_module(5, 3, 3, alpha, 0, 2)
+    yield from sketched_inputs()
 
 
 class TestBatchedSweepMatchesPointLoop:
@@ -287,6 +300,96 @@ class TestBatchedSweepMatchesPointLoop:
             for alpha in points
         ]
         assert stack.tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# sketched levels: a full-rank sweep of a wide level ranks a sketch of its
+# steps first and re-ranks only the points the sketch does not certify
+
+def spy_shapes(monkeypatch):
+    """The shapes of the stacks that properties.batched_rank ranks, in order."""
+    shapes, rank_stack = [], properties.batched_rank
+    monkeypatch.setattr(properties, "batched_rank",
+                        lambda stack, p: shapes.append(stack.shape) or rank_stack(stack, p))
+    return shapes
+
+
+def step_ranks(p, coords, arrows):
+    """The rank of sum_l alpha_l * arrows[l] at each coordinate row alpha,
+    each entry a sum of Python integers."""
+    return [rank(FpMatrix(p, sum(int(c) * a.astype(object) for c, a in zip(alpha, arrows)) % p))
+            for alpha in coords]
+
+
+class TestSketchedLevels:
+    def test_fallback_fires_at_small_p(self, monkeypatch):
+        shapes = spy_shapes(monkeypatch)
+        label, rep = list(sketched_inputs())[-1]
+        assert is_eip_def(rep) == loop_step_report("EIP", rep, rep.dims[1:]), label
+        assert shapes == [(15, 11, 13), (2, 11, 41)]
+
+    def test_zero_sketch_reranks_every_point(self, monkeypatch):
+        # a zero Q certifies nothing, so every point is ranked on its full
+        # step, and the reports do not change
+        monkeypatch.setattr(properties, "sketch_matrix",
+                            lambda p, rows, cols: np.zeros((rows, cols), dtype=np.int64))
+        shapes = spy_shapes(monkeypatch)
+        for label, rep in sketched_inputs():
+            shapes.clear()
+            assert is_eip_def(rep) == loop_step_report("EIP", rep, rep.dims[1:]), label
+            assert is_ekp_def(rep) == loop_step_report("EKP", rep, rep.dims[:-1]), label
+            points = len(proj_points(rep.p, rep.r))
+            assert (points, rep.dims[1], rep.dims[0]) in shapes, label
+
+    @pytest.mark.parametrize("shape, sketch", [
+        ((0, 10), None), ((10, 0), None),  # k = 0
+        ((3, 40), None),  # k below _SKETCH_MIN_RANK
+        ((4, 12), None), ((12, 4), None),  # L = 2 (k + 2)
+        ((4, 13), (4, 6)), ((13, 4), (6, 4)),
+    ])
+    def test_size_rule(self, monkeypatch, shape, sketch):
+        shapes = spy_shapes(monkeypatch)
+        rng = np.random.default_rng(11)
+        arrows = [rng.integers(0, 5, size=shape) for _ in range(3)]
+        coords = proj_coords(5, 3)
+        assert properties._level_ranks(coords, arrows, 5).tolist() == step_ranks(5, coords, arrows)
+        assert shapes[0] == (31, *(sketch or shape))
+        # one point is never sketched
+        shapes.clear()
+        assert properties._level_ranks(coords[:1], arrows, 5).tolist() == step_ranks(5, coords[:1], arrows)
+        assert shapes == [(1, *shape)]
+
+    @pytest.mark.parametrize("vertex", [0, 1])
+    def test_empty_side_keeps_full_steps(self, monkeypatch, vertex):
+        # ten copies of a simple: dims (10, 0) or (0, 10), so k = 0
+        shapes = spy_shapes(monkeypatch)
+        rep = reduce(direct_sum, [simple(5, 2, 3, vertex)] * 10)
+        assert is_eip_def(rep) == loop_step_report("EIP", rep, rep.dims[1:])
+        assert is_ekp_def(rep) == loop_step_report("EKP", rep, rep.dims[:-1])
+        assert {s[1:] for s in shapes} == {(rep.dims[1], rep.dims[0])}
+
+    def test_sketch_exact_at_large_prime(self, monkeypatch):
+        # Q has entries near 2^31, so each entry of Q A sums 13 products
+        # near 2^62 and overflows int64 unless matmul splits it into limbs.
+        # The step at (1, p - 1) is A_1 - A_2 = D of rank 3, below the 4
+        # that EIP needs; P^1(F_p) has 2^31 points, so the sweep runs over
+        # four of them.
+        p = 2**31 - 1
+        rng = np.random.default_rng(13)
+        a1 = p - 1 - rng.integers(0, 9, size=(4, 13))
+        u, v = p - 1 - rng.integers(0, 9, size=(2, 3, 13))
+        d = sum(np.outer(u[t, :4].astype(object), v[t].astype(object)) for t in range(3)) % p
+        a2 = (a1.astype(object) - d) % p
+        rep = BeilinsonRep(p, 2, 2, (13, 4), ((FpMatrix(p, a1), FpMatrix(p, a2.astype(np.int64))),))
+        points = tuple(ProjPoint(p, c) for c in ((0, 1), (1, 0), (1, (p - 1) // 2), (1, p - 1)))
+        monkeypatch.setattr(properties, "proj_points", lambda p_, r_: points)
+        monkeypatch.setattr(properties, "proj_coords", lambda p_, r_: [a.coords for a in points])
+        shapes = spy_shapes(monkeypatch)
+        arrows = [arrow.a for arrow in rep.maps[0]]
+        assert step_ranks(p, [a.coords for a in points], arrows) == [4, 4, 4, 3]
+        report = is_eip_def(rep)
+        assert report.witness == (points[3], 0)
+        assert shapes == [(4, 4, 6), (1, 4, 13)]
 
 
 # ---------------------------------------------------------------------------
