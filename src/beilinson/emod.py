@@ -14,7 +14,7 @@ representations (``reps``)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import islice
 from math import comb
 
 import numpy as np
@@ -40,8 +40,8 @@ from .reps import (
     block_diagonal,
     composite_ranks,
     decide_isomorphism,
+    first_point,
     proj_coords,
-    proj_points,
 )
 
 
@@ -174,12 +174,11 @@ def _jordan_chunk(m: ErModule, coords: tuple[int, ...]) -> dict[tuple[int, ...],
     stacked entries per point: dim^2 for the dense powers, and sum d_i^2
     over the degree dimensions d_i of a recorded grading, which bounds the
     sum_i d_{i+j} d_i entries of every j-fold composite (Cauchy-Schwarz).
-    A prefix that holds the leading 1 leaves p^t tails free; an all-zero
-    prefix leaves the (p^t - 1)/(p - 1) points of P^{t-1}, padded with
-    zeros, so t = r is the whole space in the order of ``proj_points`` (its
-    coordinates are ``proj_coords``).  One batched rank per power of the
-    stacked point operators (``_power_ranks``), and one JordanType per
-    distinct rank row, shared by its points."""
+    The chunk is the block of ``proj_coords`` after that prefix: p^t
+    points if the prefix holds the leading 1, else the (p^t - 1)/(p - 1)
+    points of P^{t-1}, so t = r is the whole space.  One batched rank per
+    power of the stacked point operators (``_power_ranks``), and one
+    JordanType per distinct rank row, shared by its points."""
     p, r, dim = m.p, m.r, m.dim
     levels = m._levels if m._levels is not None else (dim,)
     budget = STACK_ENTRIES // max(sum(d * d for d in levels), 1)
@@ -191,12 +190,8 @@ def _jordan_chunk(m: ErModule, coords: tuple[int, ...]) -> dict[tuple[int, ...],
     t = 0
     while t < r and size(t + 1) <= budget:
         t += 1
-    if t < r - lead:  # the prefix holds the leading 1: p^t free tails
-        points = [coords[:r - t] + tail for tail in product(range(p), repeat=t)]
-    else:  # an all-zero prefix: the points of P^{t-1} after it, in enumeration order
-        points = [(0,) * j + (1,) + tail for j in reversed(range(r - t, r))
-                  for tail in product(range(p), repeat=r - j - 1)]
-    at = proj_coords(p, r) if t == r else np.array(points, dtype=np.int64)
+    at = proj_coords(p, r, coords[:r - t])
+    points = list(map(tuple, at.tolist()))
     ranks = [np.full(len(points), dim)]
     for rk in islice(_power_ranks(m, at), p):
         ranks.append(rk)
@@ -357,17 +352,22 @@ def hom_modules(m: ErModule, n: ErModule) -> list[FpMatrix]:
 
 def is_isomorphic(m: ErModule, n: ErModule) -> str:
     """'yes' | 'no', both certified: rejections by dimension, by Jordan types
-    at every rational point and by radical-series dimensions come first,
-    then ``reps.decide_isomorphism`` on m and n as one-vertex quivers."""
+    and by radical-series dimensions come first, then
+    ``reps.decide_isomorphism`` on m and n as one-vertex quivers.  The
+    Jordan types are compared on the points whose types both modules have
+    memoized, after each has computed the chunk of the first point
+    (``jordan_type``): a screen only returns a certified 'no', so it
+    never costs more than one chunk, and the decision settles the rest."""
     if not m.same_config(n):
         raise ConfigMismatch("isomorphism requires matching (p, r)")
     if m.dim != n.dim:
         return "no"
     if m.dim == 0:
         return "yes"
-    for alpha in proj_points(m.p, m.r):
-        if jordan_type(m, alpha) != jordan_type(n, alpha):
-            return "no"
+    for x in (m, n):  # each memo then holds the chunk of the first point
+        jordan_type(x, first_point(m.p, m.r))
+    if any(m._jordan[c] != n._jordan[c] for c in m._jordan.keys() & n._jordan.keys()):
+        return "no"
     if rad_series(m) != rad_series(n):
         return "no"
     return decide_isomorphism(m.p, m.dims, m.arrows, n.dims, n.arrows)

@@ -32,7 +32,6 @@ from .reps import (
     BeilinsonRep,
     ProjPoint,
     composite_ranks,
-    first_point,
     hom_space,
     point_steps,
     proj_coords,
@@ -109,25 +108,26 @@ def _level_ranks(coords, arrows, p: int) -> np.ndarray:
 
 def _step_failures(m: BeilinsonRep, needed):
     """(point, level) pairs, in enumeration order, where the step rank of
-    the point operator falls below needed[level].
+    the point operator falls below needed[level].  The sweep reads the
+    coordinate rows of ``proj_coords``, and a point is built only where a
+    step fails.
 
     A step dims[i] -> dims[i+1] has rank at most min(dims[i], dims[i+1]),
     so a level that needs more fails at every point.  The first failure in
-    enumeration order then lies at the first point, at the lowest level
-    failing there: only that point is ranked, and its failures, which
-    begin with the witness a full sweep would give, are all that is
-    yielded.  Otherwise every level asks for that full rank at every
-    point, and a wide level ranks a sketched stack first and re-ranks
-    exactly only the points it does not certify (``_level_ranks``), so
-    the rank table is the exact one."""
+    enumeration order then lies at the first point (the block after the
+    prefix (0,) * (r - 1)), at the lowest level failing there: only that
+    point is ranked, and its failures, which begin with the witness a full
+    sweep would give, are all that is yielded.  Otherwise every level asks
+    for that full rank at every point, and a wide level ranks a sketched
+    stack first and re-ranks exactly only the points it does not certify
+    (``_level_ranks``), so the rank table is the exact one."""
     needed, dims = np.asarray(needed), np.asarray(m.dims)
     screened = (needed > np.minimum(dims[:-1], dims[1:])).any()
-    points = (first_point(m.p, m.r),) if screened else proj_points(m.p, m.r)
-    coords = np.reshape(points[0].coords if screened else proj_coords(m.p, m.r), (-1, m.r))
+    coords = proj_coords(m.p, m.r, (0,) * (m.r - 1)) if screened else proj_coords(m.p, m.r)
     ranks = np.stack([_level_ranks(coords, [a.a for a in level], m.p) for level in m.maps],
                      axis=1)
     for b, i in np.argwhere(ranks < needed):
-        yield points[b], int(i)
+        yield ProjPoint(m.p, coords[b]), int(i)
 
 
 def is_eip_def(m: BeilinsonRep) -> PropertyReport:
@@ -187,10 +187,10 @@ def _rank_table(m: BeilinsonRep):
     return composite_ranks(point_steps(m, proj_coords(m.p, m.r)), m.p)
 
 
-def _rank_changes(points, totals, j: int):
+def _rank_changes(p: int, coords, totals, j: int):
     """(point, j) for each point, in order, whose total differs from the first's."""
     for b in np.flatnonzero(totals != totals[0]):
-        yield points[b], j
+        yield ProjPoint(p, coords[b]), j
 
 
 def constant_rank(m: BeilinsonRep, j: int) -> PropertyReport:
@@ -198,17 +198,17 @@ def constant_rank(m: BeilinsonRep, j: int) -> PropertyReport:
     report carries the total rank at every point."""
     if not 1 <= j <= m.n - 1:
         raise ValueError(f"require 1 <= j <= n-1, got j={j}")
-    points = proj_points(m.p, m.r)
+    coords = proj_coords(m.p, m.r)
     totals = next(islice(_rank_table(m), j - 1, None))
-    profile = tuple(zip((a.coords for a in points), totals.tolist()))
-    return _first_failure(f"CR{j}", m.p, _rank_changes(points, totals, j), profile)
+    profile = tuple(zip(map(tuple, coords.tolist()), totals.tolist()))
+    return _first_failure(f"CR{j}", m.p, _rank_changes(m.p, coords, totals, j), profile)
 
 
 def constant_jordan_type(m: BeilinsonRep) -> PropertyReport:
     """Conjunction of constant j-rank over j = 1 .. n-1, from one sweep."""
-    points = proj_points(m.p, m.r)
+    coords = proj_coords(m.p, m.r)
     failures = (hit for j, totals in enumerate(_rank_table(m), 1)
-                for hit in _rank_changes(points, totals, j))
+                for hit in _rank_changes(m.p, coords, totals, j))
     return _first_failure("CJT", m.p, failures)
 
 

@@ -72,30 +72,47 @@ class ProjPoint:
 
 @lru_cache(maxsize=None)
 def proj_points(p: int, r: int) -> tuple[ProjPoint, ...]:
-    """All of P^{r-1}(F_p) in lexicographic order of normalized coordinates:
-    the leading 1 moves from the last coordinate to the first, and the
-    coordinates after it run through F_p in lexicographic order."""
-    return tuple(
-        ProjPoint(p, (0,) * lead + (1,) + tail)
-        for lead in reversed(range(r))
-        for tail in itertools.product(range(p), repeat=r - lead - 1)
-    )
+    """All of P^{r-1}(F_p) as ``ProjPoint``s, one per row of
+    ``proj_coords(p, r)``, in its order.  Sweeps read the coordinates
+    instead; this tuple serves the per-point loops."""
+    return tuple(ProjPoint(p, row) for row in proj_coords(p, r).tolist())
 
 
 @lru_cache(maxsize=None)
-def proj_coords(p: int, r: int) -> np.ndarray:
-    """The coordinates of ``proj_points(p, r)``, one int64 row per point in
-    the same order, as one read-only array that every sweep over
-    P^{r-1}(F_p) shares."""
-    coords = np.array([a.coords for a in proj_points(p, r)], dtype=np.int64).reshape(-1, r)
+def proj_coords(p: int, r: int, prefix: tuple[int, ...] = ()) -> np.ndarray:
+    """The points of P^{r-1}(F_p) whose first len(prefix) coordinates are
+    prefix, one int64 row each, as one cached read-only array: the one
+    enumeration of P^{r-1}(F_p), whose order fixes every witness.
+
+    The points run in lexicographic order of normalized coordinates: the
+    leading 1 moves from the last coordinate to the first, and the
+    coordinates after it run through F_p in lexicographic order.  So a
+    prefix that holds the leading 1 leaves every tail in F_p^t, t = r -
+    len(prefix); an all-zero prefix leaves the points of P^{t-1}, padded
+    with zeros; () is the whole space, and (0,) * (r - 1) its first point."""
+    check_modulus(p)
+    lead = next((x for x in prefix if x), 1)
+    if len(prefix) > r or prefix == (0,) * r or lead != 1 or not all(0 <= x < p for x in prefix):
+        raise ValueError(f"{prefix} is not the prefix of a normalized point of P^{r - 1}(F_{p})")
+    heads = [prefix] if any(prefix) else [(0,) * j + (1,) for j in reversed(range(len(prefix), r))]
+    blocks = []
+    for head in heads:
+        t = r - len(head)
+        block = np.empty((p ** t, r), dtype=np.int64)
+        block[:, :len(head)] = head
+        block[:, len(head):] = np.arange(p ** t)[:, None] // p ** np.arange(t - 1, -1, -1) % p
+        blocks.append(block)
+    coords = np.concatenate(blocks)
     coords.setflags(write=False)
     return coords
 
 
 def first_point(p: int, r: int) -> ProjPoint:
-    """``proj_points(p, r)[0]``, the point (0, ..., 0, 1), without
-    enumerating P^{r-1}(F_p)."""
-    return ProjPoint(p, (0,) * (r - 1) + (1,))
+    """``proj_points(p, r)[0]``, the point (0, ..., 0, 1): the one row of
+    the block of ``proj_coords`` after the prefix (0,) * (r - 1), so P^{r-1}
+    is never enumerated."""
+    (row,) = proj_coords(p, r, (0,) * (r - 1)).tolist()
+    return ProjPoint(p, row)
 
 
 def _json_int(value, name: str) -> int:

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 
+from beilinson import emod, properties, reps
 from beilinson.emod import _products, _span_stack
 from beilinson.linalg import (
     FpMatrix, batched_rank, image_basis, kernel_basis, matmul, power, quotient_projection,
@@ -11,6 +12,27 @@ from beilinson.linalg import (
 )
 from beilinson.monomials import dim_degree, monomial_index, monomials
 from beilinson.reps import BeilinsonRep, projective, support, validate
+
+
+def refuse_enumeration(monkeypatch, *, whole_space=True):
+    """Make proj_points raise wherever a module holds it and, with
+    whole_space, so does proj_coords for the whole space, so the code under
+    test reads P^{r-1}(F_p) only in the blocks it names by a prefix."""
+    whole = reps.proj_coords
+
+    def points(p, r):
+        raise AssertionError("proj_points enumerated")
+
+    def blocks(p, r, prefix=()):
+        if not prefix:
+            raise AssertionError("proj_coords enumerated the whole space")
+        return whole(p, r, prefix)
+
+    for module in (reps, properties, emod):
+        if hasattr(module, "proj_points"):
+            monkeypatch.setattr(module, "proj_points", points)
+        if whole_space:
+            monkeypatch.setattr(module, "proj_coords", blocks)
 
 
 def random_valid_rep(p, n, r, max_dim, rng):

@@ -3,8 +3,9 @@
 import json
 
 import pytest
+from helpers import refuse_enumeration
 
-from beilinson import emod, properties, reps
+from beilinson import properties, reps
 from beilinson.cli import main
 from beilinson.kronecker import e_lambda
 from beilinson.reps import (
@@ -317,12 +318,7 @@ class TestJordanType:
     def test_default_point_never_enumerates_the_space(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "big.json"
         path.write_text(x_module(65521, 2, 3, ProjPoint(65521, (1, 2, 3)), 0, 1).to_json())
-
-        def refuse(p, r):
-            raise AssertionError("proj_points enumerated")
-
-        monkeypatch.setattr(reps, "proj_points", refuse)
-        monkeypatch.setattr(emod, "proj_points", refuse)
+        refuse_enumeration(monkeypatch)
         code, out = run(capsys, ["jordan-type", "--rep", str(path), "--format", "json"])
         assert code == 0
         assert json.loads(out)["alpha"] == [0, 0, 1]

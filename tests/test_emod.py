@@ -10,6 +10,7 @@ from helpers import (
     quotient_soc_series,
     random_invertible,
     random_valid_rep,
+    refuse_enumeration,
 )
 
 from beilinson import emod, reps
@@ -41,6 +42,7 @@ from beilinson.reps import (
     BeilinsonRep,
     ProjPoint,
     direct_sum,
+    first_point,
     hom_space,
     injective,
     m_module,
@@ -48,6 +50,7 @@ from beilinson.reps import (
     projective,
     simple,
     w_module,
+    x_module,
 )
 
 
@@ -258,15 +261,11 @@ class TestChunkedJordanTypes:
         assert len(m._jordan) == len(points)
 
     def test_single_point_never_enumerates_the_space(self, monkeypatch):
-        def refuse(p, r):
-            raise AssertionError("proj_points enumerated")
-
         for p in (65521, 2**31 - 1):
             rng = np.random.default_rng(p)
             m = twist(forget(m_module(p, 3, 3, 3, 2)), random_invertible(p, 3, rng))
             assert max(int(op.a.max()) for op in m.ops) > p // 2
-            monkeypatch.setattr(emod, "proj_points", refuse)
-            monkeypatch.setattr(reps, "proj_points", refuse)
+            refuse_enumeration(monkeypatch)
             alpha = ProjPoint(p, tuple(int(x) for x in rng.integers(1, p, size=3)))
             jt = jordan_type(m, alpha)
             assert jt == jordan_type_by_point(m, alpha)
@@ -450,6 +449,36 @@ class TestIsomorphism:
         def no_decision(*args, **kwargs):
             raise AssertionError("the isomorphism decision ran")
 
+        monkeypatch.setattr(emod, "decide_isomorphism", no_decision)
+        assert is_isomorphic(a, b) == "no"
+
+    def test_screen_reads_one_chunk_at_large_prime(self, monkeypatch):
+        # P^2(F_1009) has 1,019,091 points; the Jordan-type screen computes
+        # only the chunk of the first point on each module, and the
+        # decision settles the rest
+        refuse_enumeration(monkeypatch)
+        p = 1009
+        w = forget(w_module(p, 2, 3, 3, 2))
+        assert is_isomorphic(w, forget(m_module(p, 2, 3, 3, 2))) == "no"
+        g = random_invertible(p, 3, np.random.default_rng(9))
+        assert is_isomorphic(w, twist(w, g)) == "yes"
+
+    def test_screen_compares_every_memoized_point(self, monkeypatch):
+        # X(1,0,0) and X(1,1,0) agree at the first point but not at every
+        # point; with one point per chunk, the first chunk cannot tell them
+        # apart, but once both memos hold all points the screen says 'no'
+        monkeypatch.setattr(emod, "STACK_ENTRIES", 1)
+        a, b = (forget(x_module(3, 2, 3, ProjPoint(3, c), 0, 1)) for c in ((1, 0, 0), (1, 1, 0)))
+        for m in (a, b):
+            for alpha in proj_points(3, 3):
+                jordan_type(m, alpha)
+        first = first_point(3, 3)
+        assert jordan_type(a, first) == jordan_type(b, first)
+
+        def no_decision(*args, **kwargs):
+            raise AssertionError("a later screen or the decision ran")
+
+        monkeypatch.setattr(emod, "rad_series", no_decision)
         monkeypatch.setattr(emod, "decide_isomorphism", no_decision)
         assert is_isomorphic(a, b) == "no"
 

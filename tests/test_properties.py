@@ -1,6 +1,6 @@
 """Equal-images, equal-kernels, and constant-rank property checks."""
 
-from helpers import random_valid_rep
+from helpers import random_valid_rep, refuse_enumeration
 
 import json
 from functools import reduce
@@ -259,6 +259,36 @@ class TestBatchedSweepMatchesPointLoop:
         assert {v for prop, v in verdicts if prop == "CR1"} == {True, False}
         assert {v for prop, v in verdicts if prop == "CJT"} == {True, False}
 
+    def test_sweeps_never_build_the_point_tuple(self, monkeypatch):
+        # the definition route reads coordinate rows only and builds a
+        # ProjPoint at a failing row alone, so its reports, witnesses and
+        # rank profiles stay those of the per-point loops with proj_points
+        # refused everywhere
+        x = x_module(5, 3, 3, ProjPoint(5, (1, 2, 0)), 0, 1)
+        cases = [w_module(5, 3, 3, 3, 2), m_module(5, 3, 3, 3, 2), x, dualize(x)]
+        checks = [
+            ("EIP", is_eip_def, lambda m: loop_step_report("EIP", m, m.dims[1:])),
+            ("EKP", is_ekp_def, lambda m: loop_step_report("EKP", m, m.dims[:-1])),
+            ("CR1", lambda m: constant_rank(m, 1), lambda m: loop_constant_rank(m, 1)),
+            ("CR2", lambda m: constant_rank(m, 2), lambda m: loop_constant_rank(m, 2)),
+            ("CJT", constant_jordan_type, loop_constant_jordan_type),
+        ]
+        expected = [[want(m) for _, _, want in checks] for m in cases]
+        refuse_enumeration(monkeypatch, whole_space=False)
+        seen = set()
+        for m, wants in zip(cases, expected):
+            needed = {"EIP": m.dims[1:], "EKP": m.dims[:-1]}
+            for (prop, got, _), want in zip(checks, wants):
+                assert got(m) == want
+                screened = prop in needed and any(
+                    d > min(a, b) for d, a, b in zip(needed[prop], m.dims, m.dims[1:]))
+                seen.add((prop, want.verdict, screened))
+        # a true and a false input for every check, and EIP and EKP each
+        # false both screened and on a full sweep
+        assert seen >= {(prop, verdict, False) for prop in ("EIP", "EKP", "CR1", "CJT")
+                        for verdict in (True, False)}
+        assert {("EIP", False, True), ("EKP", False, True)} <= seen
+
     def test_composite_ranks_exact_at_large_prime(self, monkeypatch):
         # the 2-fold composite of 3x3 steps sums three products near (p-1)^2;
         # its true rank of 1 turns into garbage if that sum overflows int64.
@@ -272,8 +302,8 @@ class TestBatchedSweepMatchesPointLoop:
         rep = BeilinsonRep(p, 3, 2, (3, 3, 3), ((a, FpMatrix(p, 2 * a.a)), (b, FpMatrix(p, 2 * b.a))))
         assert validate(rep) == []
         points = tuple(ProjPoint(p, c) for c in ((0, 1), (1, 0), (1, (p - 1) // 2), (1, p - 1)))
-        monkeypatch.setattr(properties, "proj_points", lambda p_, r_: points)
-        monkeypatch.setattr(properties, "proj_coords", lambda p_, r_: [a.coords for a in points])
+        monkeypatch.setattr(properties, "proj_coords",
+                            lambda p_, r_, prefix=(): np.array([a.coords for a in points]))
         expected = []
         for alpha in points:
             s0, s1 = ([[sum(c * int(x.a[i, j]) for c, x in zip(alpha.coords, level)) % p
@@ -382,8 +412,8 @@ class TestSketchedLevels:
         a2 = (a1.astype(object) - d) % p
         rep = BeilinsonRep(p, 2, 2, (13, 4), ((FpMatrix(p, a1), FpMatrix(p, a2.astype(np.int64))),))
         points = tuple(ProjPoint(p, c) for c in ((0, 1), (1, 0), (1, (p - 1) // 2), (1, p - 1)))
-        monkeypatch.setattr(properties, "proj_points", lambda p_, r_: points)
-        monkeypatch.setattr(properties, "proj_coords", lambda p_, r_: [a.coords for a in points])
+        monkeypatch.setattr(properties, "proj_coords",
+                            lambda p_, r_, prefix=(): np.array([a.coords for a in points]))
         shapes = spy_shapes(monkeypatch)
         arrows = [arrow.a for arrow in rep.maps[0]]
         assert step_ranks(p, [a.coords for a in points], arrows) == [4, 4, 4, 3]
@@ -457,10 +487,7 @@ class TestDimensionScreen:
 
     def test_answers_without_enumerating(self, monkeypatch):
         # P^2(F_p) has about 4.6e18 points at p = 2^31 - 1
-        def refuse(p, r):
-            raise AssertionError("proj_points enumerated")
-
-        monkeypatch.setattr(properties, "proj_points", refuse)
+        refuse_enumeration(monkeypatch)
         p = 2**31 - 1
         rng = np.random.default_rng(5)
         for dims, check in (((2, 1), is_ekp_def), ((1, 2), is_eip_def)):

@@ -108,6 +108,38 @@ class TestProjPoints:
                 normalized.add(tuple(x * inv % p for x in vec))
         assert [a.coords for a in proj_points(p, r)] == sorted(normalized)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_points_match_product_enumeration(self, p):
+        # an independent generator of the enumeration order: the leading 1
+        # moves from the last coordinate to the first, r = 1 included
+        for r in range(1, 5):
+            reference = [(0,) * lead + (1,) + tail for lead in reversed(range(r))
+                         for tail in itertools.product(range(p), repeat=r - lead - 1)]
+            assert [a.coords for a in proj_points(p, r)] == reference
+
+    @pytest.mark.parametrize("p,r", [(2, 3), (3, 3), (5, 2), (7, 3)])
+    def test_prefix_blocks_are_runs_of_the_points(self, p, r):
+        # every normalized prefix of every length names the contiguous run
+        # of points that start with it, in order
+        rows = [a.coords for a in proj_points(p, r)]
+        for length in range(r + 1):
+            for prefix in itertools.product(range(p), repeat=length):
+                if next((x for x in prefix if x), 1) != 1 or prefix == (0,) * r:
+                    continue
+                block = proj_coords(p, r, prefix)
+                run = [i for i, c in enumerate(rows) if c[:length] == prefix]
+                assert run == list(range(run[0], run[-1] + 1))
+                assert block.dtype == np.int64 and block.shape == (len(run), r)
+                assert [tuple(c) for c in block.tolist()] == [rows[i] for i in run]
+                assert proj_coords(p, r, prefix) is block
+                assert not block.flags.writeable
+
+    def test_prefix_must_start_a_normalized_point(self):
+        # the zero vector is no point, so (0, 0, 0) starts none
+        for prefix in ((2,), (0, 3), (1, 7), (1, -1), (0, 0, 0), (0, 0, 0, 0)):
+            with pytest.raises(ValueError):
+                proj_coords(7, 3, prefix)
+
     @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (5, 3)])
     def test_point_count(self, p, r):
         assert len(proj_points(p, r)) == (p ** r - 1) // (p - 1)
@@ -649,3 +681,4 @@ class TestFirstPoint:
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_is_first_enumerated(self, p, r):
         assert first_point(p, r) == proj_points(p, r)[0]
+        assert [list(first_point(p, r).coords)] == proj_coords(p, r, (0,) * (r - 1)).tolist()
