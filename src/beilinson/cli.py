@@ -182,7 +182,8 @@ def cmd_jordan_type(args) -> int:
     module = _module(rep)
     if args.all_alpha:
         rows = []
-        for point in reps.proj_points(rep.p, rep.r):
+        for row in reps.proj_coords(rep.p, rep.r):
+            point = reps.ProjPoint(rep.p, row)
             jt = emod.jordan_type(module, point)
             rows.append({"alpha": list(point.coords), "jordan_type": str(jt),
                          "blocks": list(jt.counts)})

@@ -19,6 +19,7 @@ from math import comb
 
 import numpy as np
 
+from . import linalg
 from .linalg import (
     FpMatrix,
     batched_rank,
@@ -142,10 +143,6 @@ def forget(rep: BeilinsonRep) -> ErModule:
 # ---------------------------------------------------------------------------
 # Jordan types
 
-# entries of one int64 stack over a Jordan-type chunk's points: 1 MiB
-STACK_ENTRIES = 1 << 17
-
-
 def jordan_type(m: ErModule, alpha: ProjPoint) -> JordanType:
     """Block sizes of the nilpotent operator attached to alpha, from the
     rank sequence of its powers: a_i = r_{i-1} - 2 r_i + r_{i+1}.
@@ -170,10 +167,11 @@ def jordan_type(m: ErModule, alpha: ProjPoint) -> JordanType:
 def _jordan_chunk(m: ErModule, coords: tuple[int, ...]) -> dict[tuple[int, ...], JordanType]:
     """Jordan types at the chunk of points that holds coords: every point
     that agrees with coords on its first r - t coordinates, t as large as
-    (chunk size) e <= STACK_ENTRIES allows, up to t = r.  e counts the
-    stacked entries per point: dim^2 for the dense powers, and sum d_i^2
-    over the degree dimensions d_i of a recorded grading, which bounds the
-    sum_i d_{i+j} d_i entries of every j-fold composite (Cauchy-Schwarz).
+    (chunk size) e <= ``linalg.STACK_ENTRIES`` allows, up to t = r.  e
+    counts the stacked entries per point: dim^2 for the dense powers, and
+    sum d_i^2 over the degree dimensions d_i of a recorded grading, which
+    bounds the sum_i d_{i+j} d_i entries of every j-fold composite
+    (Cauchy-Schwarz).
     The chunk is the block of ``proj_coords`` after that prefix: p^t
     points if the prefix holds the leading 1, else the (p^t - 1)/(p - 1)
     points of P^{t-1}, so t = r is the whole space.  One batched rank per
@@ -181,7 +179,7 @@ def _jordan_chunk(m: ErModule, coords: tuple[int, ...]) -> dict[tuple[int, ...],
     JordanType per distinct rank row, shared by its points."""
     p, r, dim = m.p, m.r, m.dim
     levels = m._levels if m._levels is not None else (dim,)
-    budget = STACK_ENTRIES // max(sum(d * d for d in levels), 1)
+    budget = linalg.STACK_ENTRIES // max(sum(d * d for d in levels), 1)
     lead = coords.index(1)
 
     def size(t: int) -> int:

@@ -393,6 +393,12 @@ def rank(m: FpMatrix) -> int:
     return int(batched_rank(m.a[None], m.p)[0])
 
 
+# entries of one int64 stack of matrices built for ``batched_rank``: 1 MiB.
+# The one stack budget, read at call time by the Jordan-type chunks of
+# ``emod`` and the definition-route sweeps of ``properties``
+STACK_ENTRIES = 1 << 17
+
+
 def batched_rank(stack: np.ndarray, p: int) -> np.ndarray:
     """F_p-ranks of a (B, rows, cols) stack of reduced matrices, as B ints.
 

@@ -1,7 +1,8 @@
 """Equal-images / equal-kernels / constant-rank decisions, by two routes.
 
 The definition route inspects the step matrices of the point operators
-directly, at all points at once, with one batched rank per level; a level
+directly, one batched rank per level over consecutive runs of points,
+each run's stack within ``linalg.STACK_ENTRIES`` entries; a level
 whose required rank exceeds both of its dimensions fails everywhere, so
 then only the first point is ranked, and it carries the witness.
 Otherwise each level asks for full rank, and a wide level is first ranked
@@ -27,6 +28,7 @@ from itertools import islice
 
 import numpy as np
 
+from . import linalg
 from .linalg import batched_rank, combine, matmul, sketch_matrix
 from .reps import (
     BeilinsonRep,
@@ -35,7 +37,6 @@ from .reps import (
     hom_space,
     point_steps,
     proj_coords,
-    proj_points,
     x_module,
 )
 
@@ -82,27 +83,38 @@ _SKETCH_EXTRA = 2
 _SKETCH_MIN_RANK = 4
 
 
+def _ranks_in_runs(coords, mats, p: int) -> np.ndarray:
+    """Ranks of the steps sum_l coords[b, l] * mats[l] at every row b,
+    stacked in consecutive runs of rows that hold at most
+    ``linalg.STACK_ENTRIES`` entries each, or one row where a single step
+    is larger, so no sweep stacks every point at once."""
+    run = max(linalg.STACK_ENTRIES // max(mats[0].size, 1), 1)
+    return np.concatenate([batched_rank(combine(coords[b:b + run], mats, p), p)
+                           for b in range(0, len(coords), run)])
+
+
 def _level_ranks(coords, arrows, p: int) -> np.ndarray:
-    """Ranks of the steps sum_l coords[b, l] * arrows[l] at every point b.
+    """Ranks of the steps sum_l coords[b, l] * arrows[l] at every point b,
+    ranked in runs of points (``_ranks_in_runs``).
 
     Where the size rule above holds, the arrows are first compressed along
     their long side L by the fixed (k + 2) x L ``sketch_matrix`` Q, to
     Q A_l or A_l Q^T, once per level; the combined sketch at a point is Q
     times its step, or its step times Q^T, and has rank at most the
     step's, so a sketch of rank k certifies rank k.  Only the points whose
-    sketch ranks below k are ranked on their full steps, so every rank is
-    exact whatever Q is."""
+    sketch ranks below k are ranked on their full steps, again in runs, so
+    every rank is exact whatever Q is."""
     rows, cols = arrows[0].shape
     k, long = sorted((rows, cols))
     lines = k + _SKETCH_EXTRA
     if len(coords) == 1 or k < _SKETCH_MIN_RANK or long <= 2 * lines:
-        return batched_rank(combine(coords, arrows, p), p)
+        return _ranks_in_runs(coords, arrows, p)
     q = sketch_matrix(p, lines, long)
     sketches = [matmul(q, a, p) if rows > cols else matmul(a, q.T, p) for a in arrows]
-    ranks = batched_rank(combine(coords, sketches, p), p)
+    ranks = _ranks_in_runs(coords, sketches, p)
     low = np.flatnonzero(ranks < k)
     if low.size:
-        ranks[low] = batched_rank(combine(coords[low], arrows, p), p)
+        ranks[low] = _ranks_in_runs(coords[low], arrows, p)
     return ranks
 
 
@@ -144,25 +156,29 @@ def is_ekp_def(m: BeilinsonRep) -> PropertyReport:
 # homological route
 
 @lru_cache(maxsize=None)
-def cached_x_module(p: int, n: int, r: int, alpha: ProjPoint, i: int, j: int = 1) -> BeilinsonRep:
-    return x_module(p, n, r, alpha, i, j)
+def cached_x_module(p: int, n: int, r: int, alpha: ProjPoint, i: int) -> BeilinsonRep:
+    """The degree-one point module X_alpha at vertex i, the paper's family."""
+    return x_module(p, n, r, alpha, i)
 
 
-def hom_dim_x(m: BeilinsonRep, alpha: ProjPoint, i: int, j: int = 1) -> int:
+def hom_dim_x(m: BeilinsonRep, alpha: ProjPoint, i: int) -> int:
     """dim Hom(X, m) against the materialized arrow-cokernel module."""
-    return len(hom_space(cached_x_module(m.p, m.n, m.r, alpha, i, j), m))
+    return len(hom_space(cached_x_module(m.p, m.n, m.r, alpha, i), m))
 
 
-def ext_dim_x(m: BeilinsonRep, alpha: ProjPoint, i: int, j: int = 1) -> int:
+def ext_dim_x(m: BeilinsonRep, alpha: ProjPoint, i: int) -> int:
     """dim Ext^1(X, m) from the length-one projective resolution of X:
-    the Euler identity dim Ext = dim m_{i+j} - dim m_i + dim Hom(X, m)."""
-    return m.dims[i + j] - m.dims[i] + hom_dim_x(m, alpha, i, j)
+    the Euler identity dim Ext = dim m_{i+1} - dim m_i + dim Hom(X, m)."""
+    return m.dims[i + 1] - m.dims[i] + hom_dim_x(m, alpha, i)
 
 
 def _hom_failures(m: BeilinsonRep, dim_x):
     """(point, level) pairs, in enumeration order, where dim_x(m, point,
-    level) is nonzero; lazy, so a sweep stops at its first failure."""
-    for alpha in proj_points(m.p, m.r):
+    level) is nonzero; lazy, so a sweep stops at its first failure.  It
+    reads the coordinate rows of ``proj_coords`` one at a time and builds
+    each point from its row, so no tuple of points is built."""
+    for row in proj_coords(m.p, m.r):
+        alpha = ProjPoint(m.p, row)
         for i in range(m.n - 1):
             if dim_x(m, alpha, i):
                 yield alpha, i

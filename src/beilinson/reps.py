@@ -73,8 +73,9 @@ class ProjPoint:
 @lru_cache(maxsize=None)
 def proj_points(p: int, r: int) -> tuple[ProjPoint, ...]:
     """All of P^{r-1}(F_p) as ``ProjPoint``s, one per row of
-    ``proj_coords(p, r)``, in its order.  Sweeps read the coordinates
-    instead; this tuple serves the per-point loops."""
+    ``proj_coords(p, r)``, in its order.  The package reads the
+    coordinate rows instead, building a point per row where it needs one;
+    this tuple is public for callers that want every point at once."""
     return tuple(ProjPoint(p, row) for row in proj_coords(p, r).tolist())
 
 

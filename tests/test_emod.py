@@ -13,7 +13,7 @@ from helpers import (
     refuse_enumeration,
 )
 
-from beilinson import emod, reps
+from beilinson import emod, linalg, reps
 from beilinson.emod import (
     EndReport,
     ErModule,
@@ -187,12 +187,12 @@ class TestChunkedJordanTypes:
             expected = [jordan_type_by_point(m, a) for a in points]
             m._jordan.clear()
             if chunk == "one point":
-                monkeypatch.setattr(emod, "STACK_ENTRIES", 1)
+                monkeypatch.setattr(linalg, "STACK_ENTRIES", 1)
             elif chunk == "p^2 points":
                 # per point, a graded chunk stacks sum d_i^2 entries, a dense one dim^2
                 levels = m._levels if is_graded else (m.dim,)
                 per_point = max(sum(d * d for d in levels), 1)
-                monkeypatch.setattr(emod, "STACK_ENTRIES", m.p ** 2 * per_point)
+                monkeypatch.setattr(linalg, "STACK_ENTRIES", m.p ** 2 * per_point)
             monkeypatch.setattr(emod, "_jordan_chunk", recorded)
             monkeypatch.setattr(emod, "composite_ranks", counted)
             sizes.clear()
@@ -467,7 +467,7 @@ class TestIsomorphism:
         # X(1,0,0) and X(1,1,0) agree at the first point but not at every
         # point; with one point per chunk, the first chunk cannot tell them
         # apart, but once both memos hold all points the screen says 'no'
-        monkeypatch.setattr(emod, "STACK_ENTRIES", 1)
+        monkeypatch.setattr(linalg, "STACK_ENTRIES", 1)
         a, b = (forget(x_module(3, 2, 3, ProjPoint(3, c), 0, 1)) for c in ((1, 0, 0), (1, 1, 0)))
         for m in (a, b):
             for alpha in proj_points(3, 3):

@@ -8,7 +8,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from beilinson import properties
+from beilinson import linalg, properties
 from beilinson.kronecker import e_lambda, tau
 from beilinson.linalg import FpMatrix, image_basis, kernel_basis, rank
 from beilinson.properties import (
@@ -272,6 +272,9 @@ class TestBatchedSweepMatchesPointLoop:
             ("CR1", lambda m: constant_rank(m, 1), lambda m: loop_constant_rank(m, 1)),
             ("CR2", lambda m: constant_rank(m, 2), lambda m: loop_constant_rank(m, 2)),
             ("CJT", constant_jordan_type, loop_constant_jordan_type),
+            # the hom route against its own unpatched reports
+            ("EIP-hom", is_eip_hom, is_eip_hom),
+            ("EKP-hom", is_ekp_hom, is_ekp_hom),
         ]
         expected = [[want(m) for _, _, want in checks] for m in cases]
         refuse_enumeration(monkeypatch, whole_space=False)
@@ -285,9 +288,39 @@ class TestBatchedSweepMatchesPointLoop:
                 seen.add((prop, want.verdict, screened))
         # a true and a false input for every check, and EIP and EKP each
         # false both screened and on a full sweep
-        assert seen >= {(prop, verdict, False) for prop in ("EIP", "EKP", "CR1", "CJT")
+        assert seen >= {(prop, verdict, False)
+                        for prop in ("EIP", "EKP", "CR1", "CJT", "EIP-hom", "EKP-hom")
                         for verdict in (True, False)}
         assert {("EIP", False, True), ("EKP", False, True)} <= seen
+
+    def test_runs_of_points_match_one_stack(self, monkeypatch):
+        # a level is ranked in runs of points whose stacks hold at most
+        # linalg.STACK_ENTRIES entries, or one point where a step is
+        # larger; where the runs break must not change a report
+        inputs = list(sweep_inputs())
+        checks = (is_eip_def, is_ekp_def)
+        expected = [[check(rep) for check in checks] for _, rep in inputs]
+        shapes = spy_shapes(monkeypatch)
+        # at 2 entries a run holds at most two points, so every sweep over
+        # P^{r-1}, which has at least three, takes several runs
+        for budget, most in ((2, 2), (7 * 11 * 13, None)):
+            monkeypatch.setattr(linalg, "STACK_ENTRIES", budget)
+            for (label, rep), wants in zip(inputs, expected):
+                for check, want in zip(checks, wants):
+                    shapes.clear()
+                    got = check(rep)
+                    assert got == want and got.to_json() == want.to_json(), label
+                    assert all(b == 1 or b * rows * cols <= budget for b, rows, cols in shapes)
+                    assert most is None or max(b for b, _, _ in shapes) <= most
+        # tau^2 X(2,4)(0,1,0,1) sketches its 15 steps of 11 x 41 as 11 x 13
+        # and leaves points 7 and 8 to the full steps: at 7 * 11 * 13
+        # entries its sketches run 7 points at a time, so a run boundary
+        # falls between certified point 6 and re-ranked point 7, and the
+        # two re-ranked points share one run of full steps
+        rep = dict(inputs)["tau^2 X(2,4)(0,1,0,1)"]
+        shapes.clear()
+        assert is_eip_def(rep).verdict
+        assert shapes == [(7, 11, 13), (7, 11, 13), (1, 11, 13), (2, 11, 41)]
 
     def test_composite_ranks_exact_at_large_prime(self, monkeypatch):
         # the 2-fold composite of 3x3 steps sums three products near (p-1)^2;
