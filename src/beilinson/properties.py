@@ -10,13 +10,25 @@ as a sketch, a fixed compression of its steps along their long side
 (``linalg.sketch_matrix``): a sketch of full rank certifies that its
 step has full rank, and only the points it does not certify are ranked
 exactly on their full steps, so every rank, verdict and witness is
-exact.  The
-homological route computes Hom- and Ext-dimensions against the materialized
-projective-line family of arrow-cokernel modules via the intertwiner
-solver, sharing nothing with the definition route beyond the exact linear
-algebra substrate.  All "for every point" quantifiers run
-exhaustively over the rational points of P^{r-1}(F_p); reports carry the
-field so the gap to an algebraically closed base field stays visible.
+exact.
+
+The homological route computes Hom- and Ext-dimensions against the
+materialized projective-line family of arrow-cokernel modules X_alpha(i),
+sharing nothing with the definition route beyond the exact linear algebra
+substrate and the Sylvester systems of ``reps``.  It sweeps runs of 1, 2,
+4, ... points.  A run of one or two points goes one point at a time, each
+Hom system solved sparsely (``hom_space``), as the per-point loop does,
+so a sweep that fails at one of its first three points solves what that
+loop solves.  A longer run goes one level at a time and stacks the
+systems of its points: one forcing pass over the whole stack, then one
+``batched_rank``.  A run holds at most as many points as keep B rows cols
+min(rows, cols) within ``linalg.STACK_ENTRIES`` (``_run_cap``), so where
+the systems are large, every point is solved alone.  The levels of a
+stacked run rank only the points before the earliest failure found so
+far, so the witness is the first (point, level) in enumeration order.
+All "for every point" quantifiers run exhaustively over the rational
+points of P^{r-1}(F_p); reports carry the field so the gap to an
+algebraically closed base field stays visible.
 """
 
 from __future__ import annotations
@@ -30,9 +42,11 @@ import numpy as np
 
 from . import linalg
 from .linalg import batched_rank, combine, matmul, sketch_matrix
+from .monomials import dim_degree
 from .reps import (
     BeilinsonRep,
     ProjPoint,
+    _sylvester,
     composite_ranks,
     hom_space,
     point_steps,
@@ -155,43 +169,130 @@ def is_ekp_def(m: BeilinsonRep) -> PropertyReport:
 # ---------------------------------------------------------------------------
 # homological route
 
-@lru_cache(maxsize=None)
+# the point modules one sweep builds are at most 400 points of P^3(F_7)
+# times 4 levels (n <= 5), so every sweep at p <= 7, r <= 4, hom_route's 62
+# modules among them, hits on a second run; an unbounded cache kept all
+# 20,606 modules of one sweep at p = 101 and hit none of them
+X_CACHE_SIZE = 400 * 4
+
+
+@lru_cache(maxsize=X_CACHE_SIZE)
 def cached_x_module(p: int, n: int, r: int, alpha: ProjPoint, i: int) -> BeilinsonRep:
     """The degree-one point module X_alpha at vertex i, the paper's family."""
     return x_module(p, n, r, alpha, i)
 
 
-def hom_dim_x(m: BeilinsonRep, alpha: ProjPoint, i: int) -> int:
-    """dim Hom(X, m) against the materialized arrow-cokernel module."""
-    return len(hom_space(cached_x_module(m.p, m.n, m.r, alpha, i), m))
+# a run of B points stacks each level's Sylvester systems, rows x cols,
+# while B * rows * cols * min(rows, cols), the work of ranking the stack,
+# stays within linalg.STACK_ENTRIES at every level of the sweep.  Per
+# point, a stack of 3 and of 16 against the sparse solve (ms, best of 3 on
+# a 2-core Intel Xeon, Python 3.11, numpy 2.4): 27 x 17 (work 7,803, so 16
+# points a run) 0.18 and 0.07 against 0.29 and 0.35; 36 x 31 (34,596, 3
+# points) 0.35 against 0.44; 88 x 74 (481,888, one point) 2.1 against 1.3;
+# 200 x 155 (4.8 million) 16 against 3.0, since a dense stack loses what
+# forcing removes from each sparse system.  Runs of fewer than
+# _STACK_MIN_POINTS points go one point at a time: a stack of two saves
+# little (0.24 against 0.25 ms per point at 27 x 17, 0.17 against 0.25 at
+# 9 x 9), and it ranks the second point's level 0 even where the first
+# point fails at level 1, which the per-point loop never solves
+_STACK_MIN_POINTS = 3
 
 
-def ext_dim_x(m: BeilinsonRep, alpha: ProjPoint, i: int) -> int:
-    """dim Ext^1(X, m) from the length-one projective resolution of X:
-    the Euler identity dim Ext = dim m_{i+1} - dim m_i + dim Hom(X, m)."""
-    return m.dims[i + 1] - m.dims[i] + hom_dim_x(m, alpha, i)
+def _run_cap(m: BeilinsonRep) -> int:
+    """The most points a run of the hom route over m stacks, by the rule
+    above at its largest level, and at least one.  X_alpha(i) is the
+    cokernel of the injective map P(i+1) -> P(i) that alpha gives, so at
+    every alpha its dimension at vertex v is dim_degree(r, v - i) -
+    dim_degree(r, v - i - 1)."""
+    work = 1
+    for i in range(m.n - 1):
+        xdims = [dim_degree(m.r, v - i) - dim_degree(m.r, v - i - 1) for v in range(m.n)]
+        rows = m.r * sum(x * y for x, y in zip(xdims, m.dims[1:]))
+        cols = sum(x * y for x, y in zip(xdims, m.dims))
+        work = max(work, rows * cols * min(rows, cols))
+    return max(linalg.STACK_ENTRIES // work, 1)
 
 
-def _hom_failures(m: BeilinsonRep, dim_x):
-    """(point, level) pairs, in enumeration order, where dim_x(m, point,
-    level) is nonzero; lazy, so a sweep stops at its first failure.  It
-    reads the coordinate rows of ``proj_coords`` one at a time and builds
-    each point from its row, so no tuple of points is built."""
-    for row in proj_coords(m.p, m.r):
-        alpha = ProjPoint(m.p, row)
-        for i in range(m.n - 1):
-            if dim_x(m, alpha, i):
-                yield alpha, i
+def _hom_dims(m: BeilinsonRep, xs) -> list[int]:
+    """dim Hom(x, m) for each x of xs, point modules of one dimension vector.
+
+    Fewer than ``_STACK_MIN_POINTS`` modules are solved one by one,
+    sparsely, by ``hom_space``.  More go as one (len(xs), rows, cols)
+    stack of their Sylvester systems (``reps._sylvester``): one ``_force``
+    on the block-diagonal matrix of the stack finds every system's forced
+    columns, whose RREF rows are unit vectors, so dim Hom is cols minus the
+    forced columns minus the ``batched_rank`` of the rest, the stack with
+    the forced columns zeroed."""
+    if len(xs) < _STACK_MIN_POINTS:
+        return [len(hom_space(x, m)) for x in xs]
+    xarrows = [(v, v + 1, np.stack([x.maps[v][l].a for x in xs]))
+               for v in range(m.n - 1) for l in range(m.r)]
+    (rows, cols), (r, c, values) = _sylvester(m.p, xs[0].dims, xarrows,
+                                              m.dims, [(v, w, a.a) for v, w, a in m.arrows])
+    forced = linalg._force(r, c, len(xs) * cols)
+    live = ~forced[c]
+    stack = np.zeros((len(xs), rows, cols), dtype=np.int64)
+    # entry (r, c) of the block-diagonal matrix is entry (r, c % cols) of
+    # the stack seen as one (len(xs) * rows, cols) array
+    stack.reshape(len(xs) * rows, cols)[r[live], c[live] % cols] = values[live]
+    dims = cols - forced.reshape(len(xs), cols).sum(axis=1)
+    rest = np.flatnonzero(stack.any(axis=(1, 2)))
+    if rest.size:
+        dims[rest] -= batched_rank(stack[rest], m.p)
+    return dims.tolist()
+
+
+def _hom_failures(m: BeilinsonRep, shift):
+    """The first (point, level) in enumeration order where shift[level] +
+    dim Hom(X_point(level), m) is nonzero, yielded alone, or nothing.
+
+    The sweep reads the coordinate rows of ``proj_coords`` in runs of 1,
+    2, 4, ... points, at most ``_run_cap`` each, and builds a point per row
+    of the run.  A run of fewer than ``_STACK_MIN_POINTS`` points goes one
+    point at a time, its levels in order, each solved by ``hom_space``: the
+    per-point loop, which solves nothing past the first failure, so a sweep
+    that fails at one of its first three points solves what the loop
+    solves.  A longer run goes one level at a time, each ranked at once
+    (``_hom_dims``), and a level ranks only the points before the earliest
+    failure found so far, so the run's first failure is the sweep's."""
+    coords = proj_coords(m.p, m.r)
+    start, run, cap = 0, 1, 1
+    while start < len(coords):
+        points = [ProjPoint(m.p, row) for row in coords[start:start + run]]
+        if len(points) < _STACK_MIN_POINTS:
+            for alpha in points:
+                for i in range(m.n - 1):
+                    if shift[i] + len(hom_space(cached_x_module(m.p, m.n, m.r, alpha, i), m)):
+                        yield alpha, i
+                        return
+        else:
+            ahead = len(points)  # the points before the earliest failure so far
+            for i in range(m.n - 1):
+                xs = [cached_x_module(m.p, m.n, m.r, alpha, i) for alpha in points[:ahead]]
+                bad = next((b for b, d in enumerate(_hom_dims(m, xs)) if d + shift[i]), None)
+                if bad is not None:
+                    ahead, level = bad, i
+                    if not ahead:
+                        break
+            if ahead < len(points):
+                yield points[ahead], level
+                return
+        if not start:
+            cap = _run_cap(m)
+        start += run
+        run = min(2 * run, cap)
 
 
 def is_eip_hom(m: BeilinsonRep) -> PropertyReport:
-    """Ext^1 against the whole degree-one family vanishes at every point."""
-    return _first_failure("EIP", m.p, _hom_failures(m, ext_dim_x))
+    """Ext^1 against the whole degree-one family vanishes at every point:
+    by the length-one projective resolution of X_alpha(i), dim Ext^1 =
+    dims[i+1] - dims[i] + dim Hom(X_alpha(i), m)."""
+    return _first_failure("EIP", m.p, _hom_failures(m, [b - a for a, b in zip(m.dims, m.dims[1:])]))
 
 
 def is_ekp_hom(m: BeilinsonRep) -> PropertyReport:
     """Hom from the whole degree-one family vanishes at every point."""
-    return _first_failure("EKP", m.p, _hom_failures(m, hom_dim_x))
+    return _first_failure("EKP", m.p, _hom_failures(m, [0] * (m.n - 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,13 @@ bit-reproducible.
 Every Hom space, graded or between kE_r-modules (one-vertex quivers), is
 solved by ``_intertwiners`` from ``dims`` and ``arrows`` as one basis
 stack per vertex; its Sylvester system is built from the arrows' nonzeros
-as coordinates and is never dense.  The certificates read the stacks:
-isomorphism (``decide_isomorphism``: Fitting splitting, Krull-Schmidt
-cancellation), End locality and indecomposability (``emod``); only
-``hom_space`` and ``hom_modules`` cut them into ``FpMatrix`` elements.
+as coordinates and is never dense.  That assembly, ``_sylvester``, takes
+arrows with a leading point axis, so the hom route of ``properties``
+builds the systems of a run of points in the same call.  The certificates
+read the stacks: isomorphism (``decide_isomorphism``: Fitting splitting,
+Krull-Schmidt cancellation), End locality and indecomposability
+(``emod``); only ``hom_space`` and ``hom_modules`` cut them into
+``FpMatrix`` elements.
 """
 
 from __future__ import annotations
@@ -371,49 +374,75 @@ def alpha_operator(rep: BeilinsonRep, alpha: ProjPoint) -> list[FpMatrix]:
     return [FpMatrix._reduced(rep.p, stack[0].copy()) for stack in point_steps(rep, alpha.coords)]
 
 
+def _sylvester(p: int, xdims, xarrows, ydims, yarrows):
+    """The Sylvester systems of Hom(x, y) at B points at once.  x and y
+    are given by vertex dimensions and (v, w, a) arrows in matching order:
+    each a of x is a (B, xdims[w], xdims[v]) stack, the arrow at every
+    point, and each a of y one matrix that every point shares.  Returns
+    the shape (rows, cols) of one point's system and the entries of the
+    block-diagonal matrix of all B systems as (row, column, value)
+    coordinates, entry (r, c) of point s at (s rows + r, s cols + c):
+    distinct, values in [1, p).  At B = 1 that is the one system.
+
+    The unknowns are each phi_v row-major, vertices in order, and each
+    equation phi_w a = b phi_v adds a block of rows (i, j), row-major.
+    The coordinates are read off the nonzeros of the arrows with one
+    ``nonzero`` per stack of consecutive arrows that share (v, w), so no
+    system is ever dense.  The two terms of an equation meet only when
+    v == w, on the diagonal entry a[j, j] - b[i, i] of row (i, j): those
+    are summed in closed form, and the ones that cancel are dropped."""
+    offs = list(itertools.accumulate((y * x for x, y in zip(xdims, ydims)), initial=0))
+    rows, cols = sum(ydims[w] * xdims[v] for v, w, _ in xarrows), offs[-1]
+    points = len(xarrows[0][2])
+    coords = []
+    top = 0
+    for (v, w), group in itertools.groupby(zip(xarrows, yarrows), lambda pair: pair[0][:2]):
+        group = list(group)
+        # a[l, s] is the l-th arrow of the group at point s, b[l] at every point
+        a = np.array([f for (_, _, f), _ in group])
+        b = np.array([g for _, (_, _, g) in group])
+        xv, xw, yv, yw = xdims[v], xdims[w], ydims[v], ydims[w]
+        if v == w:
+            j, i = np.arange(xv), np.arange(yv)
+            diag = (a[:, :, j, j][:, :, None, :] - b[:, i, i][:, None, :, None]) % p
+            a[:, :, j, j] = 0
+            b[:, i, i] = 0
+            l, s, i, j = diag.nonzero()
+            r, c = top + (l * yv + i) * xv + j, offs[v] + i * xv + j
+            if points > 1:
+                r, c = r + s * rows, c + s * cols
+            coords.append((r, c, diag[l, s, i, j]))
+        # phi_w a: phi_w[i, k] enters row (i, j) with a[k, j], for every i
+        l, s, k, j = a.nonzero()
+        ar, ac, av = top + l * (yw * xv) + j, offs[w] + k, a[l, s, k, j]
+        # -b phi_v: phi_v[t, j] enters row (i, j) with -b[i, t], for every j
+        l, i, t = b.nonzero()
+        br, bc, bv = top + (l * yw + i) * xv, offs[v] + t * xv, p - b[l, i, t]
+        if points > 1:  # a's entries in the block of their point, b's in every block
+            ar, ac = ar + s * rows, ac + s * cols
+            s = np.arange(points)[:, None]
+            br, bc, bv = (br + s * rows).ravel(), (bc + s * cols).ravel(), np.tile(bv, points)
+        i, j = np.arange(yw), np.arange(xv)
+        coords.append((ar[:, None] + i * xv, ac[:, None] + i * xw, av.repeat(yw)))
+        coords.append((br[:, None] + j, bc[:, None] + j, bv.repeat(xv)))
+        top += len(group) * yw * xv
+    return (rows, cols), tuple(np.concatenate([part[n].ravel() for part in coords])
+                               for n in range(3))
+
+
 def _intertwiners(p: int, xdims, xarrows, ydims, yarrows) -> list[np.ndarray]:
     """Basis of Hom(x, y), x and y given by vertex dimensions and (v, w, a)
     arrows in matching order: the solutions (phi_v), phi_v of shape
     ydims[v] x xdims[v], of phi_w a = b phi_v for each arrow pair a, b: per
     vertex v, one read-only (dim Hom, ydims[v], xdims[v]) view of the basis.
 
-    The unknowns are each phi_v row-major, vertices in order, and each
-    equation adds a block of rows (i, j), row-major.  The system goes to
-    ``coordinate_kernel`` as (row, column, value) coordinates, read off the
-    nonzeros of the arrow matrices with one ``nonzero`` per stack of
-    consecutive arrows that share (v, w), and is never dense.  The two
-    terms of an equation meet only when v == w, on the diagonal entry
-    a[j, j] - b[i, i] of row (i, j): those are summed in closed form, and
-    the ones that cancel are dropped."""
-    offs = np.cumsum([0, *(y * x for x, y in zip(xdims, ydims))])
-    coords = []
-    top = 0
-    for (v, w), group in itertools.groupby(zip(xarrows, yarrows), lambda pair: pair[0][:2]):
-        group = list(group)
-        a = np.array([f.a for (_, _, f), _ in group])
-        b = np.array([g.a for _, (_, _, g) in group])
-        xv, xw, yv, yw = xdims[v], xdims[w], ydims[v], ydims[w]
-        if v == w:
-            j, i = np.arange(xv), np.arange(yv)
-            diag = (a[:, j, j][:, None, :] - b[:, i, i][:, :, None]) % p
-            a[:, j, j] = 0
-            b[:, i, i] = 0
-            flat = diag.ravel().nonzero()[0]
-            coords.append((top + flat, offs[v] + flat % (yv * xv), diag.ravel()[flat]))
-        # phi_w a: phi_w[i, k] enters row (i, j) with a[k, j], for every i
-        l, k, j = a.nonzero()
-        i = np.arange(yw)
-        coords.append(((top + l * yw * xv + j)[:, None] + i * xv, (offs[w] + k)[:, None] + i * xw,
-                       a[l, k, j].repeat(yw)))
-        # -b phi_v: phi_v[t, j] enters row (i, j) with -b[i, t], for every j
-        l, i, t = b.nonzero()
-        j = np.arange(xv)
-        coords.append(((top + (l * yw + i) * xv)[:, None] + j, (offs[v] + t * xv)[:, None] + j,
-                       (p - b[l, i, t]).repeat(xv)))
-        top += len(group) * yw * xv
-    r, c, values = (np.concatenate([part[n].ravel() for part in coords]) for n in range(3))
-    vecs = coordinate_kernel(p, (top, offs[-1]), r, c, values)
+    The system is the one-point case of ``_sylvester`` and goes to
+    ``coordinate_kernel`` as (row, column, value) coordinates."""
+    shape, (r, c, values) = _sylvester(p, xdims, [(v, w, f.a[None]) for v, w, f in xarrows],
+                                       ydims, [(v, w, g.a) for v, w, g in yarrows])
+    vecs = coordinate_kernel(p, shape, r, c, values)
     vecs.setflags(write=False)
+    offs = list(itertools.accumulate((y * x for x, y in zip(xdims, ydims)), initial=0))
     return [vecs[:, offs[v]:offs[v + 1]].reshape(len(vecs), ydims[v], xdims[v])
             for v in range(len(xdims))]
 

@@ -11,7 +11,10 @@ from beilinson.linalg import (
     rank, solve_matrix,
 )
 from beilinson.monomials import dim_degree, monomial_index, monomials
-from beilinson.reps import BeilinsonRep, projective, support, validate
+from beilinson.properties import PropertyReport
+from beilinson.reps import (
+    BeilinsonRep, ProjPoint, hom_space, projective, proj_coords, support, validate,
+)
 
 
 def refuse_enumeration(monkeypatch, *, whole_space=True):
@@ -33,6 +36,31 @@ def refuse_enumeration(monkeypatch, *, whole_space=True):
             monkeypatch.setattr(module, "proj_points", points)
         if whole_space:
             monkeypatch.setattr(module, "proj_coords", blocks)
+
+
+def hom_dim_x(m, alpha, i):
+    """dim Hom(X_alpha(i), m), solved sparsely at one point."""
+    return len(hom_space(properties.cached_x_module(m.p, m.n, m.r, alpha, i), m))
+
+
+def ext_dim_x(m, alpha, i):
+    """dim Ext^1(X_alpha(i), m) from the length-one projective resolution
+    of X_alpha(i): the Euler identity dims[i+1] - dims[i] + dim Hom."""
+    return m.dims[i + 1] - m.dims[i] + hom_dim_x(m, alpha, i)
+
+
+def loop_hom_report(prop, m):
+    """The homological route one point and one level at a time, the
+    reference for properties.is_eip_hom ("EIP") and is_ekp_hom ("EKP"):
+    the first (point, level), in enumeration order, where dim Ext^1 or dim
+    Hom against X_alpha(level) is nonzero."""
+    dim_x = ext_dim_x if prop == "EIP" else hom_dim_x
+    for row in proj_coords(m.p, m.r):
+        alpha = ProjPoint(m.p, row)
+        for i in range(m.n - 1):
+            if dim_x(m, alpha, i):
+                return PropertyReport(prop, False, m.p, witness=(alpha, i))
+    return PropertyReport(prop, True, m.p)
 
 
 def random_valid_rep(p, n, r, max_dim, rng):

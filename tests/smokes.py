@@ -21,7 +21,7 @@ import numpy as np
 from beilinson import emod, reps
 from beilinson.kronecker import tau
 from beilinson.linalg import FpMatrix
-from beilinson.properties import is_eip_def, is_ekp_hom
+from beilinson.properties import is_eip_def, is_eip_hom, is_ekp_hom
 
 
 class Smoke(NamedTuple):
@@ -184,6 +184,16 @@ def large_p_hom_route():
     report = is_ekp_hom(reps.simple(1009, 2, 3, 0))
     got = (report.verdict, report.witness, reps.proj_points.cache_info().currsize)
     return got, (False, (reps.ProjPoint(1009, (0, 0, 1)), 0), 0)
+
+
+@smoke(rss_mb=80, seconds=30)
+def hom_route_scale():
+    """is_eip_hom(W(7,3,4,5,3)), true at all 400 points: its level-0
+    Sylvester systems, 200 x 155, are past the hom route's stacking rule
+    (properties._run_cap), so each point is solved sparsely, about 2.3 s
+    and 34 MB; stacking every run with no size rule took 7.5 s and
+    214 MB."""
+    return is_eip_hom(reps.w_module(7, 3, 4, 5, 3)).verdict, True
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Equal-images, equal-kernels, and constant-rank property checks."""
 
-from helpers import random_valid_rep, refuse_enumeration
+from helpers import loop_hom_report, random_valid_rep, refuse_enumeration
 
 import json
 from functools import reduce
@@ -8,7 +8,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from beilinson import linalg, properties
+from beilinson import linalg, properties, reps
 from beilinson.kronecker import e_lambda, tau
 from beilinson.linalg import FpMatrix, image_basis, kernel_basis, rank
 from beilinson.properties import (
@@ -529,3 +529,140 @@ class TestDimensionScreen:
             report = check(BeilinsonRep(p, 2, 3, dims, (level,)))
             assert not report.verdict
             assert report.witness == (ProjPoint(p, (0, 0, 1)), 0)
+
+
+# ---------------------------------------------------------------------------
+# the homological route in runs of points against its per-point reference
+
+HOM_CHECKS = (("EIP", is_eip_hom), ("EKP", is_ekp_hom))
+
+
+def planted_hom_inputs():
+    """(label, rep, EKP witness as (coords, level) or None).  A direction
+    rep's step at alpha vanishes where alpha . direction = 0, and dim
+    Hom(X_alpha(i), m) is the kernel dimension of m's step i at alpha."""
+    yield "true", m_module(5, 3, 3, 3, 2), None
+    yield "first point", direction_rep(5, (1, 1), [[[1]]], (1, 1, 0)), ((0, 0, 1), 0)
+    # P^1(F_5) runs (0, 1), (1, 0), ..., (1, 4), and only (1, 4) meets 1 + 4 = 0
+    yield "last point", direction_rep(5, (1, 1), [[[1]]], (1, 1)), ((1, 4), 0)
+    # the first summand fails at both levels where (0, 1, 1) . alpha = 0, the
+    # second at level 1 where (0, 3, 1) . alpha = 0: point 3, (0, 1, 2),
+    # fails at level 1 only, and point 5, (0, 1, 4), at level 0, both in
+    # the run of points 3 to 6
+    both = direction_rep(5, (1, 1, 1), [[[1]], [[1]]], (0, 1, 1))
+    upper = direction_rep(5, (0, 1, 1), [np.zeros((1, 0), dtype=np.int64), [[1]]], (0, 3, 1))
+    yield "level 1 before a later level 0", direct_sum(both, upper), ((0, 1, 2), 1)
+
+
+def hom_route_inputs():
+    yield from sweep_inputs()
+    # X_alpha(i) vanishes below vertex i, so S(0)'s systems at level 1 have
+    # no unknowns, and the zero rep has none at any level
+    for v in range(3):
+        yield f"S({v})", simple(5, 3, 3, v)
+    yield "zero", BeilinsonRep(5, 3, 3, (0, 0, 0), simple(5, 3, 3, 0).maps[1:] * 2)
+    # the true case, M(5,3,3,3,2), and its dual are sweep inputs already
+    for label, rep, _ in list(planted_hom_inputs())[1:]:
+        yield label, rep
+        yield f"D {label}", dualize(rep)
+
+
+def system_work(m):
+    """The largest rows * cols * min(rows, cols) of m's Sylvester systems
+    of Hom(X_alpha(i), m), read off the systems at the first point."""
+    alpha = ProjPoint(m.p, proj_coords(m.p, m.r)[0])
+    work = 1
+    for i in range(m.n - 1):
+        x = x_module(m.p, m.n, m.r, alpha, i)
+        (rows, cols), _ = reps._sylvester(m.p, x.dims, [(v, w, a.a[None]) for v, w, a in x.arrows],
+                                          m.dims, [(v, w, a.a) for v, w, a in m.arrows])
+        work = max(work, rows * cols * min(rows, cols))
+    return work
+
+
+@pytest.fixture(scope="module")
+def hom_references():
+    """The per-point reference reports of both hom checkers on every input."""
+    return [(label, rep, [loop_hom_report(prop, rep) for prop, _ in HOM_CHECKS])
+            for label, rep in hom_route_inputs()]
+
+
+class TestBatchedHomRoute:
+    @pytest.mark.parametrize("split", [False, True], ids=["default budget", "runs of 3"])
+    def test_reports_match_point_loop(self, monkeypatch, hom_references, split):
+        # at the default budget most sweeps here stack runs of 2, 4, 8, 16
+        # points; at 3 * work every run after the first holds at most 3
+        # points, so runs break at other points than the doubling does
+        shapes = spy_shapes(monkeypatch)
+        verdicts = set()
+        for label, rep, wants in hom_references:
+            if split:
+                monkeypatch.setattr(linalg, "STACK_ENTRIES", 3 * system_work(rep))
+                assert properties._run_cap(rep) == 3, label
+            for (prop, check), want in zip(HOM_CHECKS, wants):
+                shapes.clear()
+                got = check(rep)
+                assert got == want and got.to_json() == want.to_json(), (label, prop)
+                assert all(b * rows * cols * min(rows, cols) <= linalg.STACK_ENTRIES
+                           for b, rows, cols in shapes), label
+                assert not split or all(b <= 3 for b, _, _ in shapes), label
+                verdicts.add((prop, got.verdict))
+        assert verdicts == {(prop, v) for prop, _ in HOM_CHECKS for v in (True, False)}
+
+    @pytest.mark.parametrize("label, rep, witness",
+                             list(planted_hom_inputs()), ids=[c[0] for c in planted_hom_inputs()])
+    def test_planted_witnesses(self, label, rep, witness):
+        report = is_ekp_hom(rep)
+        assert report.verdict is (witness is None)
+        assert report.witness == (witness and (ProjPoint(rep.p, witness[0]), witness[1]))
+
+    def test_level_one_failure_shares_a_run(self, monkeypatch):
+        # the planted level-1 failure is the first failure although a later
+        # point of its run fails at level 0, which is ranked first
+        label, rep, _ = list(planted_hom_inputs())[-1]
+        assert properties._run_cap(rep) >= 4
+        sizes, hom_dims = [], properties._hom_dims
+        monkeypatch.setattr(properties, "_hom_dims",
+                            lambda m, xs: sizes.append(len(xs)) or hom_dims(m, xs))
+        assert is_ekp_hom(rep).witness == (ProjPoint(5, (0, 1, 2)), 1)
+        # runs of points 0, 1 to 2 and 3 to 6; the first two go one point at
+        # a time, by hom_space, and the third stacks: level 0 fails at point
+        # 5, so level 1 ranks points 3 and 4 only
+        assert sizes == [4, 2]
+
+    @pytest.mark.parametrize("direction, index", [((1, 1, 0), 0), ((0, 0, 1), 1), ((0, 1, 4), 2)])
+    def test_early_failures_solve_what_the_loop_solves(self, monkeypatch, direction, index):
+        # the first three points go one at a time, so a failure at point
+        # index solves the one system of each point up to it and stacks none
+        shapes, solved = spy_shapes(monkeypatch), []
+        solve = properties.hom_space
+        monkeypatch.setattr(properties, "hom_space", lambda x, m: solved.append(x) or solve(x, m))
+        rep = direction_rep(5, (1, 1), [[[1]]], direction)
+        assert is_ekp_hom(rep).witness == (ProjPoint(5, proj_coords(5, 3)[index]), 0)
+        assert len(solved) == index + 1 and shapes == []
+
+    def test_stacked_dims_are_kernel_dims(self):
+        # at every point, cols - forced - rank of the stack equals the
+        # sparse dim Hom(X_alpha(i), m) and dims[i] - rank of the step
+        cases = list(sweep_inputs())[::4] + [(label, rep) for label, rep, _ in planted_hom_inputs()]
+        for label, rep in cases:
+            points = proj_points(rep.p, rep.r)
+            for i in range(rep.n - 1):
+                xs = [properties.cached_x_module(rep.p, rep.n, rep.r, alpha, i) for alpha in points]
+                stacked = properties._hom_dims(rep, xs)
+                assert stacked == [len(hom_space(x, rep)) for x in xs], (label, i)
+                assert stacked == [rep.dims[i] - rank(alpha_operator(rep, alpha)[i])
+                                   for alpha in points], (label, i)
+
+    def test_x_cache_hits_on_a_second_sweep(self):
+        # EKP of S(1) holds at all 400 points of P^3(F_7), one module each;
+        # the bounded cache keeps every module of a sweep at p <= 7, r <= 4
+        rep = simple(7, 2, 4, 1)
+        assert properties.cached_x_module.cache_info().maxsize >= 4 * len(proj_coords(7, 4))
+        properties.cached_x_module.cache_clear()
+        assert is_ekp_hom(rep).verdict
+        first = properties.cached_x_module.cache_info()
+        assert is_ekp_hom(rep).verdict
+        second = properties.cached_x_module.cache_info()
+        assert (first.hits, first.misses, first.currsize) == (0, 400, 400)
+        assert (second.hits, second.misses) == (400, 400)
