@@ -13,19 +13,22 @@ exactly on their full steps, so every rank, verdict and witness is
 exact.
 
 The homological route computes Hom- and Ext-dimensions against the
-materialized projective-line family of arrow-cokernel modules X_alpha(i),
-sharing nothing with the definition route beyond the exact linear algebra
-substrate and the Sylvester systems of ``reps``.  It sweeps runs of 1, 2,
-4, ... points.  A run of one or two points goes one point at a time, each
-Hom system solved sparsely (``hom_space``), as the per-point loop does,
-so a sweep that fails at one of its first three points solves what that
-loop solves.  A longer run goes one level at a time and stacks the
-systems of its points: one forcing pass over the whole stack, then one
-``batched_rank``.  A run holds at most as many points as keep B rows cols
-min(rows, cols) within ``linalg.STACK_ENTRIES`` (``_run_cap``), so where
-the systems are large, every point is solved alone.  The levels of a
-stacked run rank only the points before the earliest failure found so
-far, so the witness is the first (point, level) in enumeration order.
+projective-line family of arrow-cokernel modules X_alpha(i), sharing
+nothing with the definition route beyond the exact linear algebra
+substrate and the Sylvester systems of ``reps``.  It builds the family in
+closed form, a whole run of points at once (``_x_family``): X_alpha(i)
+is the polynomial ring in the r - 1 variables other than alpha's lead,
+started at vertex i, so no point module is eliminated, built or cached.
+The first three points go one at a time, each Hom system solved
+sparsely, as the per-point loop does, so a sweep that fails at one of
+them solves what that loop solves.  Then runs of 4, 8, ... points go one
+level at a time and stack the systems of their points: one forcing pass
+over the whole stack, then one ``batched_rank``.  A run holds at most as
+many points as keep B rows cols min(rows, cols) within
+``linalg.STACK_ENTRIES`` (``_run_cap``), so where the systems are large,
+every point is solved alone.  The levels of a stacked run rank only the
+points before the earliest failure found so far, so the witness is the
+first (point, level) in enumeration order.
 All "for every point" quantifiers run exhaustively over the rational
 points of P^{r-1}(F_p); reports carry the field so the gap to an
 algebraically closed base field stays visible.
@@ -36,13 +39,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 
 from . import linalg
-from .linalg import batched_rank, combine, matmul, sketch_matrix
-from .monomials import dim_degree
+from .linalg import batched_rank, combine, coordinate_kernel, matmul, sketch_matrix
+from .monomials import dim_degree, multiplication_matrix
 from .reps import (
     BeilinsonRep,
     ProjPoint,
@@ -51,7 +54,6 @@ from .reps import (
     hom_space,
     point_steps,
     proj_coords,
-    x_module,
 )
 
 
@@ -169,17 +171,56 @@ def is_ekp_def(m: BeilinsonRep) -> PropertyReport:
 # ---------------------------------------------------------------------------
 # homological route
 
-# the point modules one sweep builds are at most 400 points of P^3(F_7)
-# times 4 levels (n <= 5), so every sweep at p <= 7, r <= 4, hom_route's 62
-# modules among them, hits on a second run; an unbounded cache kept all
-# 20,606 modules of one sweep at p = 101 and hit none of them
-X_CACHE_SIZE = 400 * 4
+@lru_cache(maxsize=None)
+def _y_table(p: int, r: int, n: int):
+    """What ``_x_family`` reads at (p, r, n): (z, degrees, xdims).
+
+    z is (r, r, F): z[:, j] holds the r arrows of X_alpha(0) at the point
+    alpha = e_j, where arrow j is zero and arrow l != j multiplies by the
+    variable y_k, k = l - (l > j), of k[y_0..y_{r-2}], each arrow its
+    matrices from degree d to d + 1, d = 0 .. n - 2
+    (``monomials.multiplication_matrix``), row-major and concatenated by
+    degree.  degrees[d + n - 2], for d = 2 - n .. n - 2, is (start, stop,
+    rows, cols) of degree d in the last axis of z, empty below degree 0;
+    xdims[i] is the dimension vector of X_alpha(i), dim_degree(r - 1, v -
+    i) at vertex v."""
+    degree = [dim_degree(r - 1, d) for d in range(n)]
+    y = np.concatenate([np.stack([multiplication_matrix(p, r - 1, d, k).a.ravel()
+                                  for k in range(1, r)])
+                        for d in range(n - 1)], axis=1)
+    z = np.zeros((r, r, y.shape[1]), dtype=np.int64)
+    for j in range(r):
+        z[np.arange(r) != j, j] = y
+    z.setflags(write=False)
+    offs = list(accumulate((degree[d + 1] * degree[d] for d in range(n - 1)), initial=0))
+    degrees = [(0, 0, int(d == -1), 0) for d in range(2 - n, 0)]
+    degrees += [(offs[d], offs[d + 1], degree[d + 1], degree[d]) for d in range(n - 1)]
+    xdims = [tuple(dim_degree(r - 1, v - i) for v in range(n)) for i in range(n - 1)]
+    return z, degrees, xdims
 
 
-@lru_cache(maxsize=X_CACHE_SIZE)
-def cached_x_module(p: int, n: int, r: int, alpha: ProjPoint, i: int) -> BeilinsonRep:
-    """The degree-one point module X_alpha at vertex i, the paper's family."""
-    return x_module(p, n, r, alpha, i)
+def _x_family(p: int, n: int, r: int, coords):
+    """X_alpha(i) at every coordinate row alpha of coords (``proj_coords``
+    rows), in closed form: for i = 0 .. n - 2 in turn, (dims, arrows), the
+    arrows (v, v+1, a) level by level, each a a stack with the point axis
+    first.
+
+    With lead j, the first nonzero coordinate, normalized to 1, alpha =
+    x_j + sum_{t>j} alpha_t x_t, so X_alpha(i) = P(i) / alpha P(i+1) is
+    k[x]/(alpha) started at vertex i, which the substitution x_j =
+    -sum_{t>j} alpha_t x_t identifies with k[y], y the r - 1 other
+    variables: arrow l != j multiplies by its own variable, as at e_j
+    (``_y_table``), and arrow j by -sum_t alpha_t times the arrows at e_j,
+    one ``matmul`` for the run.  X_alpha(i) at vertex v is degree v - i."""
+    z, degrees, xdims = _y_table(p, r, n)
+    lead = (coords != 0).argmax(axis=1)
+    arrows = z[:, lead]  # (r, points, F)
+    arrows[lead, np.arange(len(coords))] = -matmul(coords[:, None], arrows.transpose(1, 0, 2),
+                                                   p)[:, 0] % p
+    blocks = [list(arrows[..., lo:hi].reshape(r, len(coords), rows, cols))
+              for lo, hi, rows, cols in degrees]
+    return ((dims, [(v, v + 1, a) for v in range(n - 1) for a in blocks[v - i + n - 2]])
+            for i, dims in enumerate(xdims))
 
 
 # a run of B points stacks each level's Sylvester systems, rows x cols,
@@ -190,52 +231,50 @@ def cached_x_module(p: int, n: int, r: int, alpha: ProjPoint, i: int) -> Beilins
 # points a run) 0.18 and 0.07 against 0.29 and 0.35; 36 x 31 (34,596, 3
 # points) 0.35 against 0.44; 88 x 74 (481,888, one point) 2.1 against 1.3;
 # 200 x 155 (4.8 million) 16 against 3.0, since a dense stack loses what
-# forcing removes from each sparse system.  Runs of fewer than
-# _STACK_MIN_POINTS points go one point at a time: a stack of two saves
-# little (0.24 against 0.25 ms per point at 27 x 17, 0.17 against 0.25 at
-# 9 x 9), and it ranks the second point's level 0 even where the first
-# point fails at level 1, which the per-point loop never solves
+# forcing removes from each sparse system.  The first _STACK_MIN_POINTS
+# points go one at a time, and so does every point where fewer would fit
+# a run: a stack of two saves little (0.24 against 0.25 ms per point at
+# 27 x 17, 0.17 against 0.25 at 9 x 9), and it ranks the second point's
+# level 0 even where the first point fails at level 1, which the
+# per-point loop never solves
 _STACK_MIN_POINTS = 3
 
 
 def _run_cap(m: BeilinsonRep) -> int:
     """The most points a run of the hom route over m stacks, by the rule
-    above at its largest level, and at least one.  X_alpha(i) is the
-    cokernel of the injective map P(i+1) -> P(i) that alpha gives, so at
-    every alpha its dimension at vertex v is dim_degree(r, v - i) -
-    dim_degree(r, v - i - 1)."""
+    above at its largest level, and at least one.  At every alpha,
+    X_alpha(i) has dimension dim_degree(r - 1, v - i) at vertex v
+    (``_y_table``)."""
     work = 1
-    for i in range(m.n - 1):
-        xdims = [dim_degree(m.r, v - i) - dim_degree(m.r, v - i - 1) for v in range(m.n)]
+    for xdims in _y_table(m.p, m.r, m.n)[2]:
         rows = m.r * sum(x * y for x, y in zip(xdims, m.dims[1:]))
         cols = sum(x * y for x, y in zip(xdims, m.dims))
         work = max(work, rows * cols * min(rows, cols))
     return max(linalg.STACK_ENTRIES // work, 1)
 
 
-def _hom_dims(m: BeilinsonRep, xs) -> list[int]:
-    """dim Hom(x, m) for each x of xs, point modules of one dimension vector.
+def _hom_dims(m: BeilinsonRep, xdims, xarrows) -> list[int]:
+    """dim Hom(x, m) at each point of x, given by dims and (v, v+1, stack)
+    arrows with the point axis first (``_x_family``).
 
-    Fewer than ``_STACK_MIN_POINTS`` modules are solved one by one,
-    sparsely, by ``hom_space``.  More go as one (len(xs), rows, cols)
-    stack of their Sylvester systems (``reps._sylvester``): one ``_force``
-    on the block-diagonal matrix of the stack finds every system's forced
-    columns, whose RREF rows are unit vectors, so dim Hom is cols minus the
-    forced columns minus the ``batched_rank`` of the rest, the stack with
-    the forced columns zeroed."""
-    if len(xs) < _STACK_MIN_POINTS:
-        return [len(hom_space(x, m)) for x in xs]
-    xarrows = [(v, v + 1, np.stack([x.maps[v][l].a for x in xs]))
-               for v in range(m.n - 1) for l in range(m.r)]
-    (rows, cols), (r, c, values) = _sylvester(m.p, xs[0].dims, xarrows,
+    One point is solved sparsely (``coordinate_kernel``).  More go as one
+    (points, rows, cols) stack of their Sylvester systems
+    (``reps._sylvester``): one ``_force`` on the block-diagonal matrix of
+    the stack finds every system's forced columns, whose RREF rows are
+    unit vectors, so dim Hom is cols minus the forced columns minus the
+    ``batched_rank`` of the rest, the stack with the forced columns zeroed."""
+    points = len(xarrows[0][2])
+    (rows, cols), (r, c, values) = _sylvester(m.p, xdims, xarrows,
                                               m.dims, [(v, w, a.a) for v, w, a in m.arrows])
-    forced = linalg._force(r, c, len(xs) * cols)
+    if points == 1:
+        return [len(coordinate_kernel(m.p, (rows, cols), r, c, values))]
+    forced = linalg._force(r, c, points * cols)
     live = ~forced[c]
-    stack = np.zeros((len(xs), rows, cols), dtype=np.int64)
+    stack = np.zeros((points, rows, cols), dtype=np.int64)
     # entry (r, c) of the block-diagonal matrix is entry (r, c % cols) of
-    # the stack seen as one (len(xs) * rows, cols) array
-    stack.reshape(len(xs) * rows, cols)[r[live], c[live] % cols] = values[live]
-    dims = cols - forced.reshape(len(xs), cols).sum(axis=1)
+    # the stack seen as one (points * rows, cols) array
+    stack.reshape(points * rows, cols)[r[live], c[live] % cols] = values[live]
+    dims = cols - forced.reshape(points, cols).sum(axis=1)
     rest = np.flatnonzero(stack.any(axis=(1, 2)))
     if rest.size:
         dims[rest] -= batched_rank(stack[rest], m.p)
@@ -246,41 +285,37 @@ def _hom_failures(m: BeilinsonRep, shift):
     """The first (point, level) in enumeration order where shift[level] +
     dim Hom(X_point(level), m) is nonzero, yielded alone, or nothing.
 
-    The sweep reads the coordinate rows of ``proj_coords`` in runs of 1,
-    2, 4, ... points, at most ``_run_cap`` each, and builds a point per row
-    of the run.  A run of fewer than ``_STACK_MIN_POINTS`` points goes one
-    point at a time, its levels in order, each solved by ``hom_space``: the
-    per-point loop, which solves nothing past the first failure, so a sweep
-    that fails at one of its first three points solves what the loop
-    solves.  A longer run goes one level at a time, each ranked at once
-    (``_hom_dims``), and a level ranks only the points before the earliest
-    failure found so far, so the run's first failure is the sweep's."""
+    The sweep reads the coordinate rows of ``proj_coords`` in runs: the
+    first ``_STACK_MIN_POINTS`` points one at a time, then runs of 4, 8,
+    ... points, at most ``_run_cap`` each, or one point each where that is
+    below ``_STACK_MIN_POINTS``.  Each run builds its family once
+    (``_x_family``) and goes one level at a time (``_hom_dims``); a level
+    ranks only the points before the earliest failure found so far, so
+    the run's first failure is the sweep's, and a point is built only
+    there.  A sweep that fails at one of its first three points solves
+    what the per-point loop solves."""
     coords = proj_coords(m.p, m.r)
     start, run, cap = 0, 1, 1
     while start < len(coords):
-        points = [ProjPoint(m.p, row) for row in coords[start:start + run]]
-        if len(points) < _STACK_MIN_POINTS:
-            for alpha in points:
-                for i in range(m.n - 1):
-                    if shift[i] + len(hom_space(cached_x_module(m.p, m.n, m.r, alpha, i), m)):
-                        yield alpha, i
-                        return
-        else:
-            ahead = len(points)  # the points before the earliest failure so far
-            for i in range(m.n - 1):
-                xs = [cached_x_module(m.p, m.n, m.r, alpha, i) for alpha in points[:ahead]]
-                bad = next((b for b, d in enumerate(_hom_dims(m, xs)) if d + shift[i]), None)
-                if bad is not None:
-                    ahead, level = bad, i
-                    if not ahead:
-                        break
-            if ahead < len(points):
-                yield points[ahead], level
-                return
-        if not start:
-            cap = _run_cap(m)
+        rows = coords[start:start + run]
+        ahead = len(rows)  # the points before the earliest failure so far
+        for i, (xdims, xarrows) in enumerate(_x_family(m.p, m.n, m.r, rows)):
+            if ahead < len(rows):
+                xarrows = [(v, w, a[:ahead]) for v, w, a in xarrows]
+            bad = next((b for b, d in enumerate(_hom_dims(m, xdims, xarrows)) if d + shift[i]),
+                       None)
+            if bad is not None:
+                ahead, level = bad, i
+                if not ahead:
+                    break
+        if ahead < len(rows):
+            yield ProjPoint(m.p, rows[ahead]), level
+            return
         start += run
-        run = min(2 * run, cap)
+        if start == _STACK_MIN_POINTS:
+            cap = _run_cap(m)
+        if cap >= _STACK_MIN_POINTS:
+            run = min(start + 1, cap)
 
 
 def is_eip_hom(m: BeilinsonRep) -> PropertyReport:

@@ -1,6 +1,7 @@
 """Shared test utilities."""
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,9 +39,16 @@ def refuse_enumeration(monkeypatch, *, whole_space=True):
             monkeypatch.setattr(module, "proj_coords", blocks)
 
 
+@lru_cache(maxsize=None)
+def point_module(p, n, r, alpha, i):
+    """reps.x_module(p, n, r, alpha, i), built by elimination, memoized:
+    the reference loops sweep the same points for every rep of one (p, n, r)."""
+    return reps.x_module(p, n, r, alpha, i)
+
+
 def hom_dim_x(m, alpha, i):
     """dim Hom(X_alpha(i), m), solved sparsely at one point."""
-    return len(hom_space(properties.cached_x_module(m.p, m.n, m.r, alpha, i), m))
+    return len(hom_space(point_module(m.p, m.n, m.r, alpha, i), m))
 
 
 def ext_dim_x(m, alpha, i):

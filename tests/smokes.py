@@ -190,10 +190,20 @@ def large_p_hom_route():
 def hom_route_scale():
     """is_eip_hom(W(7,3,4,5,3)), true at all 400 points: its level-0
     Sylvester systems, 200 x 155, are past the hom route's stacking rule
-    (properties._run_cap), so each point is solved sparsely, about 2.3 s
-    and 34 MB; stacking every run with no size rule took 7.5 s and
-    214 MB."""
+    (properties._run_cap), so each point is solved sparsely, about
+    2.4-2.9 s and 31 MB; stacking every run with no size rule took 7.5 s
+    and 214 MB."""
     return is_eip_hom(reps.w_module(7, 3, 4, 5, 3)).verdict, True
+
+
+@smoke(seconds=2)
+def hom_route_large_p():
+    """is_eip_hom(W(101,3,3,3,2)), true at all 10,303 points: the hom
+    route builds each run's point modules in closed form
+    (properties._x_family) and stacks runs of up to 134 points, about
+    0.1 s and 31 MB; building every point module by elimination, one at
+    a time, took 7-12 s."""
+    return is_eip_hom(reps.w_module(101, 3, 3, 3, 2)).verdict, True
 
 
 if __name__ == "__main__":

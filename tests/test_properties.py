@@ -1,6 +1,6 @@
 """Equal-images, equal-kernels, and constant-rank property checks."""
 
-from helpers import loop_hom_report, random_valid_rep, refuse_enumeration
+from helpers import hom_dim_x, loop_hom_report, random_valid_rep, refuse_enumeration
 
 import json
 from functools import reduce
@@ -11,6 +11,7 @@ import pytest
 from beilinson import linalg, properties, reps
 from beilinson.kronecker import e_lambda, tau
 from beilinson.linalg import FpMatrix, image_basis, kernel_basis, rank
+from beilinson.monomials import dim_degree
 from beilinson.properties import (
     PropertyReport,
     constant_jordan_type,
@@ -35,6 +36,7 @@ from beilinson.reps import (
     proj_coords,
     proj_points,
     projective,
+    rep_isomorphic,
     simple,
     validate,
     w_module,
@@ -623,20 +625,22 @@ class TestBatchedHomRoute:
         assert properties._run_cap(rep) >= 4
         sizes, hom_dims = [], properties._hom_dims
         monkeypatch.setattr(properties, "_hom_dims",
-                            lambda m, xs: sizes.append(len(xs)) or hom_dims(m, xs))
+                            lambda m, xdims, xarrows: sizes.append(len(xarrows[0][2]))
+                            or hom_dims(m, xdims, xarrows))
         assert is_ekp_hom(rep).witness == (ProjPoint(5, (0, 1, 2)), 1)
-        # runs of points 0, 1 to 2 and 3 to 6; the first two go one point at
-        # a time, by hom_space, and the third stacks: level 0 fails at point
-        # 5, so level 1 ranks points 3 and 4 only
-        assert sizes == [4, 2]
+        # points 0, 1 and 2 go one at a time, and the run of points 3 to 6
+        # stacks: level 0 fails at point 5, so level 1 ranks points 3 and 4
+        # only
+        assert [b for b in sizes if b > 1] == [4, 2]
 
     @pytest.mark.parametrize("direction, index", [((1, 1, 0), 0), ((0, 0, 1), 1), ((0, 1, 4), 2)])
     def test_early_failures_solve_what_the_loop_solves(self, monkeypatch, direction, index):
         # the first three points go one at a time, so a failure at point
         # index solves the one system of each point up to it and stacks none
         shapes, solved = spy_shapes(monkeypatch), []
-        solve = properties.hom_space
-        monkeypatch.setattr(properties, "hom_space", lambda x, m: solved.append(x) or solve(x, m))
+        solve = properties.coordinate_kernel
+        monkeypatch.setattr(properties, "coordinate_kernel",
+                            lambda p, *system: solved.append(system) or solve(p, *system))
         rep = direction_rep(5, (1, 1), [[[1]]], direction)
         assert is_ekp_hom(rep).witness == (ProjPoint(5, proj_coords(5, 3)[index]), 0)
         assert len(solved) == index + 1 and shapes == []
@@ -647,22 +651,28 @@ class TestBatchedHomRoute:
         cases = list(sweep_inputs())[::4] + [(label, rep) for label, rep, _ in planted_hom_inputs()]
         for label, rep in cases:
             points = proj_points(rep.p, rep.r)
-            for i in range(rep.n - 1):
-                xs = [properties.cached_x_module(rep.p, rep.n, rep.r, alpha, i) for alpha in points]
-                stacked = properties._hom_dims(rep, xs)
-                assert stacked == [len(hom_space(x, rep)) for x in xs], (label, i)
+            family = properties._x_family(rep.p, rep.n, rep.r, proj_coords(rep.p, rep.r))
+            for i, (xdims, xarrows) in enumerate(family):
+                stacked = properties._hom_dims(rep, xdims, xarrows)
+                assert stacked == [hom_dim_x(rep, alpha, i) for alpha in points], (label, i)
                 assert stacked == [rep.dims[i] - rank(alpha_operator(rep, alpha)[i])
                                    for alpha in points], (label, i)
+                lone = [(v, w, a[:1]) for v, w, a in xarrows]
+                assert properties._hom_dims(rep, xdims, lone) == stacked[:1], (label, i)
 
-    def test_x_cache_hits_on_a_second_sweep(self):
-        # EKP of S(1) holds at all 400 points of P^3(F_7), one module each;
-        # the bounded cache keeps every module of a sweep at p <= 7, r <= 4
-        rep = simple(7, 2, 4, 1)
-        assert properties.cached_x_module.cache_info().maxsize >= 4 * len(proj_coords(7, 4))
-        properties.cached_x_module.cache_clear()
-        assert is_ekp_hom(rep).verdict
-        first = properties.cached_x_module.cache_info()
-        assert is_ekp_hom(rep).verdict
-        second = properties.cached_x_module.cache_info()
-        assert (first.hits, first.misses, first.currsize) == (0, 400, 400)
-        assert (second.hits, second.misses) == (400, 400)
+    @pytest.mark.parametrize("p, r, n", [(2, 2, 2), (2, 3, 3), (2, 4, 4), (3, 3, 4), (5, 2, 4),
+                                         (5, 3, 3), (7, 3, 2)])
+    def test_closed_form_is_x_module(self, p, r, n):
+        # at every point and every i, the closed form of X_alpha(i) is a
+        # representation, certified isomorphic to the cokernel x_module
+        # builds by elimination, with dim_degree(r - 1, v - i) at vertex v
+        coords = proj_coords(p, r)
+        for i, (xdims, xarrows) in enumerate(properties._x_family(p, n, r, coords)):
+            assert xdims == tuple(dim_degree(r - 1, v - i) for v in range(n))
+            for b, alpha in enumerate(coords):
+                maps = tuple(tuple(FpMatrix(p, a[b]) for _, _, a in xarrows[v * r:(v + 1) * r])
+                             for v in range(n - 1))
+                x = BeilinsonRep(p, n, r, xdims, maps)
+                assert validate(x) == [], (alpha, i)
+                assert rep_isomorphic(x, x_module(p, n, r, ProjPoint(p, alpha), i)) == "yes", \
+                    (alpha, i)
