@@ -333,10 +333,17 @@ def is_ekp_hom(m: BeilinsonRep) -> PropertyReport:
 # ---------------------------------------------------------------------------
 # constant rank / constant Jordan type
 
-def _rank_table(m: BeilinsonRep):
-    """For j = 1 .. n-1 in turn, the total rank of the j-fold step
-    composites at every point of P^{r-1}(F_p) (``reps.composite_ranks``)."""
-    return composite_ranks(point_steps(m, proj_coords(m.p, m.r)), m.p)
+def _rank_runs(m: BeilinsonRep, coords):
+    """(start, table) for consecutive runs of the coordinate rows coords,
+    each of at most ``linalg.STACK_ENTRIES`` // sum_i dims[i]^2 points, or
+    one: table yields, for j = 1 .. n-1 in turn, the total rank of the
+    j-fold step composites at each point of the run that starts at row
+    start (``reps.composite_ranks``).  A j-fold composite at level i is
+    dims[i+j] x dims[i], and sum_i dims[i+j] dims[i] <= sum_i dims[i]^2 by
+    Cauchy-Schwarz, so every stack of a run stays within the budget."""
+    run = max(linalg.STACK_ENTRIES // max(sum(d * d for d in m.dims), 1), 1)
+    for start in range(0, len(coords), run):
+        yield start, composite_ranks(point_steps(m, coords[start:start + run]), m.p)
 
 
 def _rank_changes(p: int, coords, totals, j: int):
@@ -347,21 +354,34 @@ def _rank_changes(p: int, coords, totals, j: int):
 
 def constant_rank(m: BeilinsonRep, j: int) -> PropertyReport:
     """Rank of the j-fold step composites equal across all points; the
-    report carries the total rank at every point."""
+    report carries the total rank at every point, ranked in runs of points
+    (``_rank_runs``)."""
     if not 1 <= j <= m.n - 1:
         raise ValueError(f"require 1 <= j <= n-1, got j={j}")
     coords = proj_coords(m.p, m.r)
-    totals = next(islice(_rank_table(m), j - 1, None))
+    totals = np.concatenate([next(islice(table, j - 1, None))
+                             for _, table in _rank_runs(m, coords)])
     profile = tuple(zip(map(tuple, coords.tolist()), totals.tolist()))
     return _first_failure(f"CR{j}", m.p, _rank_changes(m.p, coords, totals, j), profile)
 
 
 def constant_jordan_type(m: BeilinsonRep) -> PropertyReport:
-    """Conjunction of constant j-rank over j = 1 .. n-1, from one sweep."""
+    """Conjunction of constant j-rank over j = 1 .. n-1, from one sweep in
+    runs of points (``_rank_runs``).  The witness is the first point whose
+    total differs from the first point's at the lowest j where any does:
+    the first run ranks every j, and once a run finds a change at j, later
+    runs rank only the j' < j, which could still hold a lower one."""
     coords = proj_coords(m.p, m.r)
-    failures = (hit for j, totals in enumerate(_rank_table(m), 1)
-                for hit in _rank_changes(m.p, coords, totals, j))
-    return _first_failure("CJT", m.p, failures)
+    first, witness = [], None
+    for start, table in _rank_runs(m, coords):
+        for j, totals in zip(range(1, witness[1] if witness else m.n), table):
+            if not start:
+                first.append(totals[0])
+            changed = np.flatnonzero(totals != first[j - 1])
+            if changed.size:
+                witness = ProjPoint(m.p, coords[start + changed[0]]), j
+                break
+    return PropertyReport("CJT", witness is None, m.p, witness=witness)
 
 
 def no_maps_check(eip_member: BeilinsonRep, ekp_member: BeilinsonRep) -> bool:

@@ -21,7 +21,7 @@ import numpy as np
 from beilinson import emod, reps
 from beilinson.kronecker import tau
 from beilinson.linalg import FpMatrix
-from beilinson.properties import is_eip_def, is_eip_hom, is_ekp_hom
+from beilinson.properties import constant_jordan_type, is_eip_def, is_eip_hom, is_ekp_hom
 
 
 class Smoke(NamedTuple):
@@ -172,6 +172,15 @@ def large_p_definition_runs():
     linalg.STACK_ENTRIES entries, about 3 s and 95 MB; stacking every
     point at once peaked at 1,761 MB."""
     return is_eip_def(reps.w_module(1009, 3, 3, 4, 3)).verdict, True
+
+
+@smoke(rss_mb=300)
+def large_p_cjt():
+    """Constant Jordan type of W(1009,3,3,4,3), true at 1,019,091 points:
+    the rank table ranks its composites in runs of points within
+    linalg.STACK_ENTRIES entries (properties._rank_runs), about 3 s and
+    85 MB; stacking every point at once peaked at 1,908 MB."""
+    return constant_jordan_type(reps.w_module(1009, 3, 3, 4, 3)).verdict, True
 
 
 @smoke(seconds=1)

@@ -345,10 +345,61 @@ FULL_SIZE_STACKS = tuple(
 )
 
 
-def with_degenerate_stacks(test):
-    for case in DEGENERATE_STACKS:
-        test = example(case)(test)
-    return test
+def of_rank(rng, p, rows, cols, k):
+    """A product of random rows x k and k x cols factors: rank k but for chance."""
+    return (rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols))) % p
+
+
+def mixed_pivots(rng, p, count, rows, cols):
+    """count random matrices in each of which about half the columns after
+    the first are multiples of an earlier one, so have no pivot, while the
+    other matrices mostly pivot there."""
+    a = rng.integers(0, p, size=(count, rows, cols))
+    for b, j in zip(*np.nonzero(rng.random((count, cols)) < 0.5)):
+        if j:
+            a[b, :, j] = a[b, :, rng.integers(0, j)] * rng.integers(0, p) % p
+    return a
+
+
+# stacks that reach each part of batched_rank's reduction schedule: at
+# p = 7 and p = 5 the whole stack is reduced before steps 23 and 30, in
+# the middle of these eliminations of 40 and 60 columns, whose ranks near
+# full keep entries growing past 2^63 if it were not; at p = 2^31 - 1
+# before every step from the second; at p = 46337 and 5399 after every 3
+# and 4 steps, where these matrices of entries 0, 1, 2, p - 2 and p - 1
+# (the last column a combination of the others) grow so fast that a pivot
+# row left unreduced would pass 2^63 first; and stacks in which some
+# matrices have no pivot in a column while others do, at B = 1, 3 and 64
+REDUCTION_STACKS = (
+    (46337, np.array([
+        [[46335, 0, 0, 37221], [2, 0, 0, 9116], [0, 1, 46336, 44460],
+         [0, 46335, 46336, 24503], [46335, 1, 46335, 11369]],
+        [[46335, 46336, 0, 35947], [46335, 1, 46336, 1971], [46336, 46336, 46335, 237],
+         [0, 1, 46336, 23520], [1, 46336, 46335, 21786]]])),
+    (5399, np.array([
+        [[5397, 0, 0, 1, 5349], [2, 2, 5398, 0, 2673], [0, 5398, 5397, 5397, 4487],
+         [1, 5397, 1, 1, 2209], [5397, 1, 5398, 1, 93], [5398, 0, 5398, 0, 759]],
+        [[5397, 1, 0, 2, 5342], [0, 0, 5397, 1, 5123], [1, 1, 2, 1, 4823],
+         [5398, 5398, 2, 2, 3947], [5397, 5398, 0, 0, 85], [5397, 2, 5398, 5397, 2572]]])),
+) + tuple(
+    (p, np.array([rng.integers(0, p, size=shape)] + [of_rank(rng, p, *shape, k) for k in ranks]))
+    for p, shape, ranks, rng in (
+        (7, (40, 40), (38, 36, 12), np.random.default_rng(70)),
+        (5, (60, 60), (58, 30), np.random.default_rng(50)),
+        (2**31 - 1, (6, 5), (3, 4), np.random.default_rng(31)),
+    )
+) + tuple(
+    (p, mixed_pivots(np.random.default_rng(count), p, count, 12, 8))
+    for p, count in ((101, 1), (3, 3), (7, 64))
+)
+
+
+def with_examples(cases):
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return decorate
 
 
 @st.composite
@@ -369,7 +420,7 @@ def low_rank_systems(draw):
 
 class TestRankOracle:
     @given(low_rank_stacks())
-    @with_degenerate_stacks
+    @with_examples(DEGENERATE_STACKS)
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_rank_matches_sympy_and_rref(self, case):
         p, stack = case
@@ -380,7 +431,7 @@ class TestRankOracle:
             assert rank(FpMatrix(p, a)) == expected
 
     @given(low_rank_stacks())
-    @with_degenerate_stacks
+    @with_examples(DEGENERATE_STACKS)
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_batched_rank_matches_sympy(self, case):
         p, stack = case
@@ -390,8 +441,7 @@ class TestRankOracle:
         assert ranks.tolist() == expected
 
     @given(low_rank_stacks(max_count=4, max_side=40))
-    @example(FULL_SIZE_STACKS[0])
-    @example(FULL_SIZE_STACKS[1])
+    @with_examples(FULL_SIZE_STACKS + REDUCTION_STACKS)
     @settings(max_examples=20, deadline=None, derandomize=True)
     def test_both_ranks_match_sympy_up_to_40x40(self, case):
         p, stack = case
@@ -406,8 +456,9 @@ class TestRankOracle:
         assert np.array_equal(stack, before)
 
     def test_rank_near_the_int64_limit(self):
-        # the last step of a full-rank 3x3 elimination multiplies entries
-        # near p; int64 stays exact because every step reduces mod p
+        # the second step of a full-rank 3x3 elimination starts from entries
+        # near 2 (p-1)^2; int64 stays exact because batched_rank reduces the
+        # whole stack mod p before any step that could pass 2^63
         p = 2**31 - 1
         a = np.array([[p - 1, p - 2, 1], [p - 3, 2, p - 1], [5, p - 1, p - 7]])
         expected = sympy_rank(a, p)
@@ -586,13 +637,19 @@ class TestNoWrites:
         pi, complement = quotient_projection(m)
         x = solve_matrix(m, FpMatrix(m.p, m.a[:, :1]))
         return [free.tolist(), rem.tolist(), sub, kernel_basis(m).a.tolist(),
-                image_basis(m).a.tolist(), x.a.tolist(), pi.a.tolist(), complement]
+                image_basis(m).a.tolist(), x.a.tolist(), pi.a.tolist(), complement,
+                rank(m), batched_rank(np.stack([m.a, m.a]), m.p).tolist()]
 
     @pytest.mark.parametrize("a", [
         # singleton rows (one repeated), a zero row and a dense remainder
         np.array([[0, 3, 0, 0, 0], [1, 0, 2, 4, 0], [0, 5, 0, 0, 0], [2, 6, 4, 1, 0],
                   [0, 0, 0, 0, 0]]),
-        np.array([[1, 2, 3], [4, 5, 6], [0, 1, 1]]),  # nothing forced
+        # nothing forced and no zero line, tall and wide: as a one-matrix
+        # stack with the batch axis innermost, a C-ordered tall matrix and
+        # an F-ordered wide one are already contiguous, so batched_rank
+        # must copy them anyway
+        np.array([[1, 2, 3], [4, 5, 6], [0, 1, 1]]),
+        np.array([[1, 2, 3, 4], [0, 1, 1, 2]]),
     ])
     def test_inputs_unchanged_and_views_accepted(self, a):
         p = 7
@@ -608,6 +665,8 @@ class TestNoWrites:
             assert self.results(FpMatrix._reduced(p, view)) == expected
         free, rem, sub = linalg._rref(writable, p)
         assert [free.tolist(), rem.tolist(), sub] == expected[:3]
+        assert batched_rank(writable[None], p).tolist() == [expected[8]]
+        assert batched_rank(writable.T[None], p).tolist() == [expected[8]]
         assert np.array_equal(writable, a) and writable.flags.writeable
 
 

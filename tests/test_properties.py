@@ -324,6 +324,34 @@ class TestBatchedSweepMatchesPointLoop:
         assert is_eip_def(rep).verdict
         assert shapes == [(7, 11, 13), (7, 11, 13), (1, 11, 13), (2, 11, 41)]
 
+    def test_rank_tables_in_runs_match_one_stack(self, monkeypatch):
+        # constant_rank and constant_jordan_type rank their composites in
+        # runs of at most linalg.STACK_ENTRIES // sum(d^2) points; at 2
+        # entries every run is one point, and no rank profile or witness
+        # may change.  The last input changes its 2-rank at point 1 and its
+        # 1-rank only at point 5, so the CJT witness (lowest j first, then
+        # its first point) comes from a later run than the first change
+        late_j1 = BeilinsonRep(5, 3, 2, (2, 3, 2), (
+            (FpMatrix(5, [[2, 3], [0, 1], [4, 0]]), FpMatrix(5, [[4, 3], [4, 1], [2, 0]])),
+            (FpMatrix(5, [[0, 4, 3], [3, 3, 0]]), FpMatrix(5, [[1, 1, 0], [2, 1, 0]]))))
+        inputs = list(sweep_inputs()) + [("late j = 1", late_j1)]
+
+        def reports(rep):
+            return [constant_rank(rep, j) for j in range(1, rep.n)] + [constant_jordan_type(rep)]
+
+        expected = [reports(rep) for _, rep in inputs]
+        assert expected[-1][-1].witness == (ProjPoint(5, (1, 4)), 1)
+        shapes, rank_stack = [], reps.batched_rank
+        monkeypatch.setattr(reps, "batched_rank",
+                            lambda stack, p: shapes.append(stack.shape) or rank_stack(stack, p))
+        monkeypatch.setattr(linalg, "STACK_ENTRIES", 2)
+        for (label, rep), wants in zip(inputs, expected):
+            shapes.clear()
+            got = reports(rep)
+            assert got == wants, label
+            assert [r.to_json() for r in got] == [r.to_json() for r in wants], label
+            assert {b for b, _, _ in shapes} == {1}, label
+
     def test_composite_ranks_exact_at_large_prime(self, monkeypatch):
         # the 2-fold composite of 3x3 steps sums three products near (p-1)^2;
         # its true rank of 1 turns into garbage if that sum overflows int64.
